@@ -278,17 +278,16 @@ def sort_to_tsscpp(beta: StaircaseArray) -> StaircaseArray:
             changed = False
             for j in range(1, len(row) - 1):
                 if row[j] > row[j + 1]:
-                    below = rows[i]
-                    assert below[j - 1] == below[j], (
-                        "out-of-order pair over unequal southwest neighbors"
-                    )
+                    if rows[i][j - 1] != rows[i][j]:
+                        raise RuntimeError("swap over unequal southwest neighbors")
                     for t in range(i):
                         r = rows[i - 1 - t]
                         c = j + t
                         r[c], r[c + 1] = r[c + 1], r[c]
                     changed = True
     result = StaircaseArray(tuple(tuple(r) for r in rows))
-    assert validate(result, SORTED_COLORS), "sorting broke a red or blue inequality"
+    if not validate(result, SORTED_COLORS):
+        raise RuntimeError("sorting broke a red or blue inequality")
     return result
 
 

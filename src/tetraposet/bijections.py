@@ -402,7 +402,8 @@ def array_to_tsscpp(x: StaircaseArray) -> Tsscpp:
         for a in range(1, size + 1)
     )
     t = Tsscpp(rows)
-    assert tsscpp_to_array(t) == x, "wedge does not read back from the rebuilt cube"
+    if tsscpp_to_array(t) != x:
+        raise RuntimeError("wedge does not read back from the rebuilt cube")
     return t
 
 

@@ -1,28 +1,19 @@
 """Order ideal counting and enumeration for colored subposets.
 
-Two engines:
-
-  * a frontier profile dynamic program that works on any subposet (dualized
-    or restricted to a component), sweeping a linear extension and keeping
-    one bit of membership per still-referenced vertex, and
-
-  * the staircase-array transfer program in arrays.py, used as a fast path
-    whenever green is present and the poset is not dualized, since those
-    ideals are in weight-preserving bijection with arrays.
-
-Both produce the full rank generating function sum q^|I|; counts are the
-evaluation at q = 1.
+One engine gives the rank generating function sum q^|I| over the order ideals
+I of any subposet, dualized or not: the product over connected components of
+a frontier dynamic program along a linear extension (the transfer-matrix
+method, Stanley EC1 4.7). Counts are the evaluation at q = 1. The staircase
+array transfer in arrays.py is a second, independent formulation for sets with
+green, kept as a cross-check.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from math import comb
 
-from .arrays import array_rank_gf
 from .budget import guard
-from .colors import Color
 from .polynomials import QPoly
 from .poset import OrderIdeal, Subposet, Vertex
 
@@ -47,62 +38,68 @@ def _linear_extension(p: Subposet) -> list[Vertex]:
     return order
 
 
-def _frontier_rank_dict(p: Subposet) -> dict[int, int]:
-    """Map ideal size -> number of ideals, by profile DP over a linear extension."""
+def _steps(p: Subposet) -> list[tuple[int, int, int]]:
+    """One (need_mask, u_bit, keep_mask) triple per vertex u of the linear
+    extension. A vertex holds the lowest free bit slot from its own step until
+    its last upper cover is visited. need_mask has the slots of u's lower
+    covers, keep_mask the slots still held after u's step (u aside), and u_bit
+    is u's slot, or 0 when nothing covers u."""
     order = _linear_extension(p)
     pos = {v: t for t, v in enumerate(order)}
     pred = p.predecessors()
     succ = p.successors()
-    last_use = {
-        v: max((pos[w] for w in succ[v]), default=pos[v]) for v in p.vertices
-    }
-    active: list[Vertex] = []
-    # states: bitmask over indices of `active` -> {ideal size: count}
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    last_use = {v: max((pos[w] for w in succ[v]), default=pos[v]) for v in order}
+    bit: dict[Vertex, int] = {}
+    held = 0
+    steps = []
     for t, u in enumerate(order):
-        pred_bits = [active.index(v) for v in pred[u]]
-        keep = [idx for idx, v in enumerate(active) if last_use[v] > t]
-        keeps_u = last_use[u] > t
-        new_states: dict[int, dict[int, int]] = {}
+        need = 0
+        for v in pred[u]:
+            need |= bit[v]
+            if last_use[v] == t:
+                held &= ~bit.pop(v)
+        keep = held
+        u_bit = 0
+        if last_use[u] > t:
+            u_bit = ~held & (held + 1)  # the lowest free slot
+            held |= u_bit
+            bit[u] = u_bit
+        steps.append((need, u_bit, keep))
+    return steps
 
-        def add(mask: int, sizes: dict[int, int], bump: int) -> None:
-            acc = new_states.setdefault(mask, {})
-            for s, c in sizes.items():
-                acc[s + bump] = acc.get(s + bump, 0) + c
 
-        for mask, sizes in states.items():
-            base = 0
-            for new_idx, old_idx in enumerate(keep):
-                if mask >> old_idx & 1:
-                    base |= 1 << new_idx
-            u_bit = 1 << len(keep) if keeps_u else 0
-            # u stays out of the ideal
-            add(base, sizes, 0)
-            # u joins the ideal, legal only when every cover below it is in
-            if all(mask >> b & 1 for b in pred_bits):
-                add(base | u_bit, sizes, 1)
-        active = [active[idx] for idx in keep] + ([u] if keeps_u else [])
+def _component_rank_coeffs(p: Subposet) -> list[int]:
+    """Rank gf coefficients of a subposet, lowest degree first, by frontier DP.
+
+    Each state's size polynomial is packed into one int, coefficient of q^s
+    in bits [s*width, (s+1)*width), so putting u into the ideal is a shift by
+    width and merging two states is one int add. A coefficient counts distinct
+    s-element sets of the |V| vertices, so it is at most C(|V|, s) < 2^width
+    with width = |V| + 1, and no field ever carries into the next.
+    """
+    width = len(p.vertices) + 1
+    states = {0: 1}
+    for need, u_bit, keep in _steps(p):
+        new_states: dict[int, int] = {}
+        for mask, packed in states.items():
+            base = mask & keep
+            new_states[base] = new_states.get(base, 0) + packed
+            if mask & need == need:
+                base |= u_bit
+                new_states[base] = new_states.get(base, 0) + (packed << width)
         states = new_states
-    total: dict[int, int] = {}
-    for sizes in states.values():
-        for s, c in sizes.items():
-            total[s] = total.get(s, 0) + c
-    return total
-
-
-def _array_path_applies(p: Subposet) -> bool:
-    return (
-        Color.GREEN in p.colors
-        and not p.is_dual
-        and len(p.vertices) == comb(p.n + 1, 3)
-    )
+    # every slot is released after the last step, so one state is left
+    packed = states[0]
+    field = (1 << width) - 1
+    return [packed >> (s * width) & field for s in range(width)]
 
 
 def rank_gf(p: Subposet) -> QPoly:
     """Rank generating function sum over ideals I of q^|I|."""
-    if _array_path_applies(p):
-        return array_rank_gf(p.n, p.colors)
-    return QPoly(_frontier_rank_dict(p))
+    gf = QPoly({0: 1})
+    for comp in p.components():
+        gf = gf * QPoly.from_coeff_list(_component_rank_coeffs(comp))
+    return gf
 
 
 def count_ideals(p: Subposet, max_vertices: int | None = None) -> int:
