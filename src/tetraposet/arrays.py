@@ -18,18 +18,20 @@ In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 from math import comb
 
 from .budget import guard
 from .colors import Color, require_admissible
-from .polynomials import QPoly
+from .polynomials import QPoly, SparsePoly, add_binomial_term
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
 TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
 ASM_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.BLUE})
 SORTED_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN, Color.YELLOW})
+
+Diagonal = tuple[int, ...]
 
 
 class StaircaseArray:
@@ -131,16 +133,24 @@ def validate(x: StaircaseArray, colors) -> bool:
     return True
 
 
-def _diag_assignments(n: int, d: int, colors: frozenset[Color]) -> list[tuple[int, ...]]:
+def _diag_assignments(
+    d: int, colors: frozenset[Color], after: Diagonal | None = None
+) -> list[Diagonal]:
     """Valid fillings of the diagonal i+j = d, as tuples a with a[i-1] = x_{i, d-i}.
 
     Built from the pinned x_{d,0} = d northeast to x_{1,d-1}, applying the
     intra-diagonal constraints (blue caps each step by its southwest neighbor,
-    red floors it one below).
+    red floors it one below). Given the filling `after` of diagonal d+1, only
+    fillings that may precede it are built: every inter-diagonal constraint
+    bounds one entry a[i-1] by after[i-1] (its east neighbor, yellow and
+    silver) or after[i] (its south neighbor, orange).
     """
     blue = Color.BLUE in colors
     red = Color.RED in colors
-    out: list[tuple[int, ...]] = []
+    yellow = after is not None and Color.YELLOW in colors
+    orange = after is not None and Color.ORANGE in colors
+    silver = after is not None and Color.SILVER in colors
+    out: list[Diagonal] = []
 
     def extend(vals: list[int]) -> None:
         i = d - len(vals)
@@ -153,6 +163,12 @@ def _diag_assignments(n: int, d: int, colors: frozenset[Color]) -> list[tuple[in
             hi = min(hi, prev)
         if red:
             lo = max(lo, prev - 1)
+        if yellow:
+            hi = min(hi, after[i - 1])
+        if orange:
+            hi = min(hi, after[i] - 1)
+        if silver:
+            lo = max(lo, after[i - 1] - 1)
         for v in range(lo, hi + 1):
             extend(vals + [v])
 
@@ -160,49 +176,120 @@ def _diag_assignments(n: int, d: int, colors: frozenset[Color]) -> list[tuple[in
     return out
 
 
-def _transfer_ok(
-    a: tuple[int, ...], b: tuple[int, ...], colors: frozenset[Color]
-) -> bool:
-    """Inter-diagonal constraints between diagonal d (a) and d+1 (b)."""
-    yellow = Color.YELLOW in colors
-    orange = Color.ORANGE in colors
-    silver = Color.SILVER in colors
-    for idx, v in enumerate(a):
-        if yellow and v > b[idx]:
-            return False
-        if orange and v >= b[idx + 1]:
-            return False
-        if silver and b[idx] > v + 1:
-            return False
-    return True
+def _transfer(
+    n: int,
+    colors: frozenset[Color],
+    diag_key: Callable[[Diagonal], int],
+    pair_key: Callable[[Diagonal, Diagonal], int] | None = None,
+) -> Iterator[dict[Diagonal, dict[int, int]]]:
+    """Diagonal transfer DP over Y_n(S) (Stanley, EC1 section 4.7).
+
+    The weight of an array is the sum of diag_key(b) over its diagonal
+    fillings b plus pair_key(a, b) over consecutive fillings a, b. Each state
+    is a filling of the last diagonal, mapped to {weight: number of partial
+    arrays}; packing several statistics into one integer weight makes the
+    shift by a transition one add per term. Yields the states after every
+    diagonal, so a caller can guard their size; the last yield covers Y_n(S).
+    """
+    states = {a: {diag_key(a): 1} for a in _diag_assignments(1, colors)}
+    yield states
+    for d in range(2, n + 1):
+        nxt: dict[Diagonal, dict[int, int]] = {}
+        for b in _diag_assignments(d, colors):
+            w = diag_key(b)
+            acc: dict[int, int] = {}
+            for a in _diag_assignments(d - 1, colors, b):
+                weights = states.get(a)
+                if weights is None:
+                    continue
+                shift = w + pair_key(a, b) if pair_key else w
+                for k, c in weights.items():
+                    k += shift
+                    acc[k] = acc.get(k, 0) + c
+            if acc:
+                nxt[b] = acc
+        states = nxt
+        yield states
 
 
-def array_rank_gf(n: int, colors) -> QPoly:
-    """Generating function sum q^weight over Y_n(S), by diagonal transfer DP."""
+def _total(states: dict[Diagonal, dict[int, int]]) -> dict[int, int]:
+    total: dict[int, int] = {}
+    for weights in states.values():
+        for k, c in weights.items():
+            total[k] = total.get(k, 0) + c
+    return total
+
+
+def _require_green(n: int, colors) -> frozenset[Color]:
     colorset = require_admissible(colors)
     if Color.GREEN not in colorset:
         raise ValueError("the array model needs green in the color set")
     if n < 1:
         raise ValueError("n must be at least 1")
-    assignments = _diag_assignments(n, 1, colorset)
-    states: dict[tuple[int, ...], dict[int, int]] = {a: {0: 1} for a in assignments}
-    for d in range(2, n + 1):
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for b in _diag_assignments(n, d, colorset):
-            w = sum(v - i for i, v in enumerate(b, start=1))
-            acc: dict[int, int] = {}
-            for a, sizes in states.items():
-                if _transfer_ok(a, b, colorset):
-                    for s, c in sizes.items():
-                        acc[s + w] = acc.get(s + w, 0) + c
-            if acc:
-                nxt[b] = acc
-        states = nxt
-    total: dict[int, int] = {}
-    for sizes in states.values():
-        for s, c in sizes.items():
-            total[s] = total.get(s, 0) + c
-    return QPoly(total)
+    return colorset
+
+
+def _diag_weight(b: Diagonal) -> int:
+    return sum(v - i for i, v in enumerate(b, start=1))
+
+
+def array_rank_gf(n: int, colors) -> QPoly:
+    """Generating function sum q^weight over Y_n(S), by diagonal transfer DP."""
+    colorset = _require_green(n, colors)
+    for states in _transfer(n, colorset, _diag_weight):
+        pass
+    return QPoly(_total(states))
+
+
+def value_count_gf(
+    n: int, colors, *, equalities: bool, budget: int | None = None
+) -> SparsePoly:
+    """Sum over Y_n(S) of prod_k x_k^(C_k - 1), by diagonal transfer DP.
+
+    C_k counts the entries equal to k; the pinned column holds one of each
+    value, so x^(C_k - 1) is the product of x_v over the cells with j >= 1.
+    With equalities, each array also carries lambda^E (1+lambda)^N, where E
+    counts the cells equal to their southwest neighbor (on the same diagonal)
+    and N the cells strictly above their west neighbor and strictly below
+    their southwest neighbor (on consecutive diagonals); see
+    identities.ArrayStats. The live term count is checked against the budget
+    after every diagonal.
+
+    Weights are packed into one integer, a field of width w each for E, for
+    N (standing for (1+lambda)^N until the end) and for x_1..x_n; no field
+    can carry, since none exceeds the n(n-1)/2 non-pinned cells.
+    """
+    colorset = _require_green(n, colors)
+    w = (n * (n - 1) // 2).bit_length() or 1
+    mask = (1 << w) - 1
+
+    def diag_key(b: Diagonal) -> int:
+        key = 0
+        for i in range(len(b) - 1):
+            key += 1 << ((b[i] + 1) * w)
+            if equalities and b[i] == b[i + 1]:
+                key += 1
+        return key
+
+    def rise_drops(a: Diagonal, b: Diagonal) -> int:
+        return sum(a[i] < b[i] < b[i + 1] for i in range(len(a))) << w
+
+    pair_key = rise_drops if equalities else None
+    for states in _transfer(n, colorset, diag_key, pair_key):
+        guard(sum(map(len, states.values())), "transfer terms", budget)
+    terms: dict = {}
+    x_parts: dict[int, tuple[tuple[int, int], ...]] = {}
+    for key, c in _total(states).items():
+        x_key = key >> 2 * w
+        xs = x_parts.get(x_key)
+        if xs is None:
+            xs = x_parts[x_key] = tuple(
+                (k, e)
+                for k in range(1, n + 1)
+                if (e := x_key >> (k - 1) * w & mask)
+            )
+        add_binomial_term(terms, key & mask, xs, key >> w & mask, c)
+    return SparsePoly(terms)
 
 
 def count_arrays(n: int, colors) -> int:
@@ -211,9 +298,7 @@ def count_arrays(n: int, colors) -> int:
 
 def enumerate_arrays(n: int, colors, budget: int | None = None) -> Iterator[StaircaseArray]:
     """Yield Y_n(S) in deterministic order (rows bottom-up, values ascending)."""
-    colorset = require_admissible(colors)
-    if Color.GREEN not in colorset:
-        raise ValueError("the array model needs green in the color set")
+    colorset = _require_green(n, colors)
     guard(count_arrays(n, colorset), "arrays", budget)
     orange = Color.ORANGE in colorset
     red = Color.RED in colorset

@@ -239,7 +239,10 @@ class Tournament:
         raise AttributeError("Tournament is immutable")
 
     def winner(self, i: int, j: int) -> int:
-        return self.winners[games(self.n).index((i, j))]
+        if not 1 <= i < j <= self.n:
+            raise ValueError(f"({i}, {j}) is not a game of 1..{self.n}")
+        # games before (i, j) in lexicographic order: (n-1) + ... + (n-i+1) + (j-i-1)
+        return self.winners[(i - 1) * (2 * self.n - i) // 2 + j - i - 1]
 
     def is_upset(self, i: int, j: int) -> bool:
         return self.winner(i, j) == j

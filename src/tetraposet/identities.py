@@ -11,6 +11,13 @@ weighted by value counts, and one over sorted tournament arrays with their
 row shuffles. A fifth, lambda-only identity checks the shuffle fibers
 themselves, and a sixth matches the value-count sum at lambda = 1 against the
 pairwise product directly.
+
+Left sides are expanded products. Of the right sides, the two value-count
+sums (`asm`, `schur`) are computed by weighted diagonal transfer
+(arrays.value_count_gf), since every weight in them is local to two
+consecutive diagonals; the matrix sum (`rr`) and both sorted-array sums
+(`tsscpp`, `tsscpp-count`) enumerate their arrays. So every identity keeps
+one side computed by a route that shares no code with the transfer.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from .arrays import (
     StaircaseArray,
     enumerate_arrays,
     enumerate_row_shuffles,
+    value_count_gf,
 )
 from .bijections import Asm, array_to_asm
 from .colors import Color, all_admissible_sets, format_colors
 from .formulas import formula_count, formula_rank_gf, tournament_gf
-from .polynomials import QPoly, SparsePoly, first_difference
+from .polynomials import QPoly, SparsePoly, add_binomial_term, first_difference
 
 SCHUR_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE})
 
@@ -97,29 +105,21 @@ class AsmStats:
 
 
 def asm_stats(a: Asm) -> AsmStats:
-    """Inversions sum A_{ij} A_{kl} over i > k, j < l, plus the -1 count."""
-    nonzero = [
-        (i, j, v)
-        for i, row in enumerate(a.rows)
-        for j, v in enumerate(row)
-        if v
-    ]
-    inv = 0
-    for i, j, vi in nonzero:
-        for k, l, vk in nonzero:
-            if i > k and j < l:
-                inv += vi * vk
-    neg = sum(1 for _, _, v in nonzero if v == -1)
+    """Inversions sum A_{ij} A_{kl} over i > k, j < l, plus the -1 count.
+
+    Rows are scanned top down with running column sums of the rows above, so
+    each entry A_{ij} pairs with the sum of those columns to its right.
+    """
+    above = [0] * len(a.rows)
+    inv = neg = 0
+    for row in a.rows:
+        right = 0
+        for j in range(len(row) - 1, -1, -1):
+            inv += row[j] * right
+            right += above[j]
+            above[j] += row[j]
+        neg += row.count(-1)
     return AsmStats(inversions=inv, neg_count=neg)
-
-
-def _add_with_binomial(
-    terms: dict, lam_base: int, xs: tuple, spread: int
-) -> None:
-    """Add (1+lambda)^spread * lambda^lam_base * x^xs into a term dict."""
-    for m in range(spread + 1):
-        key = (lam_base + m, xs)
-        terms[key] = terms.get(key, 0) + comb(spread, m)
 
 
 def robbins_rumsey_rhs(n: int, budget: int | None = None) -> SparsePoly:
@@ -134,23 +134,14 @@ def robbins_rumsey_rhs(n: int, budget: int | None = None) -> SparsePoly:
             for j in range(n)
         ]
         xs = tuple((j + 1, e) for j, e in enumerate(exps) if e)
-        _add_with_binomial(terms, st.inversions - st.neg_count, xs, st.neg_count)
+        add_binomial_term(terms, st.inversions - st.neg_count, xs, st.neg_count, 1)
     return SparsePoly(terms)
 
 
 def asm_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
     """Sum over Y_n({g,y,o,b}) of
-    lambda^E (1+lambda)^N prod_k x_k^(C_k - 1)."""
-    terms: dict = {}
-    for x in enumerate_arrays(n, ASM_COLORS, budget):
-        st = array_stats(x)
-        xs = tuple(
-            (k, st.value_counts[k] - 1)
-            for k in range(1, n + 1)
-            if st.value_counts.get(k, 0) > 1
-        )
-        _add_with_binomial(terms, st.eq_total, xs, st.rise_drop_count)
-    return SparsePoly(terms)
+    lambda^E (1+lambda)^N prod_k x_k^(C_k - 1), by diagonal transfer."""
+    return value_count_gf(n, ASM_COLORS, equalities=True, budget=budget)
 
 
 def tsscpp_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
@@ -207,18 +198,8 @@ def pairwise_product(n: int) -> SparsePoly:
 
 
 def schur_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
-    """Sum over Y_n({g,y,o}) of prod_k x_k^(C_k - 1)."""
-    terms: dict = {}
-    for x in enumerate_arrays(n, SCHUR_COLORS, budget):
-        st = array_stats(x)
-        xs = tuple(
-            (k, st.value_counts[k] - 1)
-            for k in range(1, n + 1)
-            if st.value_counts.get(k, 0) > 1
-        )
-        key = (0, xs)
-        terms[key] = terms.get(key, 0) + 1
-    return SparsePoly(terms)
+    """Sum over Y_n({g,y,o}) of prod_k x_k^(C_k - 1), by diagonal transfer."""
+    return value_count_gf(n, SCHUR_COLORS, equalities=False, budget=budget)
 
 
 def verify_identity(name: str, n: int, budget: int | None = None) -> dict:

@@ -12,6 +12,7 @@ lexicographic), so output is deterministic.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from math import comb
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -397,10 +398,10 @@ class SparsePoly:
 
     def lambda_specialize(self, lam_value: int) -> SparsePoly:
         """Substitute an integer for lambda, keeping the x variables."""
-        out = SparsePoly()
+        out: dict[Monomial, int] = {}
         for (lam, xs), c in self._terms.items():
-            out = out + SparsePoly({(0, xs): c * lam_value**lam})
-        return out
+            out[(0, xs)] = out.get((0, xs), 0) + c * lam_value**lam
+        return SparsePoly(out)
 
     def to_json_obj(self) -> list[dict]:
         """Monomial list in graded-lex order; coefficients as decimal strings."""
@@ -441,6 +442,15 @@ class SparsePoly:
                 bits.append(f"x{k}" if e == 1 else f"x{k}^{e}")
             parts.append("*".join(bits))
         return "SparsePoly(" + " + ".join(parts) + ")"
+
+
+def add_binomial_term(
+    terms: dict[Monomial, int], lam: int, xs: tuple, spread: int, coeff: int
+) -> None:
+    """Add coeff * (1+lambda)^spread * lambda^lam * x^xs into a term dict."""
+    for m in range(spread + 1):
+        key = (lam + m, xs)
+        terms[key] = terms.get(key, 0) + coeff * comb(spread, m)
 
 
 def principal_specialization(poly: SparsePoly) -> QPoly:

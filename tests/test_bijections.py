@@ -94,6 +94,12 @@ def test_tournament_accessors():
         Tournament(3, {(1, 2): 2, (1, 3): 1})
     with pytest.raises(ValueError):
         Tournament(3, {(1, 2): 2, (1, 3): 2, (2, 3): 3})
+    for bad in ((2, 1), (1, 1), (0, 2), (2, 4)):
+        with pytest.raises(ValueError):
+            t.winner(*bad)
+    for n in range(1, 7):
+        t = Tournament(n, {g: g[i % 2] for i, g in enumerate(games(n))})
+        assert [t.winner(*g) for g in games(n)] == list(t.winners)
 
 
 def test_tournament_json_round_trip():

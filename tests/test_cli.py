@@ -145,6 +145,13 @@ def test_exit_2_budget(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_exit_2_verify_budget(capsys, monkeypatch):
+    monkeypatch.setenv("TETRAPOSET_BUDGET", "5")
+    code, out, err = run_cli(capsys, "verify", "--identity", "schur", "--n", "4")
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_convert_asm_to_tournament_family_mismatch(capsys, tmp_path, asm4_rows):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(asm4_rows))

@@ -5,11 +5,13 @@ import pytest
 from tetraposet import (
     ASM_COLORS,
     Asm,
+    BudgetError,
     QPoly,
     SparsePoly,
     StaircaseArray,
     array_stats,
     array_to_asm,
+    asm_expansion_rhs,
     asm_stats,
     enumerate_arrays,
     enumerate_tournaments,
@@ -26,6 +28,36 @@ from tetraposet import (
     verify_identity,
     weight,
 )
+from tetraposet.identities import SCHUR_COLORS
+
+
+def _value_count_xs(st, n):
+    return tuple(
+        (k, st.value_counts[k] - 1)
+        for k in range(1, n + 1)
+        if st.value_counts.get(k, 0) > 1
+    )
+
+
+def enumerated_asm_rhs(n):
+    """Oracle for asm_expansion_rhs: the sum over every enumerated array."""
+    terms = {}
+    for x in enumerate_arrays(n, ASM_COLORS):
+        st = array_stats(x)
+        xs = _value_count_xs(st, n)
+        for m in range(st.rise_drop_count + 1):
+            key = (st.eq_total + m, xs)
+            terms[key] = terms.get(key, 0) + comb(st.rise_drop_count, m)
+    return SparsePoly(terms)
+
+
+def enumerated_schur_rhs(n):
+    """Oracle for schur_expansion_rhs: the sum over every enumerated array."""
+    terms = {}
+    for x in enumerate_arrays(n, SCHUR_COLORS):
+        key = (0, _value_count_xs(array_stats(x), n))
+        terms[key] = terms.get(key, 0) + 1
+    return SparsePoly(terms)
 
 
 @pytest.mark.parametrize("name", ["rr", "asm", "tsscpp", "schur"])
@@ -64,6 +96,25 @@ def test_lambda_count_is_binomial_power():
     one = SparsePoly.constant(1)
     for n in range(1, 6):
         assert tsscpp_lambda_count(n) == (one + lam) ** comb(n, 2)
+
+
+def test_transfer_sums_match_enumeration():
+    for n in range(1, 6):
+        assert asm_expansion_rhs(n) == enumerated_asm_rhs(n)
+        assert schur_expansion_rhs(n) == enumerated_schur_rhs(n)
+
+
+def test_transfer_sums_at_n6():
+    assert asm_expansion_rhs(6) == tournament_gf(6)
+    assert schur_expansion_rhs(6) == pairwise_product(6)
+
+
+def test_transfer_sums_budget():
+    with pytest.raises(BudgetError, match="transfer terms"):
+        schur_expansion_rhs(4, budget=5)
+    with pytest.raises(BudgetError, match="transfer terms"):
+        asm_expansion_rhs(4, budget=5)
+    assert asm_expansion_rhs(4, budget=100) == tournament_gf(4)
 
 
 def test_schur_rhs_equals_pairwise_product():
