@@ -4,13 +4,9 @@ An order-n staircase array has rows i = 1..n, row i holding entries
 x_{i,j} for j = 0..n-i, with i <= x_{i,j} <= i+j. The j = 0 column is pinned
 to x_{i,0} = i. Each entry x_{i,j} with j >= 1 records the induced ideal size
 of a j-element green chain, which is why every array family here assumes
-green. The remaining colors impose local inequalities:
-
-    orange  x_{i,j} <  x_{i+1,j}        (strict down a column)
-    red     x_{i,j} <= x_{i-1,j+1} + 1  (northeast neighbor drops by at most 1)
-    yellow  x_{i,j} <= x_{i,j+1}        (weakly increasing along a row)
-    blue    x_{i,j} <= x_{i+1,j-1}      (bounded by the southwest neighbor)
-    silver  x_{i,j} <= x_{i,j-1} + 1    (west neighbor rises by at most 1)
+green. The remaining colors impose one local inequality each, and
+INEQUALITIES below is the single place they are written down: validate, the
+enumeration bounds and the diagonal transfer are all derived from it.
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 """
@@ -19,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -31,16 +28,68 @@ TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
 ASM_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.BLUE})
 SORTED_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN, Color.YELLOW})
 
+#: color -> (di, dj, slack): x_{i,j} <= x_{i+di,j+dj} + slack wherever both
+#: cells exist.
+INEQUALITIES = {
+    Color.ORANGE: (1, 0, -1),  # strict down a column
+    Color.RED: (-1, 1, 1),  # northeast neighbor drops by at most 1
+    Color.YELLOW: (0, 1, 0),  # weakly increasing along a row
+    Color.BLUE: (1, -1, 0),  # bounded by the southwest neighbor
+    Color.SILVER: (0, -1, 1),  # west neighbor rises by at most 1
+}
+
 Diagonal = tuple[int, ...]
+Cell = tuple[int, int]
 
 
-class StaircaseArray:
-    """Immutable staircase-shaped integer array with the pinned first column."""
+class Rows:
+    """Immutable object stored as a tuple of integer rows.
+
+    Subclasses check the rows in _check, which raises ValueError.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
+        self._check(rows)
+        object.__setattr__(self, "rows", rows)
+
+    @staticmethod
+    def _check(rows: tuple[tuple[int, ...], ...]) -> None:
+        raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def to_json_obj(self) -> list[list[int]]:
+        return [list(row) for row in self.rows]
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        return cls(obj)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_json_obj()!r})"
+
+
+class StaircaseArray(Rows):
+    """Immutable staircase-shaped integer array with the pinned first column."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check(rows) -> None:
         n = len(rows)
         if n == 0:
             raise ValueError("empty array")
@@ -52,14 +101,6 @@ class StaircaseArray:
                     raise ValueError(
                         f"entry x_{{{i},{j}}}={v} outside bounds [{i}, {i + j}]"
                     )
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StaircaseArray is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
     def entry(self, i: int, j: int) -> int:
         """x_{i,j} with 1-based row i and 0-based column j."""
@@ -81,56 +122,109 @@ class StaircaseArray:
             tuple(tuple(i + j for j in range(n - i + 1)) for i in range(1, n + 1))
         )
 
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> StaircaseArray:
-        return cls(obj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StaircaseArray) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"StaircaseArray({list(list(r) for r in self.rows)!r})"
-
 
 def weight(x: StaircaseArray) -> int:
     """sum of (x_{i,j} - i); equals the size of the matching order ideal."""
     return sum(v - i for i, _, v in x.cells())
 
 
+def _bounds(
+    colors: frozenset[Color], i: int, j: int, filled: Callable[[int, int], bool]
+) -> tuple[list[tuple[Cell, int]], list[tuple[Cell, int]]]:
+    """The inequalities of `colors` between x_{i,j} and the cells for which
+    filled(i', j') holds, as (lower, upper) lists of (cell, delta) meaning
+    x_{i,j} >= x_cell + delta and x_{i,j} <= x_cell + delta. A rule relates
+    x_{i,j} to two neighbors, one on each side; each filled one bounds it."""
+    lower, upper = [], []
+    for color, (di, dj, slack) in INEQUALITIES.items():
+        if color in colors:
+            if filled(i + di, j + dj):
+                upper.append(((i + di, j + dj), slack))
+            if filled(i - di, j - dj):
+                lower.append(((i - di, j - dj), -slack))
+    return lower, upper
+
+
+@lru_cache(maxsize=None)
+def _checks(n: int, colors: frozenset[Color]) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Every inequality of Y_n(S) as (i, j, i', j', slack) over 0-based rows:
+    rows[i][j] <= rows[i'][j'] + slack."""
+
+    def exists(i: int, j: int) -> bool:
+        return 1 <= i <= n and 0 <= j <= n - i
+
+    return tuple(
+        (i - 1, j, ii - 1, jj, slack)
+        for i in range(1, n + 1)
+        for j in range(n - i + 1)
+        for (ii, jj), slack in _bounds(colors, i, j, exists)[1]
+    )
+
+
 def validate(x: StaircaseArray, colors) -> bool:
     """True iff x satisfies every color inequality of an admissible set containing green."""
-    colorset = require_admissible(colors)
-    if Color.GREEN not in colorset:
-        raise ValueError("array validation needs green in the color set")
     rows = x.rows
-    n = len(rows)
-    orange = Color.ORANGE in colorset
-    red = Color.RED in colorset
-    yellow = Color.YELLOW in colorset
-    blue = Color.BLUE in colorset
-    silver = Color.SILVER in colorset
-    for i in range(1, n + 1):
-        row = rows[i - 1]
-        below = rows[i] if i < n else None
-        for j, v in enumerate(row):
-            if j >= 1:
-                if yellow and row[j - 1] > v:
-                    return False
-                if silver and v > row[j - 1] + 1:
-                    return False
-                if below is not None and blue and v > below[j - 1]:
-                    return False
-                if below is not None and red and below[j - 1] > v + 1:
-                    return False
-            if below is not None and j < len(below) and orange and v >= below[j]:
-                return False
+    for i, j, ii, jj, slack in _checks(x.n, _require_green(x.n, colors)):
+        if rows[i][j] > rows[ii][jj] + slack:
+            return False
     return True
+
+
+Plan = tuple[tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+
+
+def _plan(order: list[Cell], colors: frozenset[Color]) -> Plan:
+    """For cells placed in the given order: each cell's range i..i+j and its
+    (lower, upper) bounds as (position, delta) against earlier cells."""
+    pos = {cell: t for t, cell in enumerate(order)}
+    plan = []
+    for t, (i, j) in enumerate(order):
+        lower, upper = _bounds(colors, i, j, lambda ii, jj: pos.get((ii, jj), t) < t)
+        plan.append(
+            (
+                i,
+                i + j,
+                tuple((pos[cell], delta) for cell, delta in lower),
+                tuple((pos[cell], delta) for cell, delta in upper),
+            )
+        )
+    return tuple(plan)
+
+
+def _fillings(plan: Plan, vals: list[int], start: int) -> Iterator[None]:
+    """Fill vals[start:] in every way the plan allows, depth first with values
+    ascending, yielding each time vals is complete."""
+    last = len(plan) - 1
+    todo: list[Iterator[int]] = [iter(())] * len(plan)  # values left to try
+    t, fresh = start, True
+    while t >= start:
+        if fresh:
+            lo, hi, lower, upper = plan[t]
+            for k, delta in lower:
+                if vals[k] + delta > lo:
+                    lo = vals[k] + delta
+            for k, delta in upper:
+                if vals[k] + delta < hi:
+                    hi = vals[k] + delta
+            todo[t] = iter(range(lo, hi + 1))
+        v = next(todo[t], None)
+        if v is None:
+            t, fresh = t - 1, False
+            continue
+        vals[t] = v
+        if t < last:
+            t, fresh = t + 1, True
+        else:
+            fresh = False
+            yield
+
+
+@lru_cache(maxsize=None)
+def _diag_plan(d: int, colors: frozenset[Color], after: bool) -> Plan:
+    """The plan for diagonal i+j = d from the pinned x_{d,0} = d northeast to
+    x_{1,d-1}, after the d+1 cells of diagonal d+1 when `after` is set."""
+    nxt = [(i, d + 1 - i) for i in range(1, d + 2)] if after else []
+    return _plan(nxt + [(i, d - i) for i in range(d, 0, -1)], colors)
 
 
 def _diag_assignments(
@@ -138,42 +232,16 @@ def _diag_assignments(
 ) -> list[Diagonal]:
     """Valid fillings of the diagonal i+j = d, as tuples a with a[i-1] = x_{i, d-i}.
 
-    Built from the pinned x_{d,0} = d northeast to x_{1,d-1}, applying the
-    intra-diagonal constraints (blue caps each step by its southwest neighbor,
-    red floors it one below). Given the filling `after` of diagonal d+1, only
-    fillings that may precede it are built: every inter-diagonal constraint
-    bounds one entry a[i-1] by after[i-1] (its east neighbor, yellow and
-    silver) or after[i] (its south neighbor, orange).
+    Given the filling `after` of diagonal d+1, only fillings that may precede
+    it are built: the inequalities between the two diagonals bound each entry
+    by its east or south neighbor on diagonal d+1.
     """
-    blue = Color.BLUE in colors
-    red = Color.RED in colors
-    yellow = after is not None and Color.YELLOW in colors
-    orange = after is not None and Color.ORANGE in colors
-    silver = after is not None and Color.SILVER in colors
-    out: list[Diagonal] = []
-
-    def extend(vals: list[int]) -> None:
-        i = d - len(vals)
-        if i == 0:
-            out.append(tuple(reversed(vals)))
-            return
-        prev = vals[-1]
-        lo, hi = i, d
-        if blue:
-            hi = min(hi, prev)
-        if red:
-            lo = max(lo, prev - 1)
-        if yellow:
-            hi = min(hi, after[i - 1])
-        if orange:
-            hi = min(hi, after[i] - 1)
-        if silver:
-            lo = max(lo, after[i - 1] - 1)
-        for v in range(lo, hi + 1):
-            extend(vals + [v])
-
-    extend([d])
-    return out
+    vals = list(after or ()) + [0] * d
+    start = len(vals) - d
+    return [
+        tuple(reversed(vals[start:]))
+        for _ in _fillings(_diag_plan(d, colors, after is not None), vals, start)
+    ]
 
 
 def _transfer(
@@ -296,51 +364,23 @@ def count_arrays(n: int, colors) -> int:
     return array_rank_gf(n, colors)(1)
 
 
+@lru_cache(maxsize=None)
+def _array_plan(n: int, colors: frozenset[Color]) -> Plan:
+    return _plan([(i, j) for i in range(n, 0, -1) for j in range(n - i + 1)], colors)
+
+
 def enumerate_arrays(n: int, colors, budget: int | None = None) -> Iterator[StaircaseArray]:
     """Yield Y_n(S) in deterministic order (rows bottom-up, values ascending)."""
     colorset = _require_green(n, colors)
     guard(count_arrays(n, colorset), "arrays", budget)
-    orange = Color.ORANGE in colorset
-    red = Color.RED in colorset
-    yellow = Color.YELLOW in colorset
-    blue = Color.BLUE in colorset
-    silver = Color.SILVER in colorset
-    rows: list[tuple[int, ...] | None] = [None] * (n + 1)
-
-    def fill_row(i: int) -> Iterator[StaircaseArray]:
-        if i == 0:
-            yield StaircaseArray(tuple(rows[1:]))
-            return
-        below = rows[i + 1] if i < n else None
-        width = n - i + 1
-
-        def place(row: list[int], j: int) -> Iterator[StaircaseArray]:
-            if j == width:
-                rows[i] = tuple(row)
-                yield from fill_row(i - 1)
-                rows[i] = None
-                return
-            lo, hi = i, i + j
-            if j >= 1:
-                if yellow:
-                    lo = max(lo, row[j - 1])
-                if silver:
-                    hi = min(hi, row[j - 1] + 1)
-                if below is not None:
-                    if blue:
-                        hi = min(hi, below[j - 1])
-                    if red:
-                        lo = max(lo, below[j - 1] - 1)
-            if below is not None and j < len(below) and orange:
-                hi = min(hi, below[j] - 1)
-            for v in range(lo, hi + 1):
-                row.append(v)
-                yield from place(row, j + 1)
-                row.pop()
-
-        yield from place([], 0)
-
-    yield from fill_row(n)
+    plan = _array_plan(n, colorset)
+    vals = [0] * len(plan)
+    # row i occupies positions starts[i-1] .. starts[i-1] + n-i of vals
+    starts = [(n - i) * (n - i + 1) // 2 for i in range(1, n + 1)]
+    for _ in _fillings(plan, vals, 0):
+        yield StaircaseArray(
+            tuple(vals[s : s + n - i + 1]) for i, s in enumerate(starts, start=1)
+        )
 
 
 def sort_to_tsscpp(beta: StaircaseArray) -> StaircaseArray:

@@ -21,6 +21,7 @@ from itertools import product, permutations
 
 from .arrays import (
     ASM_COLORS,
+    Rows,
     StaircaseArray,
     TOURNAMENT_COLORS,
     TSSCPP_COLORS,
@@ -35,14 +36,14 @@ class FamilyMismatch(ValueError):
     """The object is well formed but lies outside the requested family."""
 
 
-class Asm:
+class Asm(Rows):
     """Alternating sign matrix: square over {-1, 0, 1}, partial row and
     column sums in {0, 1}, full row and column sums 1."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+    @staticmethod
+    def _check(rows) -> None:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -60,40 +61,16 @@ class Asm:
                 raise ValueError(f"row {i} sums to {row_sum}, expected 1")
         if any(s != 1 for s in col_sums):
             raise ValueError("every column must sum to 1")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Asm is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> Asm:
-        return cls(obj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Asm) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Asm({[list(r) for r in self.rows]!r})"
 
 
-class MonotoneTriangle:
+class MonotoneTriangle(Rows):
     """Rows 1..n, row i strictly increasing with i entries from 1..n, weakly
     interlacing the next row, bottom row exactly 1..n."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+    @staticmethod
+    def _check(rows) -> None:
         n = len(rows)
         if n == 0:
             raise ValueError("empty triangle")
@@ -114,33 +91,9 @@ class MonotoneTriangle:
                         )
         if rows[-1] != tuple(range(1, n + 1)):
             raise ValueError("bottom row must be 1..n")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonotoneTriangle is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> MonotoneTriangle:
-        return cls(obj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MonotoneTriangle) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"MonotoneTriangle({[list(r) for r in self.rows]!r})"
 
 
-class Tsscpp:
+class Tsscpp(Rows):
     """Totally symmetric self-complementary plane partition in a 2n cube.
 
     Stored as the 2n x 2n height matrix t with entries in 0..2n. The cell set
@@ -149,10 +102,10 @@ class Tsscpp:
     2n+1-c).
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+    @staticmethod
+    def _check(rows) -> None:
         size = len(rows)
         if size == 0 or size % 2 or any(len(row) != size for row in rows):
             raise ValueError("height matrix must be square of even size")
@@ -180,30 +133,10 @@ class Tsscpp:
                     flipped = (size + 1 - a, size + 1 - b, size + 1 - c)
                     if ((a, b, c) in cells) == (flipped in cells):
                         raise ValueError("cell set is not self complementary")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tsscpp is immutable")
 
     @property
     def n(self) -> int:
         return len(self.rows) // 2
-
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> Tsscpp:
-        return cls(obj)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tsscpp) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Tsscpp({[list(r) for r in self.rows]!r})"
 
 
 def games(n: int) -> tuple[tuple[int, int], ...]:

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .arrays import StaircaseArray, array_rank_gf, count_arrays, validate
+from .arrays import StaircaseArray, validate
 from .budget import BudgetError
 from .bijections import (
     Asm,
@@ -37,6 +37,7 @@ from .colors import Color, format_colors, require_admissible
 from .counting import enumerate_ideals, rank_gf
 from .formulas import formula_count, formula_rank_gf
 from .identities import IDENTITY_NAMES, verify_formulas, verify_identity
+from .polynomials import QPoly
 from .poset import OrderIdeal, array_to_ideal, build, ideal_to_array, to_dot
 
 EXIT_OK = 0
@@ -45,7 +46,19 @@ EXIT_NO_FORMULA = 3
 EXIT_FAMILY = 4
 EXIT_MISMATCH = 5
 
-FAMILIES = ("asm", "mt", "array", "tsscpp", "tournament", "ideal")
+def _same(x):
+    return x
+
+
+#: family -> (type, to array, from array), the array being the hub
+FAMILIES = {
+    "asm": (Asm, asm_to_array, array_to_asm),
+    "mt": (MonotoneTriangle, mt_to_array, array_to_mt),
+    "array": (StaircaseArray, _same, _same),
+    "tsscpp": (Tsscpp, tsscpp_to_array, array_to_tsscpp),
+    "tournament": (Tournament, tournament_to_array, array_to_tournament),
+    "ideal": (OrderIdeal, ideal_to_array, array_to_ideal),
+}
 
 
 class NoFormula(Exception):
@@ -65,17 +78,10 @@ def _cmd_count(args) -> int:
     n = args.n
     if n < 1:
         raise ValueError("n must be at least 1")
-    array_model = Color.GREEN in colorset
-    if n == 1 and not array_model:
-        raise ValueError("n = 1 needs green in the color set")
     if args.seed_list:
         if args.q or args.method == "formula":
             raise ValueError("--seed-list cannot be combined with --q or --method formula")
-        if n == 1:
-            ideals = [OrderIdeal(1, frozenset())]
-        else:
-            ideals = enumerate_ideals(build(n).subposet(colorset))
-        for ideal in ideals:
+        for ideal in enumerate_ideals(build(n).subposet(colorset)):
             payload = ideal.to_json_obj()
             payload["colors"] = format_colors(colorset)
             sys.stdout.write(_dump(payload) + "\n")
@@ -96,27 +102,16 @@ def _cmd_count(args) -> int:
                     f"{{{format_colors(colorset)}}}"
                 )
     elif args.method == "enum":
-        if n == 1:
-            count = count_arrays(n, colorset)
-            gf = array_rank_gf(n, colorset) if args.q else None
-        else:
-            sizes: dict[int, int] = {}
-            for ideal in enumerate_ideals(build(n).subposet(colorset)):
-                sizes[len(ideal)] = sizes.get(len(ideal), 0) + 1
-            count = sum(sizes.values())
-            from .polynomials import QPoly
-
-            gf = QPoly(sizes) if args.q else None
+        sizes: dict[int, int] = {}
+        for ideal in enumerate_ideals(build(n).subposet(colorset)):
+            sizes[len(ideal)] = sizes.get(len(ideal), 0) + 1
+        count = sum(sizes.values())
+        gf = QPoly(sizes) if args.q else None
     else:
-        if n == 1:
-            count = count_arrays(n, colorset)
-            gf = array_rank_gf(n, colorset) if args.q else None
-        else:
-            p = build(n).subposet(colorset)
-            gf = rank_gf(p)
-            count = gf(1)
-            if not args.q:
-                gf = None
+        gf = rank_gf(build(n).subposet(colorset))
+        count = gf(1)
+        if not args.q:
+            gf = None
 
     if args.q:
         payload = {
@@ -131,66 +126,13 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _load_object(family: str, payload, colors_flag: str | None):
-    if family == "asm":
-        return Asm.from_json_obj(payload)
-    if family == "mt":
-        return MonotoneTriangle.from_json_obj(payload)
-    if family == "array":
-        return StaircaseArray.from_json_obj(payload)
-    if family == "tsscpp":
-        return Tsscpp.from_json_obj(payload)
-    if family == "tournament":
-        return Tournament.from_json_obj(payload)
-    ideal = OrderIdeal.from_json_obj(payload)
-    colors = payload.get("colors", colors_flag)
+def _ideal_colors(colors: str | None, missing: str) -> frozenset[Color]:
     if colors is None:
-        raise ValueError("converting from an ideal needs a colors field or --colors")
+        raise ValueError(missing)
     colorset = require_admissible(colors)
     if Color.GREEN not in colorset:
         raise ValueError("ideal conversion needs green in the color set")
-    if not build(ideal.n).subposet(colorset).is_ideal(ideal.members):
-        raise ValueError("vertex set is not an order ideal of that subposet")
-    return ideal
-
-
-def _to_array(family: str, obj) -> StaircaseArray:
-    if family == "asm":
-        return asm_to_array(obj)
-    if family == "mt":
-        return mt_to_array(obj)
-    if family == "array":
-        return obj
-    if family == "tsscpp":
-        return tsscpp_to_array(obj)
-    if family == "tournament":
-        return tournament_to_array(obj)
-    return ideal_to_array(obj)
-
-
-def _from_array(family: str, x: StaircaseArray, colors_flag: str | None):
-    if family == "asm":
-        return array_to_asm(x).to_json_obj()
-    if family == "mt":
-        return array_to_mt(x).to_json_obj()
-    if family == "array":
-        return x.to_json_obj()
-    if family == "tsscpp":
-        return array_to_tsscpp(x).to_json_obj()
-    if family == "tournament":
-        return array_to_tournament(x).to_json_obj()
-    if colors_flag is None:
-        raise ValueError("converting to an ideal needs --colors")
-    colorset = require_admissible(colors_flag)
-    if Color.GREEN not in colorset:
-        raise ValueError("ideal conversion needs green in the color set")
-    if not validate(x, colorset):
-        raise FamilyMismatch(
-            f"array is not in the {{{format_colors(colorset)}}} family"
-        )
-    payload = array_to_ideal(x).to_json_obj()
-    payload["colors"] = format_colors(colorset)
-    return payload
+    return colorset
 
 
 def _cmd_convert(args) -> int:
@@ -199,9 +141,24 @@ def _cmd_convert(args) -> int:
     else:
         with open(args.input, encoding="utf-8") as handle:
             payload = json.load(handle)
-    obj = _load_object(args.src, payload, args.colors)
-    x = _to_array(args.src, obj)
-    out = _from_array(args.to, x, args.colors)
+    family, to_array, _ = FAMILIES[args.src]
+    obj = family.from_json_obj(payload)
+    if args.src == "ideal":
+        colorset = _ideal_colors(
+            payload.get("colors", args.colors),
+            "converting from an ideal needs a colors field or --colors",
+        )
+        if not build(obj.n).subposet(colorset).is_ideal(obj.members):
+            raise ValueError("vertex set is not an order ideal of that subposet")
+    x = to_array(obj)
+    out = FAMILIES[args.to][2](x).to_json_obj()
+    if args.to == "ideal":
+        colorset = _ideal_colors(args.colors, "converting to an ideal needs --colors")
+        if not validate(x, colorset):
+            raise FamilyMismatch(
+                f"array is not in the {{{format_colors(colorset)}}} family"
+            )
+        out["colors"] = format_colors(colorset)
     sys.stdout.write(_dump(out) + "\n")
     return EXIT_OK
 

@@ -18,10 +18,12 @@ from .polynomials import QPoly
 from .poset import OrderIdeal, Subposet, Vertex
 
 
-def _linear_extension(p: Subposet) -> list[Vertex]:
+def _linear_extension(
+    p: Subposet,
+    pred: dict[Vertex, tuple[Vertex, ...]],
+    succ: dict[Vertex, tuple[Vertex, ...]],
+) -> list[Vertex]:
     """Kahn's algorithm with a heap, so the order is deterministic."""
-    pred = p.predecessors()
-    succ = p.successors()
     indeg = {v: len(ws) for v, ws in pred.items()}
     ready = [v for v in p.vertices if indeg[v] == 0]
     heapq.heapify(ready)
@@ -44,10 +46,10 @@ def _steps(p: Subposet) -> list[tuple[int, int, int]]:
     its last upper cover is visited. need_mask has the slots of u's lower
     covers, keep_mask the slots still held after u's step (u aside), and u_bit
     is u's slot, or 0 when nothing covers u."""
-    order = _linear_extension(p)
-    pos = {v: t for t, v in enumerate(order)}
     pred = p.predecessors()
     succ = p.successors()
+    order = _linear_extension(p, pred, succ)
+    pos = {v: t for t, v in enumerate(order)}
     last_use = {v: max((pos[w] for w in succ[v]), default=pos[v]) for v in order}
     bit: dict[Vertex, int] = {}
     held = 0
@@ -120,8 +122,8 @@ def enumerate_ideals(p: Subposet, budget: int | None = None) -> Iterator[OrderId
     checked against the yield budget before any work is done.
     """
     guard(count_ideals(p), "order ideals", budget)
-    order = _linear_extension(p)
     pred = p.predecessors()
+    order = _linear_extension(p, pred, p.successors())
     n_verts = len(order)
     member: dict[Vertex, bool] = {}
 

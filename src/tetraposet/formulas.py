@@ -1,26 +1,18 @@
 """Closed-form counting products and the tournament generating function.
 
 Every product here is evaluated exactly. Factorial quotients are computed as
-big-integer products with divisibility asserted before the final division, and
-each formula is also available in its triple-index form over
-1 <= i <= j <= k <= n-1 so the two readings can be compared.
+big-integer products with divisibility checked before the final division.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .budget import guard
-from .colors import Color, is_admissible, parse_colors
-from .polynomials import QPoly, SparsePoly, q_binomial, q_bracket, q_factorial
-
-
-def _triples(n: int):
-    for i in range(1, n):
-        for j in range(i, n):
-            for k in range(j, n):
-                yield i, j, k
+from .colors import is_admissible, parse_colors
+from .polynomials import QPoly, SparsePoly, q_binomial, q_factorial
 
 
 def q_factorial_product(n: int) -> QPoly:
@@ -31,15 +23,6 @@ def q_factorial_product(n: int) -> QPoly:
     return out
 
 
-def q_factorial_product_triple(n: int) -> QPoly:
-    num = QPoly({0: 1})
-    den = QPoly({0: 1})
-    for i, _, _ in _triples(n):
-        num = num * q_bracket(i + 1)
-        den = den * q_bracket(i)
-    return num.exact_div(den)
-
-
 def q_binomial_product(n: int) -> QPoly:
     """prod_{j=1..n} [n choose j]_q : two opposite colors."""
     out = QPoly({0: 1})
@@ -48,30 +31,12 @@ def q_binomial_product(n: int) -> QPoly:
     return out
 
 
-def q_binomial_product_triple(n: int) -> QPoly:
-    num = QPoly({0: 1})
-    den = QPoly({0: 1})
-    for _, j, _ in _triples(n):
-        num = num * q_bracket(j + 1)
-        den = den * q_bracket(j)
-    return num.exact_div(den)
-
-
 def three_color_product(n: int) -> QPoly:
     """prod_{j=1..n-1} (1+q^j)^(n-j) : the nine formula-bearing 3-color sets."""
     out = QPoly({0: 1})
     for j in range(1, n):
         out = out * (QPoly({0: 1, j: 1}) ** (n - j))
     return out
-
-
-def three_color_product_triple(n: int) -> QPoly:
-    num = QPoly({0: 1})
-    den = QPoly({0: 1})
-    for i, j, _ in _triples(n):
-        num = num * q_bracket(i + j)
-        den = den * q_bracket(i + j - 1)
-    return num.exact_div(den)
 
 
 def catalan_number(j: int) -> int:
@@ -107,15 +72,6 @@ def catalan_product(n: int) -> tuple[int, QPoly]:
     return count, poly
 
 
-def catalan_count_triple(n: int) -> int:
-    value = Fraction(1)
-    for i, j, _ in _triples(n):
-        value *= Fraction(i + j + 2, i + j)
-    if value.denominator != 1:
-        raise ArithmeticError(f"catalan triple product not integral at n={n}")
-    return value.numerator
-
-
 def asm_number(n: int) -> int:
     """prod_{j=0..n-1} (3j+1)!/(n+j)! : the count for every 4-color set."""
     if n < 1:
@@ -130,36 +86,16 @@ def asm_number(n: int) -> int:
     return num // den
 
 
-def asm_number_triple(n: int) -> int:
-    value = Fraction(1)
-    for i, j, k in _triples(n):
-        value *= Fraction(i + j + k + 1, i + j + k - 1)
-    if value.denominator != 1:
-        raise ArithmeticError(f"triple product not integral at n={n}")
-    return value.numerator
-
-
 def tspp_number(n: int) -> int:
     """Totally symmetric plane partitions in the (n-1)-cube: all six colors."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     value = Fraction(1)
     for i in range(1, n):
         for j in range(i, n):
             value *= Fraction(i + j + n - 2, i + 2 * j - 2)
     if value.denominator != 1:
         raise ArithmeticError(f"product not integral at n={n}")
-    return value.numerator
-
-
-def tspp_number_triple(n: int) -> int:
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    value = Fraction(1)
-    for i, j, k in _triples(n):
-        value *= Fraction(i + j + k - 1, i + j + k - 2)
-    if value.denominator != 1:
-        raise ArithmeticError(f"triple product not integral at n={n}")
     return value.numerator
 
 
@@ -180,74 +116,19 @@ def tournament_gf(n: int, budget: int | None = None) -> SparsePoly:
 
 # Formula dispatch: which admissible sets have a closed form.
 
-_TWO_OPPOSITE = tuple(
-    frozenset(s)
-    for s in (
-        {Color.GREEN, Color.ORANGE},
-        {Color.RED, Color.SILVER},
-        {Color.BLUE, Color.YELLOW},
-    )
-)
-
-_TWO_ADJACENT_DIRECT = tuple(
-    frozenset(s)
-    for s in (
-        {Color.BLUE, Color.GREEN},
-        {Color.BLUE, Color.SILVER},
-        {Color.YELLOW, Color.ORANGE},
-        {Color.GREEN, Color.SILVER},
-    )
-)
-
-_TWO_ADJACENT_DUAL = tuple(
-    frozenset(s)
-    for s in (
-        {Color.RED, Color.YELLOW},
-        {Color.RED, Color.GREEN},
-        {Color.YELLOW, Color.GREEN},
-        {Color.BLUE, Color.ORANGE},
-    )
-)
-
-_THREE_NO_FORMULA = (
-    frozenset({Color.RED, Color.GREEN, Color.YELLOW}),
-    frozenset({Color.BLUE, Color.GREEN, Color.SILVER}),
-)
-
-TWO_OPPOSITE_SETS = _TWO_OPPOSITE
-TWO_ADJACENT_DIRECT_SETS = _TWO_ADJACENT_DIRECT
-TWO_ADJACENT_DUAL_SETS = _TWO_ADJACENT_DUAL
-THREE_COLOR_NO_FORMULA_SETS = _THREE_NO_FORMULA
+_TWO_OPPOSITE = tuple(map(parse_colors, ("go", "rs", "by")))
+_TWO_ADJACENT_DIRECT = tuple(map(parse_colors, ("bg", "bs", "oy", "gs")))
+_TWO_ADJACENT_DUAL = tuple(map(parse_colors, ("ry", "rg", "gy", "bo")))
+_THREE_NO_FORMULA = tuple(map(parse_colors, ("rgy", "bgs")))
 
 
-def formula_count(colors, n: int) -> int | None:
-    """Closed-form ideal count for T_n(S), or None when no formula is known."""
-    colorset = parse_colors(colors)
-    if not is_admissible(colorset):
-        raise ValueError("color set is not admissible")
-    if len(colorset) == 1:
-        out = 1
-        for j in range(1, n + 1):
-            out *= factorial(j)
-        return out
-    if colorset in _TWO_OPPOSITE:
-        out = 1
-        for j in range(1, n + 1):
-            out *= comb(n, j)
-        return out
-    if colorset in _TWO_ADJACENT_DIRECT or colorset in _TWO_ADJACENT_DUAL:
-        return catalan_product(n)[0]
-    if len(colorset) == 3 and colorset not in _THREE_NO_FORMULA:
-        return 2 ** comb(n, 2)
-    if len(colorset) == 4:
-        return asm_number(n)
-    if len(colorset) == 6:
-        return tspp_number(n)
-    return None
+def _catalan_count(n: int) -> int:
+    return catalan_product(n)[0]
 
 
-def formula_rank_gf(colors, n: int) -> QPoly | None:
-    """Closed-form rank generating function for J(T_n(S)), or None.
+def _closed_forms(colors) -> tuple[Callable[[int], int], Callable[[int], QPoly] | None] | None:
+    """(count, rank gf or None) as functions of n for the closed forms of
+    J(T_n(S)), or None when S has none.
 
     Four of the adjacent 2-color sets carry the q-Catalan product directly;
     the other four are their duals, so their generating function is the
@@ -258,14 +139,29 @@ def formula_rank_gf(colors, n: int) -> QPoly | None:
     if not is_admissible(colorset):
         raise ValueError("color set is not admissible")
     if len(colorset) == 1:
-        return q_factorial_product(n)
+        return lambda n: prod(map(factorial, range(1, n + 1))), q_factorial_product
     if colorset in _TWO_OPPOSITE:
-        return q_binomial_product(n)
+        return lambda n: prod(comb(n, j) for j in range(1, n + 1)), q_binomial_product
     if colorset in _TWO_ADJACENT_DIRECT:
-        return catalan_product(n)[1]
+        return _catalan_count, lambda n: catalan_product(n)[1]
     if colorset in _TWO_ADJACENT_DUAL:
-        vertex_count = comb(n + 1, 3)
-        return catalan_product(n)[1].reversed_poly(vertex_count)
+        return _catalan_count, lambda n: catalan_product(n)[1].reversed_poly(comb(n + 1, 3))
     if len(colorset) == 3 and colorset not in _THREE_NO_FORMULA:
-        return three_color_product(n)
+        return lambda n: 2 ** comb(n, 2), three_color_product
+    if len(colorset) == 4:
+        return asm_number, None
+    if len(colorset) == 6:
+        return tspp_number, None
     return None
+
+
+def formula_count(colors, n: int) -> int | None:
+    """Closed-form ideal count for T_n(S), or None when no formula is known."""
+    forms = _closed_forms(colors)
+    return forms[0](n) if forms else None
+
+
+def formula_rank_gf(colors, n: int) -> QPoly | None:
+    """Closed-form rank generating function for J(T_n(S)), or None."""
+    forms = _closed_forms(colors)
+    return forms[1](n) if forms and forms[1] else None

@@ -36,8 +36,10 @@ from .arrays import (
 )
 from .bijections import Asm, array_to_asm
 from .colors import Color, all_admissible_sets, format_colors
+from .counting import rank_gf
 from .formulas import formula_count, formula_rank_gf, tournament_gf
 from .polynomials import QPoly, SparsePoly, add_binomial_term, first_difference
+from .poset import build
 
 SCHUR_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE})
 
@@ -202,6 +204,18 @@ def schur_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
     return value_count_gf(n, SCHUR_COLORS, equalities=False, budget=budget)
 
 
+def _report(name: str, n: int, lhs, rhs, t0: float) -> dict:
+    """Compare the two sides; elapsed_ms counts from perf_counter() time t0."""
+    diff = first_difference(lhs, rhs)
+    return {
+        "identity": name,
+        "n": n,
+        "status": "ok" if diff is None else "mismatch",
+        "first_diff_monomial": diff,
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
+    }
+
+
 def verify_identity(name: str, n: int, budget: int | None = None) -> dict:
     """Expand both sides of a named identity and report the comparison."""
     t0 = time.perf_counter()
@@ -222,14 +236,7 @@ def verify_identity(name: str, n: int, budget: int | None = None) -> dict:
         rhs = schur_expansion_rhs(n, budget)
     else:
         raise ValueError(f"unknown identity {name!r}")
-    diff = first_difference(lhs, rhs)
-    return {
-        "identity": name,
-        "n": n,
-        "status": "ok" if diff is None else "mismatch",
-        "first_diff_monomial": diff,
-        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-    }
+    return _report(name, n, lhs, rhs, t0)
 
 
 def verify_formulas(n: int) -> list[dict]:
@@ -239,39 +246,19 @@ def verify_formulas(n: int) -> list[dict]:
     formula; rank generating functions are compared where a q-analogue
     exists. Sets without a formula are skipped.
     """
-    from .counting import rank_gf
-    from .poset import build
-
     poset = build(n)
     rows = []
     for colorset in all_admissible_sets():
         expected_count = formula_count(colorset, n)
         if expected_count is None:
             continue
+        name = format_colors(colorset)
         t0 = time.perf_counter()
         gf = rank_gf(poset.subposet(colorset))
-        diff = first_difference(QPoly({0: gf(1)}), QPoly({0: expected_count}))
         rows.append(
-            {
-                "identity": f"formulas:{format_colors(colorset)}",
-                "n": n,
-                "status": "ok" if diff is None else "mismatch",
-                "first_diff_monomial": diff,
-                "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-            }
+            _report(f"formulas:{name}", n, QPoly({0: gf(1)}), QPoly({0: expected_count}), t0)
         )
         expected_gf = formula_rank_gf(colorset, n)
-        if expected_gf is None:
-            continue
-        t0 = time.perf_counter()
-        diff = first_difference(gf, expected_gf)
-        rows.append(
-            {
-                "identity": f"formulas-q:{format_colors(colorset)}",
-                "n": n,
-                "status": "ok" if diff is None else "mismatch",
-                "first_diff_monomial": diff,
-                "elapsed_ms": int((time.perf_counter() - t0) * 1000),
-            }
-        )
+        if expected_gf is not None:
+            rows.append(_report(f"formulas-q:{name}", n, gf, expected_gf, time.perf_counter()))
     return rows

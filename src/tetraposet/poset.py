@@ -1,7 +1,7 @@
 """The tetrahedral poset and its colored subposets.
 
 Vertices are lattice points (c1, c2, c3) with all coordinates nonnegative and
-c1 + c2 + c3 <= n - 2, so there are binomial(n+1, 3) of them. Six colored
+c1 + c2 + c3 <= n - 2, so there are binomial(n+1, 3) of them; T_1 is empty. Six colored
 step vectors generate the cover relations:
 
     red    (+1,  0,  0)      orange (-1,  0, +1)
@@ -33,8 +33,8 @@ Vertex = tuple[int, int, int]
 
 @lru_cache(maxsize=None)
 def _vertices(n: int) -> tuple[Vertex, ...]:
-    if n < 2:
-        raise ValueError("the poset needs n >= 2")
+    if n < 1:
+        raise ValueError("the poset needs n >= 1")
     out = [
         (c1, c2, c3)
         for c1 in range(n - 1)

@@ -32,38 +32,51 @@ def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:
     return sizes
 
 
+#: Worked examples, one object of each family; the fixtures below hand out
+#: fresh copies.
+ASM4_ROWS = [[0, 1, 0, 0], [1, -1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+MT4_ROWS = [[2], [1, 4], [1, 3, 4], [1, 2, 3, 4]]
+ARRAY4_ROWS = [[1, 1, 1, 2], [2, 3, 4], [3, 4], [4]]
+TSSCPP8_ROWS = [
+    [8, 8, 8, 8, 6, 6, 4, 4],
+    [8, 8, 8, 8, 6, 5, 4, 4],
+    [8, 8, 7, 6, 5, 4, 3, 2],
+    [8, 8, 6, 5, 4, 3, 2, 2],
+    [6, 6, 5, 4, 3, 2, 0, 0],
+    [6, 5, 4, 3, 2, 1, 0, 0],
+    [4, 4, 3, 2, 0, 0, 0, 0],
+    [4, 4, 2, 2, 0, 0, 0, 0],
+]
+TSSCPP8_ARRAY_ROWS = [[1, 1, 2, 4], [2, 2, 4], [3, 3], [4]]
+
+
+def _copy(rows):
+    return [list(row) for row in rows]
+
+
 @pytest.fixture
 def asm4_rows():
-    return [[0, 1, 0, 0], [1, -1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+    return _copy(ASM4_ROWS)
 
 
 @pytest.fixture
 def mt4_rows():
-    return [[2], [1, 4], [1, 3, 4], [1, 2, 3, 4]]
+    return _copy(MT4_ROWS)
 
 
 @pytest.fixture
 def array4_rows():
-    return [[1, 1, 1, 2], [2, 3, 4], [3, 4], [4]]
+    return _copy(ARRAY4_ROWS)
 
 
 @pytest.fixture
 def tsscpp8_rows():
-    return [
-        [8, 8, 8, 8, 6, 6, 4, 4],
-        [8, 8, 8, 8, 6, 5, 4, 4],
-        [8, 8, 7, 6, 5, 4, 3, 2],
-        [8, 8, 6, 5, 4, 3, 2, 2],
-        [6, 6, 5, 4, 3, 2, 0, 0],
-        [6, 5, 4, 3, 2, 1, 0, 0],
-        [4, 4, 3, 2, 0, 0, 0, 0],
-        [4, 4, 2, 2, 0, 0, 0, 0],
-    ]
+    return _copy(TSSCPP8_ROWS)
 
 
 @pytest.fixture
 def tsscpp8_array_rows():
-    return [[1, 1, 2, 4], [2, 2, 4], [3, 3], [4]]
+    return _copy(TSSCPP8_ARRAY_ROWS)
 
 
 #: The eight order-3 tournament arrays, one per outcome vector.

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -8,9 +9,15 @@ from tetraposet import (
     TOURNAMENT_COLORS,
     TSSCPP_COLORS,
     BudgetError,
+    Color,
     StaircaseArray,
+    all_admissible_sets,
+    array_rank_gf,
+    build,
     count_arrays,
     enumerate_arrays,
+    enumerate_ideals,
+    ideal_to_array,
     enumerate_row_shuffles,
     row_shuffle_count,
     sort_to_tsscpp,
@@ -81,6 +88,30 @@ def test_enumeration_matches_count():
             assert len(found) == count_arrays(n, colors)
             assert len(set(found)) == len(found)
             assert all(validate(x, colors) for x in found)
+
+
+def _bounded_arrays(n):
+    """Every staircase array with i <= x_{i,j} <= i+j, color constraints aside."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n - i + 1)]
+    for values in product(*(range(i, i + j + 1) for i, j in cells)):
+        rows = [[i] for i in range(1, n + 1)]
+        for (i, _), v in zip(cells, values):
+            rows[i - 1].append(v)
+        yield StaircaseArray(rows)
+
+
+def test_validate_enumeration_and_transfer_agree_with_brute_force():
+    green_sets = [s for s in all_admissible_sets() if Color.GREEN in s]
+    assert len(green_sets) == 25
+    for n in range(1, 5):
+        candidates = list(_bounded_arrays(n))
+        assert len(candidates) == [1, 2, 12, 288][n - 1]
+        for colors in green_sets:
+            valid = {x for x in candidates if validate(x, colors)}
+            assert set(enumerate_arrays(n, colors)) == valid
+            assert array_rank_gf(n, colors)(1) == len(valid)
+            ideals = enumerate_ideals(build(n).subposet(colors))
+            assert {ideal_to_array(ideal) for ideal in ideals} == valid
 
 
 def test_enumeration_first_is_minimal_and_deterministic():

@@ -83,15 +83,26 @@ def test_exit_2_n_below_one(capsys):
 
 
 def test_exit_2_n1_without_green(capsys):
-    code, _, err = run_cli(capsys, "count", "--n", "1", "--colors", "s")
-    assert code == 2
-    assert "green" in err
+    # n = 1 is the empty poset for every color set, green or not
+    code, out, err = run_cli(capsys, "count", "--n", "1", "--colors", "s")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_n1_with_green(capsys):
     code, out, _ = run_cli(capsys, "count", "--n", "1", "--colors", "g", "--q")
     assert code == 0
     assert json.loads(out) == {"colors": "g", "count": "1", "n": 1, "rank_gf": ["1"]}
+
+
+def test_n1_is_the_empty_poset(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "export-dot", "--n", "1", "--colors", "rs", "--output", "-")
+    assert (code, out) == (0, 'digraph "T1_rs" {\n}\n')
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 1, "vertices": [], "colors": "g"}'))
+    code, out, _ = run_cli(capsys, "convert", "--from", "ideal", "--to", "asm", "--input", "-")
+    assert (code, out) == (0, "[[1]]\n")
+    code, out, _ = run_cli(capsys, "verify", "--identity", "formulas", "--n", "1")
+    assert code == 0
+    assert all(json.loads(line)["status"] == "ok" for line in out.splitlines())
 
 
 def test_exit_3_no_formula(capsys):

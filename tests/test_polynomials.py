@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -17,16 +18,10 @@ from tetraposet import (
 )
 from tetraposet.formulas import (
     asm_number,
-    asm_number_triple,
-    catalan_count_triple,
     q_binomial_product,
-    q_binomial_product_triple,
     q_factorial_product,
-    q_factorial_product_triple,
     three_color_product,
-    three_color_product_triple,
     tspp_number,
-    tspp_number_triple,
 )
 
 qpolys = st.dictionaries(
@@ -170,6 +165,71 @@ def test_catalan_product_degree_matches_vertex_count():
         assert poly.degree == comb(n + 1, 3)
 
 
+# Reference implementations: every closed form read as a product over the
+# triples 1 <= i <= j <= k <= n-1, the paper's uniform indexing.
+
+
+def _triples(n: int):
+    for i in range(1, n):
+        for j in range(i, n):
+            for k in range(j, n):
+                yield i, j, k
+
+
+def q_factorial_product_triple(n: int) -> QPoly:
+    num = QPoly({0: 1})
+    den = QPoly({0: 1})
+    for i, _, _ in _triples(n):
+        num = num * q_bracket(i + 1)
+        den = den * q_bracket(i)
+    return num.exact_div(den)
+
+
+def q_binomial_product_triple(n: int) -> QPoly:
+    num = QPoly({0: 1})
+    den = QPoly({0: 1})
+    for _, j, _ in _triples(n):
+        num = num * q_bracket(j + 1)
+        den = den * q_bracket(j)
+    return num.exact_div(den)
+
+
+def three_color_product_triple(n: int) -> QPoly:
+    num = QPoly({0: 1})
+    den = QPoly({0: 1})
+    for i, j, _ in _triples(n):
+        num = num * q_bracket(i + j)
+        den = den * q_bracket(i + j - 1)
+    return num.exact_div(den)
+
+
+def catalan_count_triple(n: int) -> int:
+    value = Fraction(1)
+    for i, j, _ in _triples(n):
+        value *= Fraction(i + j + 2, i + j)
+    if value.denominator != 1:
+        raise ArithmeticError(f"catalan triple product not integral at n={n}")
+    return value.numerator
+
+
+def asm_number_triple(n: int) -> int:
+    value = Fraction(1)
+    for i, j, k in _triples(n):
+        value *= Fraction(i + j + k + 1, i + j + k - 1)
+    if value.denominator != 1:
+        raise ArithmeticError(f"triple product not integral at n={n}")
+    return value.numerator
+
+
+def tspp_number_triple(n: int) -> int:
+    value = Fraction(1)
+    for i, j, k in _triples(n):
+        value *= Fraction(i + j + k - 1, i + j + k - 2)
+    if value.denominator != 1:
+        raise ArithmeticError(f"triple product not integral at n={n}")
+    return value.numerator
+
+
 def test_triple_index_forms_agree():
     for n in range(1, 8):
         assert q_factorial_product_triple(n) == q_factorial_product(n)
@@ -177,8 +237,7 @@ def test_triple_index_forms_agree():
         assert three_color_product_triple(n) == three_color_product(n)
         assert catalan_count_triple(n) == catalan_product(n)[0]
         assert asm_number_triple(n) == asm_number(n)
-        if n >= 2:
-            assert tspp_number_triple(n) == tspp_number(n)
+        assert tspp_number_triple(n) == tspp_number(n)
 
 
 def test_known_sequences():

@@ -8,6 +8,7 @@ from tetraposet import (
     all_admissible_sets,
     array_to_ideal,
     build,
+    count_ideals,
     enumerate_arrays,
     enumerate_ideals,
     format_colors,
@@ -25,8 +26,10 @@ def test_vertex_count():
 
 
 def test_small_n_rejected():
-    with pytest.raises(ValueError):
-        build(1)
+    # T_1 is the empty poset: its one order ideal is the empty set
+    assert build(1).vertices == ()
+    for colors in all_admissible_sets():
+        assert count_ideals(build(1).subposet(colors)) == 1
     with pytest.raises(ValueError):
         build(0)
 
