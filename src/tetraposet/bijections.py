@@ -16,8 +16,9 @@ FamilyMismatch, which callers can distinguish from malformed input.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import product, permutations
+from itertools import product
 
 from .arrays import (
     ASM_COLORS,
@@ -34,6 +35,12 @@ from .colors import format_colors
 
 class FamilyMismatch(ValueError):
     """The object is well formed but lies outside the requested family."""
+
+
+def require_family(x: StaircaseArray, colors) -> None:
+    """Raise FamilyMismatch unless x satisfies every inequality of colors."""
+    if not validate(x, colors):
+        raise FamilyMismatch(f"array is not in the {format_colors(colors)} family")
 
 
 class Asm(Rows):
@@ -117,22 +124,20 @@ class Tsscpp(Rows):
                     raise ValueError("rows must weakly decrease")
                 if a and rows[a - 1][b] < v:
                     raise ValueError("columns must weakly decrease")
-        cells = {
-            (a, b, c)
-            for a in range(1, size + 1)
-            for b in range(1, size + 1)
-            for c in range(1, rows[a - 1][b - 1] + 1)
-        }
-        for cell in cells:
-            for perm in permutations(cell):
-                if perm not in cells:
+        # The transpositions (a b) and (b c) generate the coordinate
+        # permutations. Invariance under (a b) is t symmetric; under (b c) it
+        # is every row its own conjugate, t[a][b] = #{c : t[a][c] > b}.
+        for a, row in enumerate(rows):
+            rising = row[::-1]
+            for b, v in enumerate(row):
+                if v != rows[b][a] or v != size - bisect_right(rising, b):
                     raise ValueError("cell set is not symmetric in coordinates")
-        for a in range(1, size + 1):
-            for b in range(1, size + 1):
-                for c in range(1, size + 1):
-                    flipped = (size + 1 - a, size + 1 - b, size + 1 - c)
-                    if ((a, b, c) in cells) == (flipped in cells):
-                        raise ValueError("cell set is not self complementary")
+        # Complementation pairs the column over (a, b) with the one over the
+        # opposite cell; each c lies in exactly one of them.
+        for a, row in enumerate(rows):
+            for b, v in enumerate(row):
+                if v + rows[size - 1 - a][size - 1 - b] != size:
+                    raise ValueError("cell set is not self complementary")
 
     @property
     def n(self) -> int:
@@ -253,10 +258,7 @@ def mt_to_array(mt: MonotoneTriangle) -> StaircaseArray:
 
 
 def array_to_mt(x: StaircaseArray) -> MonotoneTriangle:
-    if not validate(x, ASM_COLORS):
-        raise FamilyMismatch(
-            f"array is not in the {format_colors(ASM_COLORS)} family"
-        )
+    require_family(x, ASM_COLORS)
     n = x.n
     return MonotoneTriangle(
         tuple(tuple(x.entry(j, n - i) for j in range(1, i + 1)) for i in range(1, n + 1))
@@ -287,10 +289,7 @@ def tournament_to_array(t: Tournament) -> StaircaseArray:
 
 
 def array_to_tournament(x: StaircaseArray) -> Tournament:
-    if not validate(x, TOURNAMENT_COLORS):
-        raise FamilyMismatch(
-            f"array is not in the {format_colors(TOURNAMENT_COLORS)} family"
-        )
+    require_family(x, TOURNAMENT_COLORS)
     n = x.n
     winners = {}
     for i, j, v in x.cells():
@@ -316,10 +315,7 @@ def array_to_tsscpp(x: StaircaseArray) -> Tsscpp:
     other triple has two coordinates at most n, so its complementary triple is
     wedge-classified and self-complementarity decides it.
     """
-    if not validate(x, TSSCPP_COLORS):
-        raise FamilyMismatch(
-            f"array is not in the {format_colors(TSSCPP_COLORS)} family"
-        )
+    require_family(x, TSSCPP_COLORS)
     n = x.n
     size = 2 * n
     heights = _wedge_heights(x)

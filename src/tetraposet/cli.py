@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .arrays import StaircaseArray, validate
+from .arrays import StaircaseArray
 from .budget import BudgetError
 from .bijections import (
     Asm,
@@ -30,6 +30,7 @@ from .bijections import (
     array_to_tsscpp,
     asm_to_array,
     mt_to_array,
+    require_family,
     tournament_to_array,
     tsscpp_to_array,
 )
@@ -154,10 +155,7 @@ def _cmd_convert(args) -> int:
     out = FAMILIES[args.to][2](x).to_json_obj()
     if args.to == "ideal":
         colorset = _ideal_colors(args.colors, "converting to an ideal needs --colors")
-        if not validate(x, colorset):
-            raise FamilyMismatch(
-                f"array is not in the {{{format_colors(colorset)}}} family"
-            )
+        require_family(x, colorset)
         out["colors"] = format_colors(colorset)
     sys.stdout.write(_dump(out) + "\n")
     return EXIT_OK

@@ -104,13 +104,8 @@ def rank_gf(p: Subposet) -> QPoly:
     return gf
 
 
-def count_ideals(p: Subposet, max_vertices: int | None = None) -> int:
-    """Number of order ideals. Counting itself is uncapped; max_vertices is an
-    optional guard for callers that want to refuse oversized inputs up front."""
-    if max_vertices is not None and len(p.vertices) > max_vertices:
-        raise ValueError(
-            f"poset has {len(p.vertices)} vertices, above the cap {max_vertices}"
-        )
+def count_ideals(p: Subposet) -> int:
+    """Number of order ideals."""
     return rank_gf(p)(1)
 
 

@@ -3,24 +3,130 @@
 All coefficients are arbitrary-precision integers. Division is exact and
 raises on a nonzero remainder; there is no floating point anywhere.
 
-SparsePoly monomials are keyed by (lambda exponent, ((variable index, exponent), ...))
-with the x-part sorted by variable index. Serialization orders monomials by
-total degree, then lambda exponent, then the x exponent tuple (graded
-lexicographic), so output is deterministic.
+One ring core, _Poly, keeps the terms as a dict from monomial key to nonzero
+coefficient and implements +, -, *, **, == and hashing once, for both types.
+The types differ only in their keys. A QPoly key is the q exponent. A
+SparsePoly key is (lambda exponent, ((variable index, exponent), ...)) with
+the x-part sorted by variable index; SparsePoly serialization orders
+monomials by total degree, then lambda exponent, then the x exponent tuple
+(graded lexicographic), so output is deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from math import comb
+from operator import add
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
 
-class QPoly:
-    """Polynomial in the single variable q with integer coefficients."""
+class _Poly:
+    """Ring core: a dict from monomial key to nonzero int coefficient.
 
-    __slots__ = ("_coeffs",)
+    A subclass fixes its key type with _ONE (the key of 1), _mul_keys (the
+    key of a product), _sort_key (listing order; None for the keys' own order)
+    and _key_json (a key as JSON). Its public constructor checks every key and
+    coefficient; arithmetic builds results through _make, which trusts them.
+    """
+
+    __slots__ = ("_terms",)
+
+    @classmethod
+    def _make(cls, terms: dict):
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _coerce(self, other):
+        """Same exact type, or an int as a constant; None for anything else."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, int):
+            return self._make({self._ONE: other} if other else {})
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in rhs._terms.items():
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return self._make(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs - self
+
+    def __mul__(self, other):
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        mul_keys = self._mul_keys
+        out: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in rhs._terms.items():
+                key = mul_keys(k1, k2)
+                s = out.get(key, 0) + c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return self._make(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, power: int):
+        if power < 0:
+            raise ValueError("negative power")
+        result = self._make({self._ONE: 1})
+        base = self
+        while power:
+            if power & 1:
+                result = result * base
+            base = base * base
+            power >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self._terms == rhs._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+
+class QPoly(_Poly):
+    """Polynomial in the single variable q with integer coefficients; the key
+    of q^e is e."""
+
+    __slots__ = ()
+    _ONE = 0
+    _mul_keys = staticmethod(add)
+    _sort_key = None
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         cleaned: dict[int, int] = {}
@@ -32,111 +138,44 @@ class QPoly:
                     raise ValueError(f"bad coefficient {c!r}")
                 if c:
                     cleaned[exp] = c
-        self._coeffs = cleaned
+        self._terms = cleaned
+
+    @staticmethod
+    def _key_json(exp: int) -> dict:
+        return {"q": exp}
 
     @classmethod
     def from_coeff_list(cls, coeffs: Iterable[int]) -> QPoly:
         """Build from a coefficient list, lowest degree first."""
-        return cls({e: c for e, c in enumerate(coeffs)})
+        return cls(dict(enumerate(coeffs)))
 
     @classmethod
     def q(cls, exp: int = 1) -> QPoly:
         return cls({exp: 1})
 
     def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        return self._terms.get(exp, 0)
 
     def coefficients(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return dict(self._terms)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else -1
+        return max(self._terms) if self._terms else -1
 
     def to_coeff_list(self) -> list[int]:
         """Coefficient list, lowest degree first; empty for zero."""
-        if not self._coeffs:
-            return []
         return [self.coeff(e) for e in range(self.degree + 1)]
 
     def __call__(self, value: int) -> int:
-        total = 0
-        for exp, c in self._coeffs.items():
-            total += c * value**exp
-        return total
-
-    def _coerce(self, other) -> QPoly | None:
-        if isinstance(other, QPoly):
-            return other
-        if isinstance(other, int):
-            return QPoly({0: other})
-        return None
-
-    def __add__(self, other) -> QPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for exp, c in rhs._coeffs.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return QPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QPoly:
-        return QPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other) -> QPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> QPoly:
-        return -(self - other)
-
-    def __mul__(self, other) -> QPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in rhs._coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> QPoly:
-        if power < 0:
-            raise ValueError("negative power")
-        result = QPoly({0: 1})
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
+        return sum(c * value**exp for exp, c in self._terms.items())
 
     def exact_div(self, other: QPoly) -> QPoly:
         """Exact polynomial division; raises ValueError on a nonzero remainder."""
         if not isinstance(other, QPoly) or other.is_zero():
             raise ValueError("division by zero polynomial")
-        remainder = dict(self._coeffs)
+        remainder = dict(self._terms)
         quotient: dict[int, int] = {}
         d = other.degree
         lead = other.coeff(d)
@@ -149,14 +188,14 @@ class QPoly:
                 raise ValueError("inexact polynomial division")
             q = c // lead
             quotient[e - d] = q
-            for oe, oc in other._coeffs.items():
+            for oe, oc in other._terms.items():
                 t = e - d + oe
                 s = remainder.get(t, 0) - q * oc
                 if s:
                     remainder[t] = s
                 else:
                     remainder.pop(t, None)
-        return QPoly(quotient)
+        return QPoly._make(quotient)
 
     def reversed_poly(self, degree: int | None = None) -> QPoly:
         """q^degree * p(1/q); degree defaults to deg(p)."""
@@ -164,23 +203,14 @@ class QPoly:
             degree = self.degree
         if degree < self.degree:
             raise ValueError("reversal degree below polynomial degree")
-        return QPoly({degree - e: c for e, c in self._coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._coeffs == rhs._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return QPoly._make({degree - e: c for e, c in self._terms.items()})
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return "QPoly(0)"
         parts = []
-        for e in sorted(self._coeffs):
-            c = self._coeffs[e]
+        for e in sorted(self._terms):
+            c = self._terms[e]
             if e == 0:
                 parts.append(str(c))
             else:
@@ -240,10 +270,12 @@ def monomial_sort_key(mono: Monomial):
     return (monomial_total_degree(mono), mono[0], mono[1])
 
 
-class SparsePoly:
+class SparsePoly(_Poly):
     """Sparse polynomial in lambda and the variables x_1, x_2, ..."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _ONE = (0, ())
+    _sort_key = staticmethod(monomial_sort_key)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         cleaned: dict[Monomial, int] = {}
@@ -258,6 +290,17 @@ class SparsePoly:
                 if not cleaned[key]:
                     del cleaned[key]
         self._terms = cleaned
+
+    @staticmethod
+    def _mul_keys(a: Monomial, b: Monomial) -> Monomial:
+        exps: dict[int, int] = dict(a[1])
+        for k, e in b[1]:
+            exps[k] = exps.get(k, 0) + e
+        return (a[0] + b[0], tuple(sorted(exps.items())))
+
+    @staticmethod
+    def _key_json(mono: Monomial) -> dict:
+        return {"lambda": mono[0], "x": {str(k): e for k, e in mono[1]}}
 
     @classmethod
     def constant(cls, c: int) -> SparsePoly:
@@ -284,97 +327,8 @@ class SparsePoly:
     def coeff(self, mono: Monomial) -> int:
         return self._terms.get(_clean_monomial(mono), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def term_count(self) -> int:
         return len(self._terms)
-
-    def _coerce(self, other) -> SparsePoly | None:
-        if isinstance(other, SparsePoly):
-            return other
-        if isinstance(other, int):
-            return SparsePoly.constant(other)
-        return None
-
-    def __add__(self, other) -> SparsePoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, c in rhs._terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        result = SparsePoly()
-        result._terms = out
-        return result
-
-    __radd__ = __add__
-
-    def __neg__(self) -> SparsePoly:
-        result = SparsePoly()
-        result._terms = {m: -c for m, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other) -> SparsePoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> SparsePoly:
-        return -(self - other)
-
-    @staticmethod
-    def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-        lam = a[0] + b[0]
-        exps: dict[int, int] = dict(a[1])
-        for k, e in b[1]:
-            exps[k] = exps.get(k, 0) + e
-        return (lam, tuple(sorted(exps.items())))
-
-    def __mul__(self, other) -> SparsePoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in rhs._terms.items():
-                m = self._mul_monomials(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        result = SparsePoly()
-        result._terms = out
-        return result
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> SparsePoly:
-        if power < 0:
-            raise ValueError("negative power")
-        result = SparsePoly.constant(1)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._terms == rhs._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def evaluate(self, lam_value: int, x_values) -> int:
         """Evaluate with integer lambda and x values.
@@ -401,21 +355,14 @@ class SparsePoly:
         out: dict[Monomial, int] = {}
         for (lam, xs), c in self._terms.items():
             out[(0, xs)] = out.get((0, xs), 0) + c * lam_value**lam
-        return SparsePoly(out)
+        return SparsePoly._make({key: c for key, c in out.items() if c})
 
     def to_json_obj(self) -> list[dict]:
         """Monomial list in graded-lex order; coefficients as decimal strings."""
-        out = []
-        for mono in self.monomials():
-            lam, xs = mono
-            out.append(
-                {
-                    "lambda": lam,
-                    "x": {str(k): e for k, e in xs},
-                    "coeff": str(self._terms[mono]),
-                }
-            )
-        return out
+        return [
+            {**self._key_json(mono), "coeff": str(self._terms[mono])}
+            for mono in self.monomials()
+        ]
 
     @classmethod
     def from_json_obj(cls, obj) -> SparsePoly:
@@ -456,16 +403,12 @@ def add_binomial_term(
 def principal_specialization(poly: SparsePoly) -> QPoly:
     """Substitute x_k -> q^(k-1). The input must be lambda-free."""
     coeffs: dict[int, int] = {}
-    for (lam, xs), c in poly.terms().items():
+    for (lam, xs), c in poly._terms.items():
         if lam:
             raise ValueError("principal specialization of a polynomial with lambda")
         e = sum((k - 1) * exp for k, exp in xs)
-        s = coeffs.get(e, 0) + c
-        if s:
-            coeffs[e] = s
-        else:
-            coeffs.pop(e, None)
-    return QPoly(coeffs)
+        coeffs[e] = coeffs.get(e, 0) + c
+    return QPoly._make({e: c for e, c in coeffs.items() if c})
 
 
 def first_difference(lhs, rhs) -> dict | None:
@@ -474,29 +417,15 @@ def first_difference(lhs, rhs) -> dict | None:
     Works for a pair of SparsePoly or a pair of QPoly; coefficients are
     reported as decimal strings.
     """
-    if isinstance(lhs, QPoly) and isinstance(rhs, QPoly):
-        exps = set(lhs.coefficients()) | set(rhs.coefficients())
-        diffs = sorted(e for e in exps if lhs.coeff(e) != rhs.coeff(e))
-        if not diffs:
-            return None
-        e = diffs[0]
-        return {
-            "monomial": {"q": e},
-            "lhs": str(lhs.coeff(e)),
-            "rhs": str(rhs.coeff(e)),
-        }
-    if isinstance(lhs, SparsePoly) and isinstance(rhs, SparsePoly):
-        lt, rt = lhs.terms(), rhs.terms()
-        diffs = sorted(
-            (m for m in set(lt) | set(rt) if lt.get(m, 0) != rt.get(m, 0)),
-            key=monomial_sort_key,
-        )
-        if not diffs:
-            return None
-        m = diffs[0]
-        return {
-            "monomial": {"lambda": m[0], "x": {str(k): e for k, e in m[1]}},
-            "lhs": str(lt.get(m, 0)),
-            "rhs": str(rt.get(m, 0)),
-        }
-    raise ValueError("mismatched polynomial types")
+    if type(lhs) is not type(rhs) or not isinstance(lhs, _Poly):
+        raise ValueError("mismatched polynomial types")
+    lt, rt = lhs._terms, rhs._terms
+    diffs = [key for key in lt.keys() | rt.keys() if lt.get(key, 0) != rt.get(key, 0)]
+    if not diffs:
+        return None
+    key = min(diffs, key=lhs._sort_key)
+    return {
+        "monomial": lhs._key_json(key),
+        "lhs": str(lt.get(key, 0)),
+        "rhs": str(rt.get(key, 0)),
+    }

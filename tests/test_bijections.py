@@ -1,3 +1,6 @@
+import random
+import time
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -80,6 +83,89 @@ def test_tsscpp_rejects_invalid():
         Tsscpp([[2, 2], [2, 1], [1, 0]])
     with pytest.raises(ValueError):
         Tsscpp([[1, 2], [1, 0]])
+
+
+CUBE_ERRORS = (
+    "cell set is not symmetric in coordinates",
+    "cell set is not self complementary",
+)
+
+
+def cube_verdict(rows) -> str | None:
+    """The TSSCPP definition on the cells of the 2n-cube, for a plane
+    partition given by its height matrix: the error Tsscpp must raise, or
+    None. Reference for the O(size^2) identities in Tsscpp._check."""
+    size = len(rows)
+    cells = {
+        (a, b, c)
+        for a in range(1, size + 1)
+        for b in range(1, size + 1)
+        for c in range(1, rows[a - 1][b - 1] + 1)
+    }
+    for cell in cells:
+        if any(perm not in cells for perm in permutations(cell)):
+            return CUBE_ERRORS[0]
+    for a, b, c in product(range(1, size + 1), repeat=3):
+        if ((a, b, c) in cells) == ((size + 1 - a, size + 1 - b, size + 1 - c) in cells):
+            return CUBE_ERRORS[1]
+    return None
+
+
+def tsscpp_verdict(rows) -> str | None:
+    try:
+        Tsscpp(rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def random_plane_partition(rng: random.Random, size: int) -> list[list[int]]:
+    rows = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):
+            cap = min(rows[a - 1][b] if a else size, rows[a][b - 1] if b else size)
+            rows[a][b] = rng.randint(0, cap)
+    return rows
+
+
+def test_tsscpp_check_matches_the_cube_definition():
+    cases = [[[v, w], [x, y]] for v, w, x, y in product(range(3), repeat=4)]
+    for n in (1, 2, 3, 4):
+        for t in enumerate_tsscpps(n):
+            cases.append([list(row) for row in t.rows])
+            for a, b, step in product(range(2 * n), range(2 * n), (-1, 1)):
+                rows = [list(row) for row in t.rows]
+                rows[a][b] += step
+                cases.append(rows)
+    rng = random.Random(5)
+    for _ in range(1000):
+        rows = random_plane_partition(rng, rng.choice((4, 6)))
+        cases.append(rows)
+        # the symmetrized copy reaches the row-conjugacy and complement checks
+        cases.append([[min(v, rows[b][a]) for b, v in enumerate(row)] for a, row in enumerate(rows)])
+    compared, accepted = 0, set()
+    for rows in cases:
+        got = tsscpp_verdict(rows)
+        if got is None or got in CUBE_ERRORS:  # other errors: shape, range, order
+            assert got == cube_verdict(rows), rows
+            compared += 1
+            if got is None:
+                accepted.add(str(rows))
+    assert len(accepted) == 1 + 2 + 7 + 42
+    assert compared > 2000
+
+
+def test_tsscpp_check_is_quadratic():
+    n = 100
+    rows = [[n * ((a < n) + (b < n)) for b in range(2 * n)] for a in range(2 * n)]
+    start = time.perf_counter()
+    assert Tsscpp(rows).n == n
+    assert time.perf_counter() - start < 1.0
+    rows[n - 1][n - 1] -= 1  # still a plane partition, no longer a TSSCPP
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not symmetric"):
+        Tsscpp(rows)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tournament_accessors():

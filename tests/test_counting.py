@@ -140,13 +140,6 @@ def test_budget_env_var(monkeypatch):
         list(enumerate_ideals(p))
 
 
-def test_max_vertices_guard():
-    p = build(5).subposet("g")
-    with pytest.raises(ValueError, match="cap"):
-        count_ideals(p, max_vertices=10)
-    assert count_ideals(p, max_vertices=20) == count_ideals(p)
-
-
 def test_dual_on_frontier_only_path():
     # silver-only has no green, forcing the frontier engine on both sides
     p = build(4).subposet("s")

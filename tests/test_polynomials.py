@@ -11,6 +11,7 @@ from tetraposet import (
     catalan_number,
     catalan_product,
     first_difference,
+    polynomials,
     principal_specialization,
     q_binomial,
     q_bracket,
@@ -146,6 +147,66 @@ def test_first_difference():
     assert diff == {"monomial": {"lambda": 0, "x": {"1": 1}}, "lhs": "1", "rhs": "2"}
     with pytest.raises(ValueError):
         first_difference(a, p)
+
+
+def test_polynomial_types_do_not_mix():
+    with pytest.raises(TypeError):
+        QPoly({1: 2}) * SparsePoly.x(1)
+    with pytest.raises(TypeError):
+        SparsePoly.x(1) + QPoly({1: 2})
+    with pytest.raises(TypeError):
+        QPoly({1: 2}) - SparsePoly.x(1)
+    assert (QPoly({0: 1}) == SparsePoly.constant(1)) is False
+    assert 3 - QPoly.q() == QPoly({0: 3, 1: -1})
+    assert 3 - SparsePoly.lam() == SparsePoly({(0, ()): 3, (1, ()): -1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QPoly({-1: 1}),
+        lambda: QPoly({-1: 0}),
+        lambda: QPoly({1.0: 1}),
+        lambda: QPoly({1: 1.5}),
+        lambda: SparsePoly({(-1, ()): 1}),
+        lambda: SparsePoly({(0, ((1, -1),)): 1}),
+        lambda: SparsePoly({(0, ((0, 1),)): 1}),
+        lambda: SparsePoly({(0, ((1, 1), (1, 2))): 1}),
+        lambda: SparsePoly({(0, ()): 1.5}),
+        lambda: SparsePoly.x(0),
+        lambda: SparsePoly.lam(-1),
+    ],
+)
+def test_public_constructors_check_keys_and_coefficients(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_arithmetic_skips_the_key_check(monkeypatch):
+    a, b = QPoly.from_coeff_list([1, 2]), QPoly.q(3)
+    p, q = SparsePoly.x(1) + SparsePoly.lam(), SparsePoly.x(2, 3)
+
+    def refuse(*args):
+        raise AssertionError("arithmetic went through the public constructor")
+
+    monkeypatch.setattr(QPoly, "__init__", refuse)
+    monkeypatch.setattr(polynomials, "_clean_monomial", refuse)
+    assert (a * b + a - b) ** 2 == (a * b + a - b) * (a * b + a - b)
+    assert (-(p * q) + p - 1) ** 2 != 0
+    assert first_difference(a, b)["monomial"] == {"q": 0}
+    assert principal_specialization(q.lambda_specialize(2)).coefficients() == {3: 1}
+
+
+RING_METHODS = (
+    "_coerce", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__pow__", "__eq__", "__hash__", "is_zero",
+)
+
+
+def test_ring_methods_live_in_one_core():
+    for cls in (QPoly, SparsePoly):
+        for name in RING_METHODS:
+            assert getattr(cls, name) is getattr(polynomials._Poly, name)
 
 
 def test_carlitz_riordan_values():

@@ -1,0 +1,60 @@
+"""Checks on the code itself: the benchmark tracer's hooks still resolve, and
+src/ keeps its invariants as exceptions rather than asserts."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import tetraposet
+from tetraposet import QPoly, SparsePoly
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracer() -> types.ModuleType:
+    """Execute bench/tracer.py from its source text, so nothing is written
+    next to it (no bytecode cache) and it is not registered as a module."""
+    path = ROOT / "bench" / "tracer.py"
+    module = types.ModuleType("bench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def test_tracer_targets_resolve():
+    tracer = load_tracer()
+    for name, module_name, path in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name
+
+
+def test_tracer_wraps_sparse_mul_only():
+    tracer = load_tracer().Tracer()
+    sparse_mul, q_mul = SparsePoly.__mul__, QPoly.__mul__
+    tracer.install()
+    try:
+        assert SparsePoly.__mul__ is not sparse_mul
+        assert SparsePoly.__mul__.__wrapped__ is sparse_mul
+        assert QPoly.__mul__ is q_mul
+        assert SparsePoly.x(1) * SparsePoly.x(2) == SparsePoly.monomial(0, {1: 1, 2: 1})
+        assert QPoly.q() * QPoly.q() == QPoly.q(2)
+    finally:
+        tracer.uninstall()
+    assert SparsePoly.__mul__ is sparse_mul
+    assert QPoly.__mul__ is q_mul
+    assert tracer.counters["polynomials.sparse_mul_term_pairs"] == 1
+
+
+def test_no_assert_in_src():
+    src = Path(tetraposet.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "invariants must raise, python -O strips asserts: " + ", ".join(found)
