@@ -21,7 +21,7 @@ from math import comb
 
 from .budget import guard
 from .colors import Color, require_admissible
-from .polynomials import QPoly, SparsePoly, add_binomial_term
+from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
 TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
@@ -309,9 +309,7 @@ def array_rank_gf(n: int, colors) -> QPoly:
     return QPoly(_total(states))
 
 
-def value_count_gf(
-    n: int, colors, *, equalities: bool, budget: int | None = None
-) -> SparsePoly:
+def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     """Sum over Y_n(S) of prod_k x_k^(C_k - 1), by diagonal transfer DP.
 
     C_k counts the entries equal to k; the pinned column holds one of each
@@ -323,41 +321,33 @@ def value_count_gf(
     identities.ArrayStats. The live term count is checked against the budget
     after every diagonal.
 
-    Weights are packed into one integer, a field of width w each for E, for
-    N (standing for (1+lambda)^N until the end) and for x_1..x_n; no field
-    can carry, since none exceeds the n(n-1)/2 non-pinned cells.
+    Weights are SparsePoly keys, with N (standing for (1+lambda)^N until the
+    end) in the extra field n+1. No field fills up: each is at most the
+    n(n-1)/2 non-pinned cells, below 2^16 for every n up to 362, far beyond
+    the n the transfer can reach.
     """
     colorset = _require_green(n, colors)
-    w = (n * (n - 1) // 2).bit_length() or 1
-    mask = (1 << w) - 1
+    n_shift = (n + 1) * FIELD
 
     def diag_key(b: Diagonal) -> int:
         key = 0
         for i in range(len(b) - 1):
-            key += 1 << ((b[i] + 1) * w)
+            key += 1 << b[i] * FIELD
             if equalities and b[i] == b[i + 1]:
                 key += 1
         return key
 
     def rise_drops(a: Diagonal, b: Diagonal) -> int:
-        return sum(a[i] < b[i] < b[i + 1] for i in range(len(a))) << w
+        return sum(a[i] < b[i] < b[i + 1] for i in range(len(a))) << n_shift
 
     pair_key = rise_drops if equalities else None
     for states in _transfer(n, colorset, diag_key, pair_key):
-        guard(sum(map(len, states.values())), "transfer terms", budget)
-    terms: dict = {}
-    x_parts: dict[int, tuple[tuple[int, int], ...]] = {}
+        guard(sum(map(len, states.values())), "transfer terms")
+    terms: dict[int, int] = {}
+    low = (1 << n_shift) - 1
     for key, c in _total(states).items():
-        x_key = key >> 2 * w
-        xs = x_parts.get(x_key)
-        if xs is None:
-            xs = x_parts[x_key] = tuple(
-                (k, e)
-                for k in range(1, n + 1)
-                if (e := x_key >> (k - 1) * w & mask)
-            )
-        add_binomial_term(terms, key & mask, xs, key >> w & mask, c)
-    return SparsePoly(terms)
+        add_binomial_term(terms, key & low, key >> n_shift, c)
+    return SparsePoly._make(terms)
 
 
 def count_arrays(n: int, colors) -> int:
@@ -369,10 +359,10 @@ def _array_plan(n: int, colors: frozenset[Color]) -> Plan:
     return _plan([(i, j) for i in range(n, 0, -1) for j in range(n - i + 1)], colors)
 
 
-def enumerate_arrays(n: int, colors, budget: int | None = None) -> Iterator[StaircaseArray]:
+def enumerate_arrays(n: int, colors) -> Iterator[StaircaseArray]:
     """Yield Y_n(S) in deterministic order (rows bottom-up, values ascending)."""
     colorset = _require_green(n, colors)
-    guard(count_arrays(n, colorset), "arrays", budget)
+    guard(count_arrays(n, colorset), "arrays")
     plan = _array_plan(n, colorset)
     vals = [0] * len(plan)
     # row i occupies positions starts[i-1] .. starts[i-1] + n-i of vals
@@ -459,24 +449,22 @@ def _row_placements(
 
 
 def row_shuffle_count(alpha: StaircaseArray) -> int:
-    """Size of the fiber of sort_to_tsscpp over alpha."""
-    n = alpha.n
+    """Size of the fiber of sort_to_tsscpp over alpha: the product over rows
+    i < n and values v of binomial(C_{i+1,v}, E_{i,v}), where C_{i+1,v}
+    counts v in row i+1 and E_{i,v} the cells of row i equal to v and to
+    their southwest neighbor."""
     total = 1
-    for i in range(1, n):
-        below_counts = Counter(alpha.rows[i])
-        eq_by_value: Counter = Counter()
-        row = alpha.rows[i - 1]
-        for j in range(1, len(row)):
-            if row[j] == alpha.rows[i][j - 1]:
-                eq_by_value[row[j]] += 1
+    for row, below in zip(alpha.rows, alpha.rows[1:]):
+        eq_by_value: dict[int, int] = {}
+        for v, sw in zip(row[1:], below):
+            if v == sw:
+                eq_by_value[v] = eq_by_value.get(v, 0) + 1
         for v, e in eq_by_value.items():
-            total *= comb(below_counts[v], e)
+            total *= comb(below.count(v), e)
     return total
 
 
-def enumerate_row_shuffles(
-    alpha: StaircaseArray, budget: int | None = None
-) -> Iterator[StaircaseArray]:
+def enumerate_row_shuffles(alpha: StaircaseArray) -> Iterator[StaircaseArray]:
     """Yield the fiber {beta in Y_n({b,r,g}) : sort_to_tsscpp(beta) = alpha}.
 
     alpha must lie in Y_n({b,r,g,y}). Rows are rearranged from the bottom up;
@@ -485,7 +473,7 @@ def enumerate_row_shuffles(
     """
     if not validate(alpha, SORTED_COLORS):
         raise ValueError("input is not a sorted {b,r,g,y} array")
-    guard(row_shuffle_count(alpha), "row shuffles", budget)
+    guard(row_shuffle_count(alpha), "row shuffles")
     n = alpha.n
     chosen: list[tuple[int, ...] | None] = [None] * (n + 1)
     chosen[n] = (n,)

@@ -365,19 +365,19 @@ def tsscpp_tournament_check(t: Tournament) -> bool:
     return True
 
 
-def enumerate_tournaments(n: int, budget: int | None = None) -> Iterator[Tournament]:
+def enumerate_tournaments(n: int) -> Iterator[Tournament]:
     """All 2^binomial(n,2) tournaments; per game the smaller-index win comes first."""
     game_list = games(n)
-    guard(2 ** len(game_list), "tournaments", budget)
+    guard(2 ** len(game_list), "tournaments")
     for outcome in product(*((i, j) for i, j in game_list)):
         yield Tournament(n, dict(zip(game_list, outcome)))
 
 
-def enumerate_asms(n: int, budget: int | None = None) -> Iterator[Asm]:
-    for x in enumerate_arrays(n, ASM_COLORS, budget):
+def enumerate_asms(n: int) -> Iterator[Asm]:
+    for x in enumerate_arrays(n, ASM_COLORS):
         yield array_to_asm(x)
 
 
-def enumerate_tsscpps(n: int, budget: int | None = None) -> Iterator[Tsscpp]:
-    for x in enumerate_arrays(n, TSSCPP_COLORS, budget):
+def enumerate_tsscpps(n: int) -> Iterator[Tsscpp]:
+    for x in enumerate_arrays(n, TSSCPP_COLORS):
         yield array_to_tsscpp(x)

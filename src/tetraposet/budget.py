@@ -3,7 +3,7 @@
 Counting is exact and cheap (dynamic programming); enumeration is not. Every
 enumerating operation counts first and refuses to stream more objects than the
 budget allows. The default budget is 10**8 objects and can be overridden with
-the TETRAPOSET_BUDGET environment variable or a per-call argument.
+the TETRAPOSET_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed the configured object budget."""
 
 
-def enumeration_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def enumeration_budget() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
@@ -30,10 +28,10 @@ def enumeration_budget(override: int | None = None) -> int:
         raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def guard(count: int, what: str, override: int | None = None) -> None:
-    budget = enumeration_budget(override)
+def guard(count: int, what: str) -> None:
+    budget = enumeration_budget()
     if count > budget:
         raise BudgetError(
             f"refusing to enumerate {count} {what} (budget {budget}; "
-            f"set {ENV_VAR} or pass budget= to raise it)"
+            f"set {ENV_VAR} to raise it)"
         )

@@ -109,14 +109,14 @@ def count_ideals(p: Subposet) -> int:
     return rank_gf(p)(1)
 
 
-def enumerate_ideals(p: Subposet, budget: int | None = None) -> Iterator[OrderIdeal]:
+def enumerate_ideals(p: Subposet) -> Iterator[OrderIdeal]:
     """Yield every order ideal, in a deterministic depth-first order.
 
     The walk follows the linear extension; at each vertex the branch that
     leaves it out comes before the branch that puts it in. The total count is
     checked against the yield budget before any work is done.
     """
-    guard(count_ideals(p), "order ideals", budget)
+    guard(count_ideals(p), "order ideals")
     pred = p.predecessors()
     order = _linear_extension(p, pred, p.successors())
     n_verts = len(order)

@@ -99,7 +99,7 @@ def tspp_number(n: int) -> int:
     return value.numerator
 
 
-def tournament_gf(n: int, budget: int | None = None) -> SparsePoly:
+def tournament_gf(n: int) -> SparsePoly:
     """prod_{1<=i<j<=n} (x_i + lambda x_j), expanded.
 
     The monomial of a tournament carries lambda^(upsets) and x_v^(wins of v).
@@ -110,7 +110,7 @@ def tournament_gf(n: int, budget: int | None = None) -> SparsePoly:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             out = out * (SparsePoly.x(i) + SparsePoly.lam() * SparsePoly.x(j))
-            guard(out.term_count(), "generating function terms", budget)
+            guard(out.term_count(), "generating function terms")
     return out
 
 

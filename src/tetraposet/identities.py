@@ -32,13 +32,14 @@ from .arrays import (
     StaircaseArray,
     enumerate_arrays,
     enumerate_row_shuffles,
+    row_shuffle_count,
     value_count_gf,
 )
 from .bijections import Asm, array_to_asm
 from .colors import Color, all_admissible_sets, format_colors
 from .counting import rank_gf
 from .formulas import formula_count, formula_rank_gf, tournament_gf
-from .polynomials import QPoly, SparsePoly, add_binomial_term, first_difference
+from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term, first_difference
 from .poset import build
 
 SCHUR_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE})
@@ -54,10 +55,10 @@ class ArrayStats:
     x_{i+1,j-1}; for tournament arrays these mark games won by the larger
     player. Counts are split by row (eq_row[i-1]), by diagonal d = i + j
     (eq_diag[d], with eq_diag[0] and eq_diag[1] always 0), and by row and
-    value (eq_row_value[(i, k)]). value_counts[k] and row_value_counts[(i, k)]
-    include the pinned first column. rise_drop_count is the number of cells
-    strictly above their west neighbor and strictly below their southwest
-    neighbor, which for alternating sign matrix arrays counts the -1 entries.
+    value (eq_row_value[(i, k)]). value_counts[k] includes the pinned first
+    column. rise_drop_count is the number of cells strictly above their west
+    neighbor and strictly below their southwest neighbor, which for
+    alternating sign matrix arrays counts the -1 entries.
     """
 
     eq_total: int
@@ -65,7 +66,6 @@ class ArrayStats:
     eq_diag: tuple[int, ...]
     eq_row_value: dict[tuple[int, int], int]
     value_counts: dict[int, int]
-    row_value_counts: dict[tuple[int, int], int]
     rise_drop_count: int
 
 
@@ -76,11 +76,9 @@ def array_stats(x: StaircaseArray) -> ArrayStats:
     eq_diag = [0] * (n + 1)
     eq_row_value: dict[tuple[int, int], int] = {}
     value_counts: dict[int, int] = {}
-    row_value_counts: dict[tuple[int, int], int] = {}
     rise_drop = 0
     for i, j, v in x.cells():
         value_counts[v] = value_counts.get(v, 0) + 1
-        row_value_counts[(i, v)] = row_value_counts.get((i, v), 0) + 1
         if j >= 1 and i < n:
             sw = rows[i][j - 1]
             if v == sw:
@@ -95,7 +93,6 @@ def array_stats(x: StaircaseArray) -> ArrayStats:
         eq_diag=tuple(eq_diag),
         eq_row_value=eq_row_value,
         value_counts=value_counts,
-        row_value_counts=row_value_counts,
         rise_drop_count=rise_drop,
     )
 
@@ -124,29 +121,27 @@ def asm_stats(a: Asm) -> AsmStats:
     return AsmStats(inversions=inv, neg_count=neg)
 
 
-def robbins_rumsey_rhs(n: int, budget: int | None = None) -> SparsePoly:
+def robbins_rumsey_rhs(n: int) -> SparsePoly:
     """Sum over alternating sign matrices A of
     lambda^(inv(A) - neg(A)) (1+lambda)^neg(A) prod_j x_j^(sum_i (n-i) A_{ij})."""
-    terms: dict = {}
-    for x in enumerate_arrays(n, ASM_COLORS, budget):
+    terms: dict[int, int] = {}
+    for x in enumerate_arrays(n, ASM_COLORS):
         a = array_to_asm(x)
         st = asm_stats(a)
-        exps = [
-            sum((n - i) * a.rows[i - 1][j] for i in range(1, n + 1))
-            for j in range(n)
-        ]
-        xs = tuple((j + 1, e) for j, e in enumerate(exps) if e)
-        add_binomial_term(terms, st.inversions - st.neg_count, xs, st.neg_count, 1)
-    return SparsePoly(terms)
+        key = st.inversions - st.neg_count
+        for j, column in enumerate(zip(*a.rows), start=1):
+            key += sum((n - i) * v for i, v in enumerate(column, start=1)) << j * FIELD
+        add_binomial_term(terms, key, st.neg_count, 1)
+    return SparsePoly._make(terms)
 
 
-def asm_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
+def asm_expansion_rhs(n: int) -> SparsePoly:
     """Sum over Y_n({g,y,o,b}) of
     lambda^E (1+lambda)^N prod_k x_k^(C_k - 1), by diagonal transfer."""
-    return value_count_gf(n, ASM_COLORS, equalities=True, budget=budget)
+    return value_count_gf(n, ASM_COLORS, equalities=True)
 
 
-def tsscpp_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
+def tsscpp_expansion_rhs(n: int) -> SparsePoly:
     """Sum over sorted arrays alpha in Y_n({b,r,g,y}) and their row shuffles:
 
         lambda^E(alpha) prod_i x_i^(n-i-E_i(alpha))
@@ -156,38 +151,27 @@ def tsscpp_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
     the diagonal-v equalities of beta plus the row-v slack of alpha, which is
     how the tournament product re-emerges.
     """
-    terms: dict = {}
-    for alpha in enumerate_arrays(n, SORTED_COLORS, budget):
+    terms: dict[int, int] = {}
+    for alpha in enumerate_arrays(n, SORTED_COLORS):
         st = array_stats(alpha)
-        outer = {i: n - i - st.eq_row[i - 1] for i in range(1, n)}
-        for beta in enumerate_row_shuffles(alpha, budget):
-            bst = array_stats(beta)
-            exps = dict(outer)
-            for d in range(2, n + 1):
-                if bst.eq_diag[d]:
-                    exps[d] = exps.get(d, 0) + bst.eq_diag[d]
-            xs = tuple(sorted((k, e) for k, e in exps.items() if e))
-            key = (st.eq_total, xs)
-            terms[key] = terms.get(key, 0) + 1
-    return SparsePoly(terms)
-
-
-def tsscpp_lambda_count(n: int, budget: int | None = None) -> SparsePoly:
-    """Sum over Y_n({b,r,g,y}) of lambda^E times the shuffle fiber size,
-    written as prod_{1<=i<=k<=n-1} binomial(C_{i+1,k}, E_{i,k})."""
-    terms: dict = {}
-    for alpha in enumerate_arrays(n, SORTED_COLORS, budget):
-        st = array_stats(alpha)
-        fiber = 1
+        outer = st.eq_total
         for i in range(1, n):
-            for k in range(i, n):
-                fiber *= comb(
-                    st.row_value_counts.get((i + 1, k), 0),
-                    st.eq_row_value.get((i, k), 0),
-                )
-        key = (st.eq_total, ())
-        terms[key] = terms.get(key, 0) + fiber
-    return SparsePoly(terms)
+            outer += n - i - st.eq_row[i - 1] << i * FIELD
+        for beta in enumerate_row_shuffles(alpha):
+            key = outer
+            for d, e in enumerate(array_stats(beta).eq_diag):
+                key += e << d * FIELD
+            terms[key] = terms.get(key, 0) + 1
+    return SparsePoly._make(terms)
+
+
+def tsscpp_lambda_count(n: int) -> SparsePoly:
+    """Sum over Y_n({b,r,g,y}) of lambda^E times the shuffle fiber size."""
+    terms: dict[int, int] = {}
+    for alpha in enumerate_arrays(n, SORTED_COLORS):
+        key = array_stats(alpha).eq_total
+        terms[key] = terms.get(key, 0) + row_shuffle_count(alpha)
+    return SparsePoly._make(terms)
 
 
 def pairwise_product(n: int) -> SparsePoly:
@@ -199,9 +183,9 @@ def pairwise_product(n: int) -> SparsePoly:
     return out
 
 
-def schur_expansion_rhs(n: int, budget: int | None = None) -> SparsePoly:
+def schur_expansion_rhs(n: int) -> SparsePoly:
     """Sum over Y_n({g,y,o}) of prod_k x_k^(C_k - 1), by diagonal transfer."""
-    return value_count_gf(n, SCHUR_COLORS, equalities=False, budget=budget)
+    return value_count_gf(n, SCHUR_COLORS, equalities=False)
 
 
 def _report(name: str, n: int, lhs, rhs, t0: float) -> dict:
@@ -216,24 +200,24 @@ def _report(name: str, n: int, lhs, rhs, t0: float) -> dict:
     }
 
 
-def verify_identity(name: str, n: int, budget: int | None = None) -> dict:
+def verify_identity(name: str, n: int) -> dict:
     """Expand both sides of a named identity and report the comparison."""
     t0 = time.perf_counter()
     if name == "rr":
-        lhs = tournament_gf(n, budget)
-        rhs = robbins_rumsey_rhs(n, budget)
+        lhs = tournament_gf(n)
+        rhs = robbins_rumsey_rhs(n)
     elif name == "asm":
-        lhs = tournament_gf(n, budget)
-        rhs = asm_expansion_rhs(n, budget)
+        lhs = tournament_gf(n)
+        rhs = asm_expansion_rhs(n)
     elif name == "tsscpp":
-        lhs = tournament_gf(n, budget)
-        rhs = tsscpp_expansion_rhs(n, budget)
+        lhs = tournament_gf(n)
+        rhs = tsscpp_expansion_rhs(n)
     elif name == "tsscpp-count":
         lhs = (SparsePoly.constant(1) + SparsePoly.lam()) ** comb(n, 2)
-        rhs = tsscpp_lambda_count(n, budget)
+        rhs = tsscpp_lambda_count(n)
     elif name == "schur":
         lhs = pairwise_product(n)
-        rhs = schur_expansion_rhs(n, budget)
+        rhs = schur_expansion_rhs(n)
     else:
         raise ValueError(f"unknown identity {name!r}")
     return _report(name, n, lhs, rhs, t0)

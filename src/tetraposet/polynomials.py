@@ -1,13 +1,20 @@
 """Exact polynomial arithmetic: univariate in q, sparse multivariate in lambda and x_1..x_n.
 
-All coefficients are arbitrary-precision integers. Division is exact and
-raises on a nonzero remainder; there is no floating point anywhere.
+All coefficients are arbitrary-precision integers; there is no floating
+point anywhere.
 
 One ring core, _Poly, keeps the terms as a dict from monomial key to nonzero
 coefficient and implements +, -, *, **, == and hashing once, for both types.
-The types differ only in their keys. A QPoly key is the q exponent. A
-SparsePoly key is (lambda exponent, ((variable index, exponent), ...)) with
-the x-part sorted by variable index; SparsePoly serialization orders
+The types differ only in their keys, and the key of a product is the sum of
+the keys for both. A QPoly key is the q exponent. A SparsePoly key packs a
+monomial into one int of FIELD-bit fields, lambda's exponent in field 0 and
+x_k's in field k (Kronecker substitution), so lambda^a x_1^b x_3^c is
+a + (b << 16) + (c << 48). A field must never carry into the next one: the
+public constructor rejects an exponent above 2^16 - 1, and a product raises
+OverflowError when a factor has a field at or above 2^15, so every sum of
+two fields fits. Outside this module a monomial is the tuple (lambda
+exponent, ((variable index, exponent), ...)) with the x-part sorted by
+variable index and zero exponents left out; SparsePoly serialization orders
 monomials by total degree, then lambda exponent, then the x exponent tuple
 (graded lexicographic), so output is deterministic.
 """
@@ -15,8 +22,9 @@ monomials by total degree, then lambda exponent, then the x exponent tuple
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import reduce
 from math import comb
-from operator import add
+from operator import or_
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -24,13 +32,25 @@ Monomial = tuple[int, tuple[tuple[int, int], ...]]
 class _Poly:
     """Ring core: a dict from monomial key to nonzero int coefficient.
 
-    A subclass fixes its key type with _ONE (the key of 1), _mul_keys (the
-    key of a product), _sort_key (listing order; None for the keys' own order)
-    and _key_json (a key as JSON). Its public constructor checks every key and
-    coefficient; arithmetic builds results through _make, which trusts them.
+    Keys are ints that add under multiplication, and 0 is the key of 1. A
+    subclass fixes their meaning with _check_factor (raises if a factor's
+    keys could overflow a product), _sort_key (listing order; None for the
+    keys' own order), _key_json (a key as JSON) and _clean_key (checks a
+    public key and returns its int). The public constructor checks every key
+    and coefficient; arithmetic builds results through _make, which trusts
+    them.
     """
 
     __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping | None = None):
+        cleaned: dict[int, int] = {}
+        for mono, c in (terms or {}).items():
+            key = self._clean_key(mono)
+            if not isinstance(c, int):
+                raise ValueError(f"bad coefficient {c!r}")
+            cleaned[key] = cleaned.get(key, 0) + c
+        self._terms = {key: c for key, c in cleaned.items() if c}
 
     @classmethod
     def _make(cls, terms: dict):
@@ -46,7 +66,7 @@ class _Poly:
         if type(other) is type(self):
             return other
         if isinstance(other, int):
-            return self._make({self._ONE: other} if other else {})
+            return self._make({0: other} if other else {})
         return None
 
     def __add__(self, other):
@@ -83,11 +103,12 @@ class _Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        mul_keys = self._mul_keys
+        self._check_factor(self._terms)
+        self._check_factor(rhs._terms)
         out: dict = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in rhs._terms.items():
-                key = mul_keys(k1, k2)
+                key = k1 + k2
                 s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
@@ -100,7 +121,7 @@ class _Poly:
     def __pow__(self, power: int):
         if power < 0:
             raise ValueError("negative power")
-        result = self._make({self._ONE: 1})
+        result = self._make({0: 1})
         base = self
         while power:
             if power & 1:
@@ -124,21 +145,17 @@ class QPoly(_Poly):
     of q^e is e."""
 
     __slots__ = ()
-    _ONE = 0
-    _mul_keys = staticmethod(add)
     _sort_key = None
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        cleaned: dict[int, int] = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if not isinstance(exp, int) or exp < 0:
-                    raise ValueError(f"bad q exponent {exp!r}")
-                if not isinstance(c, int):
-                    raise ValueError(f"bad coefficient {c!r}")
-                if c:
-                    cleaned[exp] = c
-        self._terms = cleaned
+    @staticmethod
+    def _clean_key(exp: int) -> int:
+        if not isinstance(exp, int) or exp < 0:
+            raise ValueError(f"bad q exponent {exp!r}")
+        return exp
+
+    @staticmethod
+    def _check_factor(terms: dict) -> None:
+        pass
 
     @staticmethod
     def _key_json(exp: int) -> dict:
@@ -170,32 +187,6 @@ class QPoly(_Poly):
 
     def __call__(self, value: int) -> int:
         return sum(c * value**exp for exp, c in self._terms.items())
-
-    def exact_div(self, other: QPoly) -> QPoly:
-        """Exact polynomial division; raises ValueError on a nonzero remainder."""
-        if not isinstance(other, QPoly) or other.is_zero():
-            raise ValueError("division by zero polynomial")
-        remainder = dict(self._terms)
-        quotient: dict[int, int] = {}
-        d = other.degree
-        lead = other.coeff(d)
-        while remainder:
-            e = max(remainder)
-            if e < d:
-                raise ValueError("inexact polynomial division")
-            c = remainder[e]
-            if c % lead:
-                raise ValueError("inexact polynomial division")
-            q = c // lead
-            quotient[e - d] = q
-            for oe, oc in other._terms.items():
-                t = e - d + oe
-                s = remainder.get(t, 0) - q * oc
-                if s:
-                    remainder[t] = s
-                else:
-                    remainder.pop(t, None)
-        return QPoly._make(quotient)
 
     def reversed_poly(self, degree: int | None = None) -> QPoly:
         """q^degree * p(1/q); degree defaults to deg(p)."""
@@ -247,60 +238,62 @@ def q_binomial(m: int, k: int) -> QPoly:
     return row[k]
 
 
-def _clean_monomial(mono: Monomial) -> Monomial:
+FIELD = 16
+_MASK = (1 << FIELD) - 1
+
+
+def _clean_monomial(mono: Monomial) -> int:
+    """Check a monomial tuple and pack it into a SparsePoly key."""
     lam, xs = mono
-    if lam < 0:
-        raise ValueError("negative lambda exponent")
-    parts = [(k, e) for k, e in xs if e]
-    for k, e in parts:
-        if k < 1 or e < 0:
+    if not isinstance(lam, int) or not 0 <= lam <= _MASK:
+        raise ValueError(f"bad lambda exponent {lam!r}")
+    key = lam
+    for k, e in xs:
+        if not e:
+            continue
+        if not isinstance(k, int) or not isinstance(e, int) or k < 1 or not 0 < e <= _MASK:
             raise ValueError(f"bad variable term ({k}, {e})")
-    parts.sort()
-    if len({k for k, _ in parts}) != len(parts):
-        raise ValueError("repeated variable in monomial")
-    return (lam, tuple(parts))
+        if key >> k * FIELD & _MASK:
+            raise ValueError("repeated variable in monomial")
+        key += e << k * FIELD
+    return key
 
 
-def monomial_total_degree(mono: Monomial) -> int:
-    lam, xs = mono
-    return lam + sum(e for _, e in xs)
-
-
-def monomial_sort_key(mono: Monomial):
-    return (monomial_total_degree(mono), mono[0], mono[1])
+def _unpack(key: int) -> Monomial:
+    """The monomial tuple of a SparsePoly key."""
+    fields = range(1, key.bit_length() // FIELD + 1)
+    return (key & _MASK, tuple((k, e) for k in fields if (e := key >> k * FIELD & _MASK)))
 
 
 class SparsePoly(_Poly):
     """Sparse polynomial in lambda and the variables x_1, x_2, ..."""
 
     __slots__ = ()
-    _ONE = (0, ())
-    _sort_key = staticmethod(monomial_sort_key)
-
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        cleaned: dict[Monomial, int] = {}
-        if terms:
-            for mono, c in terms.items():
-                if not isinstance(c, int):
-                    raise ValueError(f"bad coefficient {c!r}")
-                if not c:
-                    continue
-                key = _clean_monomial(mono)
-                cleaned[key] = cleaned.get(key, 0) + c
-                if not cleaned[key]:
-                    del cleaned[key]
-        self._terms = cleaned
 
     @staticmethod
-    def _mul_keys(a: Monomial, b: Monomial) -> Monomial:
-        exps: dict[int, int] = dict(a[1])
-        for k, e in b[1]:
-            exps[k] = exps.get(k, 0) + e
-        return (a[0] + b[0], tuple(sorted(exps.items())))
+    def _clean_key(mono: Monomial) -> int:
+        return _clean_monomial(mono)
 
     @staticmethod
-    def _key_json(mono: Monomial) -> dict:
-        return {"lambda": mono[0], "x": {str(k): e for k, e in mono[1]}}
+    def _check_factor(terms: dict[int, int]) -> None:
+        """Raise OverflowError if a field of a key is at least 2^15: OR-ing
+        the keys sets a field's top bit exactly when some key's field is."""
+        bits = reduce(or_, terms, 0)
+        fields = bits.bit_length() // FIELD + 1
+        top_bits = ((1 << fields * FIELD) - 1) // _MASK << (FIELD - 1)
+        if bits & top_bits:
+            raise OverflowError(f"an exponent of a factor is at least 2^{FIELD - 1}")
+
+    @staticmethod
+    def _sort_key(key: int):
+        """Graded lexicographic: total degree, then lambda, then the x-part."""
+        lam, xs = _unpack(key)
+        return (lam + sum(e for _, e in xs), lam, xs)
+
+    @staticmethod
+    def _key_json(key: int) -> dict:
+        lam, xs = _unpack(key)
+        return {"lambda": lam, "x": {str(k): e for k, e in xs}}
 
     @classmethod
     def constant(cls, c: int) -> SparsePoly:
@@ -319,10 +312,13 @@ class SparsePoly(_Poly):
         return cls({(lam, tuple(sorted(xs.items()))): coeff})
 
     def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
+        return {_unpack(key): c for key, c in self._terms.items()}
+
+    def _sorted_keys(self) -> list[int]:
+        return sorted(self._terms, key=self._sort_key)
 
     def monomials(self) -> list[Monomial]:
-        return sorted(self._terms, key=monomial_sort_key)
+        return [_unpack(key) for key in self._sorted_keys()]
 
     def coeff(self, mono: Monomial) -> int:
         return self._terms.get(_clean_monomial(mono), 0)
@@ -330,38 +326,11 @@ class SparsePoly(_Poly):
     def term_count(self) -> int:
         return len(self._terms)
 
-    def evaluate(self, lam_value: int, x_values) -> int:
-        """Evaluate with integer lambda and x values.
-
-        x_values may be a dict {index: value}, a callable index -> value, or a
-        single int used for every variable.
-        """
-        if isinstance(x_values, Mapping):
-            getter = lambda k: x_values[k]
-        elif callable(x_values):
-            getter = x_values
-        else:
-            getter = lambda k: x_values
-        total = 0
-        for (lam, xs), c in self._terms.items():
-            value = c * lam_value**lam
-            for k, e in xs:
-                value *= getter(k) ** e
-            total += value
-        return total
-
-    def lambda_specialize(self, lam_value: int) -> SparsePoly:
-        """Substitute an integer for lambda, keeping the x variables."""
-        out: dict[Monomial, int] = {}
-        for (lam, xs), c in self._terms.items():
-            out[(0, xs)] = out.get((0, xs), 0) + c * lam_value**lam
-        return SparsePoly._make({key: c for key, c in out.items() if c})
-
     def to_json_obj(self) -> list[dict]:
         """Monomial list in graded-lex order; coefficients as decimal strings."""
         return [
-            {**self._key_json(mono), "coeff": str(self._terms[mono])}
-            for mono in self.monomials()
+            {**self._key_json(key), "coeff": str(self._terms[key])}
+            for key in self._sorted_keys()
         ]
 
     @classmethod
@@ -379,10 +348,10 @@ class SparsePoly(_Poly):
         if not self._terms:
             return "SparsePoly(0)"
         parts = []
-        for mono in self.monomials():
-            lam, xs = mono
-            c = self._terms[mono]
-            bits = [] if c == 1 and (lam or xs) else [str(c)]
+        for key in self._sorted_keys():
+            lam, xs = _unpack(key)
+            c = self._terms[key]
+            bits = [] if c == 1 and key else [str(c)]
             if lam:
                 bits.append("L" if lam == 1 else f"L^{lam}")
             for k, e in xs:
@@ -391,19 +360,18 @@ class SparsePoly(_Poly):
         return "SparsePoly(" + " + ".join(parts) + ")"
 
 
-def add_binomial_term(
-    terms: dict[Monomial, int], lam: int, xs: tuple, spread: int, coeff: int
-) -> None:
-    """Add coeff * (1+lambda)^spread * lambda^lam * x^xs into a term dict."""
+def add_binomial_term(terms: dict[int, int], key: int, spread: int, coeff: int) -> None:
+    """Add coeff * (1+lambda)^spread times the monomial of a SparsePoly key
+    into a dict of SparsePoly terms."""
     for m in range(spread + 1):
-        key = (lam + m, xs)
-        terms[key] = terms.get(key, 0) + coeff * comb(spread, m)
+        terms[key + m] = terms.get(key + m, 0) + coeff * comb(spread, m)
 
 
 def principal_specialization(poly: SparsePoly) -> QPoly:
     """Substitute x_k -> q^(k-1). The input must be lambda-free."""
     coeffs: dict[int, int] = {}
-    for (lam, xs), c in poly._terms.items():
+    for key, c in poly._terms.items():
+        lam, xs = _unpack(key)
         if lam:
             raise ValueError("principal specialization of a polynomial with lambda")
         e = sum((k - 1) * exp for k, exp in xs)

@@ -136,26 +136,6 @@ class Subposet:
             )
         return tuple(comps)
 
-    def order_pairs(self) -> set[tuple[Vertex, Vertex]]:
-        """All strict pairs (v, w) with v < w, by transitive closure."""
-        succ = self.successors()
-        above: dict[Vertex, set[Vertex]] = {}
-
-        def reach(v: Vertex) -> set[Vertex]:
-            if v not in above:
-                acc: set[Vertex] = set()
-                for w in succ[v]:
-                    acc.add(w)
-                    acc |= reach(w)
-                above[v] = acc
-            return above[v]
-
-        pairs = set()
-        for v in sorted(self.vertices, key=lambda u: (-u[0] - u[1] - u[2], u)):
-            for w in reach(v):
-                pairs.add((v, w))
-        return pairs
-
     def is_ideal(self, members) -> bool:
         """True iff the member set is downward closed."""
         mset = set(members)
@@ -165,17 +145,6 @@ class Subposet:
             if w in mset and v not in mset:
                 return False
         return True
-
-    def minimum(self) -> Vertex | None:
-        """The unique minimal vertex, or None if there are several."""
-        pred = self.predecessors()
-        mins = [v for v in self.vertices if not pred[v]]
-        return mins[0] if len(mins) == 1 else None
-
-    def maximum(self) -> Vertex | None:
-        succ = self.successors()
-        maxs = [v for v in self.vertices if not succ[v]]
-        return maxs[0] if len(maxs) == 1 else None
 
     def __repr__(self) -> str:
         tag = ", dual" if self.is_dual else ""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from tetraposet import Subposet
+from tetraposet import SparsePoly, Subposet
 
 
 def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:
@@ -30,6 +30,24 @@ def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:
             k = bin(mask).count("1")
             sizes[k] = sizes.get(k, 0) + 1
     return sizes
+
+
+def evaluate(poly: SparsePoly, lam_value: int, x_values) -> int:
+    """Evaluate with integer lambda and x values; x_values is a dict
+    {index: value}, a callable index -> value, or one int for every x."""
+    if isinstance(x_values, dict):
+        getter = x_values.__getitem__
+    elif callable(x_values):
+        getter = x_values
+    else:
+        getter = lambda k: x_values
+    total = 0
+    for (lam, xs), c in poly.terms().items():
+        value = c * lam_value**lam
+        for k, e in xs:
+            value *= getter(k) ** e
+        total += value
+    return total
 
 
 #: Worked examples, one object of each family; the fixtures below hand out

@@ -121,9 +121,10 @@ def test_enumeration_first_is_minimal_and_deterministic():
     assert runs[0][-1] == StaircaseArray.maximal(4)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setenv("TETRAPOSET_BUDGET", "63")
     with pytest.raises(BudgetError):
-        list(enumerate_arrays(4, TOURNAMENT_COLORS, budget=63))
+        list(enumerate_arrays(4, TOURNAMENT_COLORS))
 
 
 def test_known_counts():

@@ -123,11 +123,13 @@ def test_enumerate_ideals_matches_count_and_is_deterministic():
     assert QPoly(sizes) == rank_gf(p)
 
 
-def test_enumerate_ideals_budget():
+def test_enumerate_ideals_budget(monkeypatch):
     p = build(4).subposet("brg")
+    monkeypatch.setenv("TETRAPOSET_BUDGET", "10")
     with pytest.raises(BudgetError):
-        list(enumerate_ideals(p, budget=10))
-    assert len(list(enumerate_ideals(p, budget=64))) == 64
+        list(enumerate_ideals(p))
+    monkeypatch.setenv("TETRAPOSET_BUDGET", "64")
+    assert len(list(enumerate_ideals(p))) == 64
 
 
 def test_budget_env_var(monkeypatch):
