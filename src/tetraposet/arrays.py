@@ -13,10 +13,9 @@ In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb
 
 from .budget import guard
@@ -316,10 +315,10 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     value, so x^(C_k - 1) is the product of x_v over the cells with j >= 1.
     With equalities, each array also carries lambda^E (1+lambda)^N, where E
     counts the cells equal to their southwest neighbor (on the same diagonal)
-    and N the cells strictly above their west neighbor and strictly below
-    their southwest neighbor (on consecutive diagonals); see
-    identities.ArrayStats. The live term count is checked against the budget
-    after every diagonal.
+    and N the cells with x_{i,j-1} < x_{i,j} < x_{i+1,j-1}, strictly between
+    their west and southwest neighbors (on consecutive diagonals); on the
+    array of an alternating sign matrix, N counts its -1 entries. The live
+    term count is checked against the budget after every diagonal.
 
     Weights are SparsePoly keys, with N (standing for (1+lambda)^N until the
     end) in the extra field n+1. No field fills up: each is at most the
@@ -374,92 +373,43 @@ def enumerate_arrays(n: int, colors) -> Iterator[StaircaseArray]:
 
 
 def sort_to_tsscpp(beta: StaircaseArray) -> StaircaseArray:
-    """Sort each row of a {b,r,g} array into weak increase by diagonal swaps.
+    """Sort each row of a {b,r,g} array into weak increase.
 
-    Rows are fixed from the bottom up. An adjacent out-of-order pair can only
-    sit over equal southwest neighbors; the pair is swapped together with both
-    full northeast diagonals, which preserves the red and blue inequalities
-    and every row multiset. The result lies in Y_n({b,r,g,y}) and the map is
-    idempotent.
+    The result lies in Y_n({b,r,g,y}), and the map is idempotent. The rows can
+    also be sorted by adjacent swaps from the bottom row up: an out-of-order
+    pair only sits over equal southwest neighbors, and swapping it together
+    with both full northeast diagonals keeps every red and blue inequality
+    and every row multiset. A weakly increasing row is fixed by its multiset,
+    so plain sorting gives the same array.
     """
     if not validate(beta, TOURNAMENT_COLORS):
         raise ValueError("input is not a {b,r,g} array")
-    rows = [list(r) for r in beta.rows]
-    n = len(rows)
-    for i in range(n - 1, 0, -1):
-        row = rows[i - 1]
-        changed = True
-        while changed:
-            changed = False
-            for j in range(1, len(row) - 1):
-                if row[j] > row[j + 1]:
-                    if rows[i][j - 1] != rows[i][j]:
-                        raise RuntimeError("swap over unequal southwest neighbors")
-                    for t in range(i):
-                        r = rows[i - 1 - t]
-                        c = j + t
-                        r[c], r[c + 1] = r[c + 1], r[c]
-                    changed = True
-    result = StaircaseArray(tuple(tuple(r) for r in rows))
+    result = StaircaseArray(tuple(sorted(r)) for r in beta.rows)
     if not validate(result, SORTED_COLORS):
         raise RuntimeError("sorting broke a red or blue inequality")
     return result
 
 
-def _row_placements(
-    target_multiset: Counter, below: tuple[int, ...], i: int, n: int
-) -> Iterator[tuple[int, ...]]:
-    """All arrangements of a row multiset over positions with given southwest values.
-
-    Position j >= 1 of row i sits over below[j-1] and may hold that value (an
-    equality) or one less. How many of each value land as equalities is forced
-    by the multisets; only which positions they occupy is free.
-    """
-    remaining = Counter(target_multiset)
-    remaining[i] -= 1  # column 0 is pinned to i
-    if remaining[i] < 0:
-        raise ValueError(f"row {i} multiset lacks the pinned value {i}")
-    positions_by_value: dict[int, list[int]] = {}
-    for j in range(1, n - i + 1):
-        positions_by_value.setdefault(below[j - 1], []).append(j)
-    # Solve for the forced equality count of each value, largest value first:
-    # entries of value v are either equalities over v or sit over v+1.
-    eq_count: dict[int, int] = {}
-    for v in sorted(set(remaining) | set(positions_by_value), reverse=True):
-        over_above = len(positions_by_value.get(v + 1, [])) - eq_count.get(v + 1, 0)
-        eq_count[v] = remaining.get(v, 0) - over_above
-        if not 0 <= eq_count[v] <= len(positions_by_value.get(v, [])):
-            raise ValueError("row multiset does not fit the row below")
-
-    values = sorted(positions_by_value)
-
-    def choose(idx: int, assignment: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        if idx == len(values):
-            yield (i,) + tuple(assignment[j] for j in range(1, n - i + 1))
-            return
-        v = values[idx]
-        slots = positions_by_value[v]
-        for eq_slots in combinations(slots, eq_count.get(v, 0)):
-            taken = set(eq_slots)
-            for j in slots:
-                assignment[j] = v if j in taken else v - 1
-            yield from choose(idx + 1, assignment)
-
-    yield from choose(0, {})
+def _row_equalities(alpha: StaircaseArray) -> list[dict[int, int]]:
+    """For each row i < n, the map v -> E_{i,v}: the cells of row i equal to
+    v and to their southwest neighbor."""
+    out = []
+    for row, below in zip(alpha.rows, alpha.rows[1:]):
+        eq: dict[int, int] = {}
+        for v, sw in zip(row[1:], below):
+            if v == sw:
+                eq[v] = eq.get(v, 0) + 1
+        out.append(eq)
+    return out
 
 
 def row_shuffle_count(alpha: StaircaseArray) -> int:
     """Size of the fiber of sort_to_tsscpp over alpha: the product over rows
     i < n and values v of binomial(C_{i+1,v}, E_{i,v}), where C_{i+1,v}
-    counts v in row i+1 and E_{i,v} the cells of row i equal to v and to
-    their southwest neighbor."""
+    counts v in row i+1."""
     total = 1
-    for row, below in zip(alpha.rows, alpha.rows[1:]):
-        eq_by_value: dict[int, int] = {}
-        for v, sw in zip(row[1:], below):
-            if v == sw:
-                eq_by_value[v] = eq_by_value.get(v, 0) + 1
-        for v, e in eq_by_value.items():
+    for eq, below in zip(_row_equalities(alpha), alpha.rows[1:]):
+        for v, e in eq.items():
             total *= comb(below.count(v), e)
     return total
 
@@ -467,26 +417,32 @@ def row_shuffle_count(alpha: StaircaseArray) -> int:
 def enumerate_row_shuffles(alpha: StaircaseArray) -> Iterator[StaircaseArray]:
     """Yield the fiber {beta in Y_n({b,r,g}) : sort_to_tsscpp(beta) = alpha}.
 
-    alpha must lie in Y_n({b,r,g,y}). Rows are rearranged from the bottom up;
-    each candidate keeps every row multiset and every red/blue inequality by
-    construction, and the fiber always contains alpha itself.
+    alpha must lie in Y_n({b,r,g,y}). Rows are built from the bottom up. A
+    cell of row i over a southwest value sw holds sw (an equality) or sw - 1,
+    and the row keeps alpha's row multiset exactly when E_{i,v} of the cells
+    over each value v hold v; which cells is free. Values are placed in
+    ascending order, and the fiber always contains alpha itself.
     """
     if not validate(alpha, SORTED_COLORS):
         raise ValueError("input is not a sorted {b,r,g,y} array")
     guard(row_shuffle_count(alpha), "row shuffles")
-    n = alpha.n
-    chosen: list[tuple[int, ...] | None] = [None] * (n + 1)
-    chosen[n] = (n,)
+    equalities = [sorted(eq.items()) for eq in _row_equalities(alpha)]
+    rows = list(alpha.rows)
 
-    def place(i: int) -> Iterator[StaircaseArray]:
-        if i == 0:
-            yield StaircaseArray(tuple(chosen[1:]))
+    def place(i: int) -> Iterator[StaircaseArray]:  # fills rows[i], then above
+        if i < 0:
+            yield StaircaseArray(rows)
             return
-        for arrangement in _row_placements(
-            Counter(alpha.rows[i - 1]), chosen[i + 1], i, n
-        ):
-            chosen[i] = arrangement
+        below = rows[i + 1]
+        choices = [
+            combinations([j for j, sw in enumerate(below, start=1) if sw == v], e)
+            for v, e in equalities[i]
+        ]
+        for picks in product(*choices):
+            eq = set(chain.from_iterable(picks))
+            rows[i] = (i + 1,) + tuple(
+                sw if j in eq else sw - 1 for j, sw in enumerate(below, start=1)
+            )
             yield from place(i - 1)
-            chosen[i] = None
 
-    yield from place(n - 1)
+    yield from place(alpha.n - 2)

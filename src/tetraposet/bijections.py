@@ -162,6 +162,8 @@ class Tournament:
         if n < 1:
             raise ValueError("n must be at least 1")
         wmap = dict(winners)
+        if len(wmap) != n * (n - 1) // 2:
+            raise ValueError("winners must cover exactly the games of 1..n")
         expected = games(n)
         if set(wmap) != set(expected):
             raise ValueError("winners must cover exactly the games of 1..n")

@@ -44,57 +44,32 @@ from .poset import build
 
 SCHUR_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE})
 
-IDENTITY_NAMES = ("rr", "asm", "tsscpp", "tsscpp-count", "schur", "formulas")
-
 
 @dataclass(frozen=True, eq=False)
 class ArrayStats:
-    """Local statistics of a staircase array.
+    """Southwest equalities of a staircase array.
 
     An equality is a cell matching its southwest neighbor, x_{i,j} =
     x_{i+1,j-1}; for tournament arrays these mark games won by the larger
-    player. Counts are split by row (eq_row[i-1]), by diagonal d = i + j
-    (eq_diag[d], with eq_diag[0] and eq_diag[1] always 0), and by row and
-    value (eq_row_value[(i, k)]). value_counts[k] includes the pinned first
-    column. rise_drop_count is the number of cells strictly above their west
-    neighbor and strictly below their southwest neighbor, which for
-    alternating sign matrix arrays counts the -1 entries.
+    player. Counts are split by row (eq_row[i-1]) and by diagonal d = i + j
+    (eq_diag[d], with eq_diag[0] and eq_diag[1] always 0).
     """
 
     eq_total: int
     eq_row: tuple[int, ...]
     eq_diag: tuple[int, ...]
-    eq_row_value: dict[tuple[int, int], int]
-    value_counts: dict[int, int]
-    rise_drop_count: int
 
 
 def array_stats(x: StaircaseArray) -> ArrayStats:
-    n = x.n
     rows = x.rows
-    eq_row = [0] * n
-    eq_diag = [0] * (n + 1)
-    eq_row_value: dict[tuple[int, int], int] = {}
-    value_counts: dict[int, int] = {}
-    rise_drop = 0
-    for i, j, v in x.cells():
-        value_counts[v] = value_counts.get(v, 0) + 1
-        if j >= 1 and i < n:
-            sw = rows[i][j - 1]
-            if v == sw:
+    eq_row = [0] * x.n
+    eq_diag = [0] * (x.n + 1)
+    for i, (row, below) in enumerate(zip(rows, rows[1:]), start=1):
+        for j in range(1, len(row)):
+            if row[j] == below[j - 1]:
                 eq_row[i - 1] += 1
                 eq_diag[i + j] += 1
-                eq_row_value[(i, v)] = eq_row_value.get((i, v), 0) + 1
-            if rows[i - 1][j - 1] < v < sw:
-                rise_drop += 1
-    return ArrayStats(
-        eq_total=sum(eq_row),
-        eq_row=tuple(eq_row),
-        eq_diag=tuple(eq_diag),
-        eq_row_value=eq_row_value,
-        value_counts=value_counts,
-        rise_drop_count=rise_drop,
-    )
+    return ArrayStats(eq_total=sum(eq_row), eq_row=tuple(eq_row), eq_diag=tuple(eq_diag))
 
 
 @dataclass(frozen=True)
@@ -200,26 +175,28 @@ def _report(name: str, n: int, lhs, rhs, t0: float) -> dict:
     }
 
 
+# Each entry expands (lhs, rhs). The lambdas look the functions up when
+# called, so anything that rebinds these module names also sees every run.
+_IDENTITIES = {
+    "rr": lambda n: (tournament_gf(n), robbins_rumsey_rhs(n)),
+    "asm": lambda n: (tournament_gf(n), asm_expansion_rhs(n)),
+    "tsscpp": lambda n: (tournament_gf(n), tsscpp_expansion_rhs(n)),
+    "tsscpp-count": lambda n: (
+        (SparsePoly.constant(1) + SparsePoly.lam()) ** comb(n, 2),
+        tsscpp_lambda_count(n),
+    ),
+    "schur": lambda n: (pairwise_product(n), schur_expansion_rhs(n)),
+}
+
+IDENTITY_NAMES = (*_IDENTITIES, "formulas")
+
+
 def verify_identity(name: str, n: int) -> dict:
     """Expand both sides of a named identity and report the comparison."""
     t0 = time.perf_counter()
-    if name == "rr":
-        lhs = tournament_gf(n)
-        rhs = robbins_rumsey_rhs(n)
-    elif name == "asm":
-        lhs = tournament_gf(n)
-        rhs = asm_expansion_rhs(n)
-    elif name == "tsscpp":
-        lhs = tournament_gf(n)
-        rhs = tsscpp_expansion_rhs(n)
-    elif name == "tsscpp-count":
-        lhs = (SparsePoly.constant(1) + SparsePoly.lam()) ** comb(n, 2)
-        rhs = tsscpp_lambda_count(n)
-    elif name == "schur":
-        lhs = pairwise_product(n)
-        rhs = schur_expansion_rhs(n)
-    else:
+    if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
+    lhs, rhs = _IDENTITIES[name](n)
     return _report(name, n, lhs, rhs, t0)
 
 

@@ -50,6 +50,27 @@ def evaluate(poly: SparsePoly, lam_value: int, x_values) -> int:
     return total
 
 
+def value_counts(x) -> dict[int, int]:
+    """Map k -> number of entries of the staircase array x equal to k,
+    counting the pinned first column."""
+    counts: dict[int, int] = {}
+    for _, _, v in x.cells():
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def rise_drop_count(x) -> int:
+    """Cells strictly above their west neighbor and strictly below their
+    southwest neighbor; on the array of an alternating sign matrix, its -1
+    entries."""
+    rows = x.rows
+    return sum(
+        rows[i - 1][j - 1] < v < rows[i][j - 1]
+        for i, j, v in x.cells()
+        if j >= 1 and i < x.n
+    )
+
+
 #: Worked examples, one object of each family; the fixtures below hand out
 #: fresh copies.
 ASM4_ROWS = [[0, 1, 0, 0], [1, -1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]

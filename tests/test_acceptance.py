@@ -51,7 +51,7 @@ from tetraposet import (
     weight,
 )
 
-from conftest import record_criterion
+from conftest import record_criterion, value_counts
 
 
 def _run(number, label, fn):
@@ -196,12 +196,12 @@ def test_criterion_6_statistics_and_fibers():
             for x in enumerate_arrays(n, ASM_COLORS):
                 a = array_to_asm(x)
                 ast = asm_stats(a)
-                xst = array_stats(x)
-                if ast.inversions - ast.neg_count != xst.eq_total:
+                if ast.inversions - ast.neg_count != array_stats(x).eq_total:
                     return False
+                counts = value_counts(x)
                 for j in range(1, n + 1):
                     col = sum((n - i) * a.rows[i - 1][j - 1] for i in range(1, n + 1))
-                    if xst.value_counts.get(j, 0) - 1 != col:
+                    if counts.get(j, 0) - 1 != col:
                         return False
             for t in enumerate_tournaments(n):
                 beta = tournament_to_array(t)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from tetraposet import OrderIdeal, StaircaseArray, build, cli, validate
 
@@ -180,6 +181,18 @@ def test_convert_array_to_tsscpp_family_mismatch(capsys, tmp_path, array4_rows):
         capsys, "convert", "--from", "array", "--to", "tsscpp", "--input", str(path)
     )
     assert code == 4
+
+
+def test_convert_tournament_rejects_missing_games_fast(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 1000000000, "games": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "convert", "--from", "tournament", "--to", "array", "--input", str(path)
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "winners must cover exactly the games" in err
 
 
 def test_convert_asm_chain(capsys, tmp_path, asm4_rows, mt4_rows, array4_rows):

@@ -30,26 +30,24 @@ from tetraposet import (
 )
 from tetraposet.identities import SCHUR_COLORS
 
-from conftest import evaluate
+from conftest import evaluate, rise_drop_count, value_counts
 
 
-def _value_count_xs(st, n):
-    return tuple(
-        (k, st.value_counts[k] - 1)
-        for k in range(1, n + 1)
-        if st.value_counts.get(k, 0) > 1
-    )
+def _value_count_xs(x, n):
+    counts = value_counts(x)
+    return tuple((k, counts[k] - 1) for k in range(1, n + 1) if counts.get(k, 0) > 1)
 
 
 def enumerated_asm_rhs(n):
     """Oracle for asm_expansion_rhs: the sum over every enumerated array."""
     terms = {}
     for x in enumerate_arrays(n, ASM_COLORS):
-        st = array_stats(x)
-        xs = _value_count_xs(st, n)
-        for m in range(st.rise_drop_count + 1):
-            key = (st.eq_total + m, xs)
-            terms[key] = terms.get(key, 0) + comb(st.rise_drop_count, m)
+        eq_total = array_stats(x).eq_total
+        drops = rise_drop_count(x)
+        xs = _value_count_xs(x, n)
+        for m in range(drops + 1):
+            key = (eq_total + m, xs)
+            terms[key] = terms.get(key, 0) + comb(drops, m)
     return SparsePoly(terms)
 
 
@@ -57,7 +55,7 @@ def enumerated_schur_rhs(n):
     """Oracle for schur_expansion_rhs: the sum over every enumerated array."""
     terms = {}
     for x in enumerate_arrays(n, SCHUR_COLORS):
-        key = (0, _value_count_xs(array_stats(x), n))
+        key = (0, _value_count_xs(x, n))
         terms[key] = terms.get(key, 0) + 1
     return SparsePoly(terms)
 
@@ -71,6 +69,10 @@ def test_expansion_identities(name):
         assert report["identity"] == name
         assert report["n"] == n
         assert report["elapsed_ms"] >= 0
+
+
+def test_tsscpp_identity_at_n6():
+    assert verify_identity("tsscpp", 6)["status"] == "ok"
 
 
 def test_count_identity():
@@ -144,10 +146,11 @@ def test_asm_statistics_worked_example(asm4_rows, array4_rows):
     st = asm_stats(a)
     assert st.inversions == 4
     assert st.neg_count == 1
-    xst = array_stats(StaircaseArray(array4_rows))
+    x = StaircaseArray(array4_rows)
+    xst = array_stats(x)
     assert xst.eq_total == 3
     assert xst.eq_diag == (0, 0, 0, 1, 2)
-    assert xst.rise_drop_count == 1
+    assert rise_drop_count(x) == 1
 
 
 def test_asm_statistics_exhaustive():
@@ -155,12 +158,12 @@ def test_asm_statistics_exhaustive():
         for x in enumerate_arrays(n, ASM_COLORS):
             a = array_to_asm(x)
             ast = asm_stats(a)
-            xst = array_stats(x)
-            assert ast.neg_count == xst.rise_drop_count
-            assert ast.inversions - ast.neg_count == xst.eq_total
+            counts = value_counts(x)
+            assert ast.neg_count == rise_drop_count(x)
+            assert ast.inversions - ast.neg_count == array_stats(x).eq_total
             for j in range(1, n + 1):
                 col = sum((n - i) * a.rows[i - 1][j - 1] for i in range(1, n + 1))
-                assert xst.value_counts.get(j, 0) - 1 == col
+                assert counts.get(j, 0) - 1 == col
 
 
 def test_eq_splits_are_consistent():
@@ -169,7 +172,6 @@ def test_eq_splits_are_consistent():
             st = array_stats(x)
             assert st.eq_total == sum(st.eq_row) == sum(st.eq_diag)
             assert st.eq_diag[0] == st.eq_diag[1] == 0
-            assert st.eq_total == sum(st.eq_row_value.values())
 
 
 def test_wins_decompose_by_diagonal_and_row():
@@ -187,6 +189,5 @@ def test_wins_decompose_by_diagonal_and_row():
 def test_value_counts_track_weight():
     for n in (2, 3, 4):
         for x in enumerate_arrays(n, "gyo"):
-            st = array_stats(x)
-            total = sum((k - 1) * (c - 1) for k, c in st.value_counts.items())
+            total = sum((k - 1) * (c - 1) for k, c in value_counts(x).items())
             assert total == weight(x) + comb(n, 3)

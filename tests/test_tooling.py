@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import tetraposet
-from tetraposet import QPoly, SparsePoly
+from tetraposet import IDENTITY_NAMES, QPoly, SparsePoly, verify_identity
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +47,33 @@ def test_tracer_wraps_sparse_mul_only():
     assert SparsePoly.__mul__ is sparse_mul
     assert QPoly.__mul__ is q_mul
     assert tracer.counters["polynomials.sparse_mul_term_pairs"] == 1
+
+
+def test_tracer_sees_every_verify_layer():
+    """Each verify run goes through the names the tracer rebinds, so a
+    dispatch that held its own references would show up here as a layer
+    with no spans."""
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        for name in IDENTITY_NAMES:
+            if name != "formulas":
+                assert verify_identity(name, 3)["status"] == "ok"
+    finally:
+        tracer.uninstall()
+    seen = {span[1] for span in tracer.spans}
+    expected = {
+        "identities.rr_rhs",
+        "identities.asm_rhs",
+        "identities.tsscpp_rhs",
+        "identities.tsscpp_count_rhs",
+        "identities.schur_rhs",
+        "formulas.tournament_gf",
+        "identities.pairwise_product",
+        "identities.array_stats",
+        "arrays.enumerate_row_shuffles",
+    }
+    assert expected <= seen, sorted(expected - seen)
 
 
 def test_no_assert_in_src():
