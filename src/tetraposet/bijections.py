@@ -203,10 +203,14 @@ class Tournament:
 
     @classmethod
     def from_json_obj(cls, obj) -> Tournament:
-        return cls(
-            int(obj["n"]),
-            {(int(i), int(j)): int(w) for i, j, w in obj["games"]},
-        )
+        n = int(obj["n"])
+        winners: dict[tuple[int, int], int] = {}
+        for i, j, w in obj["games"]:
+            game = (int(i), int(j))
+            if game in winners:
+                raise ValueError(f"game {game[0]} vs {game[1]} is listed twice")
+            winners[game] = int(w)
+        return cls(n, winners)
 
     def __eq__(self, other) -> bool:
         return (

@@ -15,15 +15,19 @@ pairwise product directly.
 Left sides are expanded products. Of the right sides, the two value-count
 sums (`asm`, `schur`) are computed by weighted diagonal transfer
 (arrays.value_count_gf), since every weight in them is local to two
-consecutive diagonals; the matrix sum (`rr`) and both sorted-array sums
-(`tsscpp`, `tsscpp-count`) enumerate their arrays. So every identity keeps
-one side computed by a route that shares no code with the transfer.
+consecutive diagonals. The matrix sum (`rr`) is a transfer over the rows of
+the matrix, whose states are the rows of its monotone triangle; every weight
+in it is local to one row given the column sums above it, and it shares no
+code with the diagonal transfer. Only the sorted-array sums (`tsscpp`,
+`tsscpp-count`) enumerate their arrays. No left side uses either transfer,
+and `rr` and `asm` reach the same product by the two unrelated transfers.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .arrays import (
@@ -35,7 +39,8 @@ from .arrays import (
     row_shuffle_count,
     value_count_gf,
 )
-from .bijections import Asm, array_to_asm
+from .bijections import Asm
+from .budget import guard
 from .colors import Color, all_admissible_sets, format_colors
 from .counting import rank_gf
 from .formulas import formula_count, formula_rank_gf, tournament_gf
@@ -96,17 +101,88 @@ def asm_stats(a: Asm) -> AsmStats:
     return AsmStats(inversions=inv, neg_count=neg)
 
 
+@lru_cache(maxsize=None)
+def _row_steps(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Every row an n x n alternating sign matrix can have after its first i-1
+    rows, keyed by S_{i-1}: the columns whose partial sum is 1 after those
+    rows, as a mask with bit j-1 for column j.
+
+    Row i is 1_{S_i} - 1_{S_{i-1}}, and it is a valid row exactly when its
+    running sum stays in {0, 1} and ends at 1, so S_i is built column by
+    column from that running sum. Each step is (S_i, shift), where shift is
+    row i's weight as a SparsePoly key offset: lambda gains sum_j A_{ij}
+    |{l in S_{i-1} : l > j}| (row i's inversions against the rows above)
+    minus its -1 count, x_j gains (n-i) A_{ij}, and field n+1 counts the -1s.
+    """
+    neg = (1 << (n + 1) * FIELD) - 1  # one more -1, one less lambda
+    steps = {}
+    for prev in range(1 << n):
+        i = bin(prev).count("1") + 1
+        if i > n:
+            continue
+        partial = [(0, 0, 0)]  # (S_i so far, running sum, shift)
+        for j in range(1, n + 1):
+            bit = 1 << j - 1
+            gain = bin(prev >> j).count("1") + ((n - i) << j * FIELD)
+            grown = []
+            for mask, run, shift in partial:
+                if prev & bit:
+                    grown.append((mask | bit, run, shift))
+                    if run:
+                        grown.append((mask, 0, shift - gain + neg))
+                else:
+                    grown.append((mask, run, shift))
+                    if not run:
+                        grown.append((mask | bit, 1, shift + gain))
+            partial = grown
+        steps[prev] = tuple((mask, shift) for mask, run, shift in partial if run)
+    return steps
+
+
 def robbins_rumsey_rhs(n: int) -> SparsePoly:
     """Sum over alternating sign matrices A of
-    lambda^(inv(A) - neg(A)) (1+lambda)^neg(A) prod_j x_j^(sum_i (n-i) A_{ij})."""
+    lambda^(inv(A) - neg(A)) (1+lambda)^neg(A) prod_j x_j^(sum_i (n-i) A_{ij}),
+    by transfer over the rows of A (Mills, Robbins and Rumsey; Stanley, EC1
+    section 4.7).
+
+    The state after row i is the set S_i of columns whose partial sum is 1,
+    that is, row i of the monotone triangle of A; _row_steps gives each
+    state's successors with the packed weight of the row between them. Each
+    state maps to {key: number of partial matrices}, and the -1 count stays
+    in field n+1 until the end, so a state holds one term per monomial rather
+    than branching on every -1. States are dropped as they are consumed, and
+    the live term count is checked against the budget after every row.
+
+    No packed field ever goes negative, so adding a shift never borrows, and
+    none reaches n^2. Summing by parts, column j's x exponent after row i,
+    the sum of (n-k) A_{kj} over k <= i, is sum_{k<i} c_k + (n-i) c_i >= 0,
+    where c_k in {0, 1} is the column's partial sum of A after row k. And
+    each row adds at least as many inversions as -1s: pair each -1, at column
+    j, with the 1 nearest to its left, at column j' < j; that 1 gains
+    |{l in S_{i-1} : l > j'}| and the -1 loses |{l in S_{i-1} : l > j}|, a
+    net gain of |{l in S_{i-1} : j' < l <= j}| >= 1 since j is in S_{i-1}.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    steps = _row_steps(n)
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    for _ in range(n):
+        nxt: dict[int, dict[int, int]] = {}
+        while states:
+            prev, weights = states.popitem()
+            for mask, shift in steps[prev]:
+                acc = nxt.setdefault(mask, {})
+                get = acc.get
+                for k, c in weights.items():
+                    k += shift
+                    acc[k] = get(k, 0) + c
+        states = nxt
+        guard(sum(map(len, states.values())), "transfer terms")
+    n_shift = (n + 1) * FIELD
+    low = (1 << n_shift) - 1
     terms: dict[int, int] = {}
-    for x in enumerate_arrays(n, ASM_COLORS):
-        a = array_to_asm(x)
-        st = asm_stats(a)
-        key = st.inversions - st.neg_count
-        for j, column in enumerate(zip(*a.rows), start=1):
-            key += sum((n - i) * v for i, v in enumerate(column, start=1)) << j * FIELD
-        add_binomial_term(terms, key, st.neg_count, 1)
+    for key, c in states.popitem()[1].items():
+        add_binomial_term(terms, key & low, key >> n_shift, c)
     return SparsePoly._make(terms)
 
 

@@ -164,6 +164,13 @@ def test_exit_2_verify_budget(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_exit_2_verify_rr_budget(capsys, monkeypatch):
+    monkeypatch.setenv("TETRAPOSET_BUDGET", "100")
+    code, out, err = run_cli(capsys, "verify", "--identity", "rr", "--n", "6")
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_convert_asm_to_tournament_family_mismatch(capsys, tmp_path, asm4_rows):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(asm4_rows))
@@ -193,6 +200,16 @@ def test_convert_tournament_rejects_missing_games_fast(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "winners must cover exactly the games" in err
+
+
+def test_convert_tournament_rejects_repeated_game(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 2, "games": [[1, 2, 1], [1, 2, 2]]}))
+    code, out, err = run_cli(
+        capsys, "convert", "--from", "tournament", "--to", "array", "--input", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "game 1 vs 2 is listed twice" in err
 
 
 def test_convert_asm_chain(capsys, tmp_path, asm4_rows, mt4_rows, array4_rows):

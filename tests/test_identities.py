@@ -29,6 +29,7 @@ from tetraposet import (
     weight,
 )
 from tetraposet.identities import SCHUR_COLORS
+from tetraposet.polynomials import FIELD, add_binomial_term
 
 from conftest import evaluate, rise_drop_count, value_counts
 
@@ -36,6 +37,20 @@ from conftest import evaluate, rise_drop_count, value_counts
 def _value_count_xs(x, n):
     counts = value_counts(x)
     return tuple((k, counts[k] - 1) for k in range(1, n + 1) if counts.get(k, 0) > 1)
+
+
+def enumerated_rr_rhs(n):
+    """Oracle for robbins_rumsey_rhs: the sum over every enumerated
+    alternating sign matrix."""
+    terms = {}
+    for x in enumerate_arrays(n, ASM_COLORS):
+        a = array_to_asm(x)
+        st = asm_stats(a)
+        key = st.inversions - st.neg_count
+        for j, column in enumerate(zip(*a.rows), start=1):
+            key += sum((n - i) * v for i, v in enumerate(column, start=1)) << j * FIELD
+        add_binomial_term(terms, key, st.neg_count, 1)
+    return SparsePoly._make(terms)
 
 
 def enumerated_asm_rhs(n):
@@ -73,6 +88,17 @@ def test_expansion_identities(name):
 
 def test_tsscpp_identity_at_n6():
     assert verify_identity("tsscpp", 6)["status"] == "ok"
+
+
+def test_rr_identity_at_n7():
+    assert verify_identity("rr", 7)["status"] == "ok"
+
+
+def test_rr_transfer_matches_enumeration():
+    for n in range(1, 7):
+        assert robbins_rumsey_rhs(n) == enumerated_rr_rhs(n)
+    with pytest.raises(ValueError, match="at least 1"):
+        robbins_rumsey_rhs(0)
 
 
 def test_count_identity():
@@ -119,8 +145,11 @@ def test_transfer_sums_budget(monkeypatch):
         schur_expansion_rhs(4)
     with pytest.raises(BudgetError, match="transfer terms"):
         asm_expansion_rhs(4)
+    with pytest.raises(BudgetError, match="transfer terms"):
+        robbins_rumsey_rhs(6)
     monkeypatch.setenv("TETRAPOSET_BUDGET", "100")
     assert asm_expansion_rhs(4) == tournament_gf(4)
+    assert robbins_rumsey_rhs(4) == tournament_gf(4)
 
 
 def test_schur_rhs_equals_pairwise_product():
