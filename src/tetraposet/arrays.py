@@ -20,7 +20,9 @@ from math import comb
 
 from .budget import guard
 from .colors import Color, require_admissible
-from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term
+from .counting import Plan, _fillings, count_ideals
+from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term, principal_specialization
+from .poset import build
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
 TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
@@ -169,9 +171,6 @@ def validate(x: StaircaseArray, colors) -> bool:
     return True
 
 
-Plan = tuple[tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
-
-
 def _plan(order: list[Cell], colors: frozenset[Color]) -> Plan:
     """For cells placed in the given order: each cell's range i..i+j and its
     (lower, upper) bounds as (position, delta) against earlier cells."""
@@ -188,34 +187,6 @@ def _plan(order: list[Cell], colors: frozenset[Color]) -> Plan:
             )
         )
     return tuple(plan)
-
-
-def _fillings(plan: Plan, vals: list[int], start: int) -> Iterator[None]:
-    """Fill vals[start:] in every way the plan allows, depth first with values
-    ascending, yielding each time vals is complete."""
-    last = len(plan) - 1
-    todo: list[Iterator[int]] = [iter(())] * len(plan)  # values left to try
-    t, fresh = start, True
-    while t >= start:
-        if fresh:
-            lo, hi, lower, upper = plan[t]
-            for k, delta in lower:
-                if vals[k] + delta > lo:
-                    lo = vals[k] + delta
-            for k, delta in upper:
-                if vals[k] + delta < hi:
-                    hi = vals[k] + delta
-            todo[t] = iter(range(lo, hi + 1))
-        v = next(todo[t], None)
-        if v is None:
-            t, fresh = t - 1, False
-            continue
-        vals[t] = v
-        if t < last:
-            t, fresh = t + 1, True
-        else:
-            fresh = False
-            yield
 
 
 @lru_cache(maxsize=None)
@@ -243,50 +214,6 @@ def _diag_assignments(
     ]
 
 
-def _transfer(
-    n: int,
-    colors: frozenset[Color],
-    diag_key: Callable[[Diagonal], int],
-    pair_key: Callable[[Diagonal, Diagonal], int] | None = None,
-) -> Iterator[dict[Diagonal, dict[int, int]]]:
-    """Diagonal transfer DP over Y_n(S) (Stanley, EC1 section 4.7).
-
-    The weight of an array is the sum of diag_key(b) over its diagonal
-    fillings b plus pair_key(a, b) over consecutive fillings a, b. Each state
-    is a filling of the last diagonal, mapped to {weight: number of partial
-    arrays}; packing several statistics into one integer weight makes the
-    shift by a transition one add per term. Yields the states after every
-    diagonal, so a caller can guard their size; the last yield covers Y_n(S).
-    """
-    states = {a: {diag_key(a): 1} for a in _diag_assignments(1, colors)}
-    yield states
-    for d in range(2, n + 1):
-        nxt: dict[Diagonal, dict[int, int]] = {}
-        for b in _diag_assignments(d, colors):
-            w = diag_key(b)
-            acc: dict[int, int] = {}
-            for a in _diag_assignments(d - 1, colors, b):
-                weights = states.get(a)
-                if weights is None:
-                    continue
-                shift = w + pair_key(a, b) if pair_key else w
-                for k, c in weights.items():
-                    k += shift
-                    acc[k] = acc.get(k, 0) + c
-            if acc:
-                nxt[b] = acc
-        states = nxt
-        yield states
-
-
-def _total(states: dict[Diagonal, dict[int, int]]) -> dict[int, int]:
-    total: dict[int, int] = {}
-    for weights in states.values():
-        for k, c in weights.items():
-            total[k] = total.get(k, 0) + c
-    return total
-
-
 def _require_green(n: int, colors) -> frozenset[Color]:
     colorset = require_admissible(colors)
     if Color.GREEN not in colorset:
@@ -296,20 +223,9 @@ def _require_green(n: int, colors) -> frozenset[Color]:
     return colorset
 
 
-def _diag_weight(b: Diagonal) -> int:
-    return sum(v - i for i, v in enumerate(b, start=1))
-
-
-def array_rank_gf(n: int, colors) -> QPoly:
-    """Generating function sum q^weight over Y_n(S), by diagonal transfer DP."""
-    colorset = _require_green(n, colors)
-    for states in _transfer(n, colorset, _diag_weight):
-        pass
-    return QPoly(_total(states))
-
-
 def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
-    """Sum over Y_n(S) of prod_k x_k^(C_k - 1), by diagonal transfer DP.
+    """Sum over Y_n(S) of prod_k x_k^(C_k - 1), by diagonal transfer DP
+    (Stanley, EC1 section 4.7).
 
     C_k counts the entries equal to k; the pinned column holds one of each
     value, so x^(C_k - 1) is the product of x_v over the cells with j >= 1.
@@ -317,8 +233,12 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     counts the cells equal to their southwest neighbor (on the same diagonal)
     and N the cells with x_{i,j-1} < x_{i,j} < x_{i+1,j-1}, strictly between
     their west and southwest neighbors (on consecutive diagonals); on the
-    array of an alternating sign matrix, N counts its -1 entries. The live
-    term count is checked against the budget after every diagonal.
+    array of an alternating sign matrix, N counts its -1 entries.
+
+    Each state is a filling of the last diagonal, mapped to {weight: number
+    of partial arrays}, so a transition shifts every weight by one add. The
+    states start from the empty diagonal 0, and the live term count is
+    checked against the budget after every diagonal.
 
     Weights are SparsePoly keys, with N (standing for (1+lambda)^N until the
     end) in the extra field n+1. No field fills up: each is at most the
@@ -327,30 +247,57 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     """
     colorset = _require_green(n, colors)
     n_shift = (n + 1) * FIELD
-
-    def diag_key(b: Diagonal) -> int:
-        key = 0
-        for i in range(len(b) - 1):
-            key += 1 << b[i] * FIELD
-            if equalities and b[i] == b[i + 1]:
-                key += 1
-        return key
-
-    def rise_drops(a: Diagonal, b: Diagonal) -> int:
-        return sum(a[i] < b[i] < b[i + 1] for i in range(len(a))) << n_shift
-
-    pair_key = rise_drops if equalities else None
-    for states in _transfer(n, colorset, diag_key, pair_key):
+    states: dict[Diagonal, dict[int, int]] = {(): {0: 1}}
+    for d in range(1, n + 1):
+        nxt: dict[Diagonal, dict[int, int]] = {}
+        for b in _diag_assignments(d, colorset):
+            w = 0
+            for i in range(d - 1):
+                w += 1 << b[i] * FIELD
+                if equalities and b[i] == b[i + 1]:
+                    w += 1
+            acc: dict[int, int] = {}
+            for a in _diag_assignments(d - 1, colorset, b):
+                weights = states.get(a)
+                if weights is None:
+                    continue
+                shift = w
+                if equalities:
+                    shift += sum(a[i] < b[i] < b[i + 1] for i in range(d - 1)) << n_shift
+                for k, c in weights.items():
+                    k += shift
+                    acc[k] = acc.get(k, 0) + c
+            if acc:
+                nxt[b] = acc
+        states = nxt
         guard(sum(map(len, states.values())), "transfer terms")
+    total: dict[int, int] = {}
+    for weights in states.values():
+        for k, c in weights.items():
+            total[k] = total.get(k, 0) + c
     terms: dict[int, int] = {}
     low = (1 << n_shift) - 1
-    for key, c in _total(states).items():
+    for key, c in total.items():
         add_binomial_term(terms, key & low, key >> n_shift, c)
     return SparsePoly._make(terms)
 
 
+def array_rank_gf(n: int, colors) -> QPoly:
+    """Generating function sum q^weight over Y_n(S): the value-count sum at
+    x_k = q^(k-1), lowered by q^C(n,3).
+
+    The specialization gives an array q to the sum of x_{i,j} - 1 over its
+    cells with j >= 1, and its weight is the sum of x_{i,j} - i over the same
+    cells, less by sum_i (i-1)(n-i) = C(n,3).
+    """
+    gf = principal_specialization(value_count_gf(n, colors, equalities=False))
+    shift = comb(n, 3)
+    return QPoly({e - shift: c for e, c in gf.coefficients().items()})
+
+
 def count_arrays(n: int, colors) -> int:
-    return array_rank_gf(n, colors)(1)
+    """|Y_n(S)|, the number of order ideals of T_n(S) (the paper's bijection)."""
+    return count_ideals(build(n).subposet(_require_green(n, colors)))
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,14 @@
 One engine gives the rank generating function sum q^|I| over the order ideals
 I of any subposet, dualized or not: the product over connected components of
 a frontier dynamic program along a linear extension (the transfer-matrix
-method, Stanley EC1 4.7). Counts are the evaluation at q = 1. The staircase
-array transfer in arrays.py is a second, independent formulation for sets with
-green, kept as a cross-check.
+method, Stanley EC1 4.7). Counts are the evaluation at q = 1. For sets with
+green, the array rank gf in arrays.py is a second, independent formulation,
+kept as a cross-check: the diagonal value-count transfer, specialized at
+x_k = q^(k-1).
+
+One filler, _fillings, lists every solution of a Plan of bounded integer
+positions in order. enumerate_ideals runs it on a 0/1 plan over a linear
+extension, and arrays.py runs it on staircase cells.
 """
 
 from __future__ import annotations
@@ -109,29 +114,57 @@ def count_ideals(p: Subposet) -> int:
     return rank_gf(p)(1)
 
 
+#: One (lo, hi, lower, upper) entry per position t: vals[t] ranges over
+#: lo..hi, and (k, delta) in lower or upper, with k < t, means
+#: vals[t] >= vals[k] + delta or vals[t] <= vals[k] + delta.
+Plan = tuple[tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+
+
+def _fillings(plan: Plan, vals: list[int], start: int) -> Iterator[None]:
+    """Fill vals[start:] in every way the plan allows, depth first with values
+    ascending, yielding each time vals is complete (once if nothing is left
+    to fill)."""
+    last = len(plan) - 1
+    if start > last:
+        yield
+        return
+    todo: list[Iterator[int]] = [iter(())] * len(plan)  # values left to try
+    t, fresh = start, True
+    while t >= start:
+        if fresh:
+            lo, hi, lower, upper = plan[t]
+            for k, delta in lower:
+                if vals[k] + delta > lo:
+                    lo = vals[k] + delta
+            for k, delta in upper:
+                if vals[k] + delta < hi:
+                    hi = vals[k] + delta
+            todo[t] = iter(range(lo, hi + 1))
+        v = next(todo[t], None)
+        if v is None:
+            t, fresh = t - 1, False
+            continue
+        vals[t] = v
+        if t < last:
+            t, fresh = t + 1, True
+        else:
+            fresh = False
+            yield
+
+
 def enumerate_ideals(p: Subposet) -> Iterator[OrderIdeal]:
     """Yield every order ideal, in a deterministic depth-first order.
 
-    The walk follows the linear extension; at each vertex the branch that
-    leaves it out comes before the branch that puts it in. The total count is
-    checked against the yield budget before any work is done.
+    Vertex t of the linear extension is in the ideal when vals[t] = 1, which
+    the plan allows only when every lower cover is in. Values ascend, so the
+    branch that leaves a vertex out comes before the one that puts it in. The
+    total count is checked against the yield budget before any work is done.
     """
     guard(count_ideals(p), "order ideals")
     pred = p.predecessors()
     order = _linear_extension(p, pred, p.successors())
-    n_verts = len(order)
-    member: dict[Vertex, bool] = {}
-
-    def walk(t: int) -> Iterator[OrderIdeal]:
-        if t == n_verts:
-            yield OrderIdeal(p.n, frozenset(v for v, b in member.items() if b))
-            return
-        u = order[t]
-        member[u] = False
-        yield from walk(t + 1)
-        if all(member[v] for v in pred[u]):
-            member[u] = True
-            yield from walk(t + 1)
-        del member[u]
-
-    yield from walk(0)
+    pos = {u: t for t, u in enumerate(order)}
+    plan = tuple((0, 1, (), tuple((pos[v], 0) for v in pred[u])) for u in order)
+    vals = [0] * len(plan)
+    for _ in _fillings(plan, vals, 0):
+        yield OrderIdeal(p.n, frozenset(u for u, b in zip(order, vals) if b))

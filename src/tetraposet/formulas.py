@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 
 from .budget import guard
@@ -43,22 +44,16 @@ def catalan_number(j: int) -> int:
     return comb(2 * j, j) // (j + 1)
 
 
-_carlitz_cache: dict[int, QPoly] = {}
-
-
+@lru_cache(maxsize=None)
 def carlitz_riordan(j: int) -> QPoly:
     """q-Catalan polynomials: C_j(q) = sum_{k=1..j} q^(k-1) C_{k-1}(q) C_{j-k}(q)."""
     if j < 0:
         raise ValueError("negative index")
-    if j in _carlitz_cache:
-        return _carlitz_cache[j]
     if j <= 1:
-        poly = QPoly({0: 1})
-    else:
-        poly = QPoly()
-        for k in range(1, j + 1):
-            poly = poly + QPoly.q(k - 1) * carlitz_riordan(k - 1) * carlitz_riordan(j - k)
-    _carlitz_cache[j] = poly
+        return QPoly({0: 1})
+    poly = QPoly()
+    for k in range(1, j + 1):
+        poly = poly + QPoly.q(k - 1) * carlitz_riordan(k - 1) * carlitz_riordan(j - k)
     return poly
 
 

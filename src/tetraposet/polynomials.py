@@ -388,9 +388,9 @@ def first_difference(lhs, rhs) -> dict | None:
     if type(lhs) is not type(rhs) or not isinstance(lhs, _Poly):
         raise ValueError("mismatched polynomial types")
     lt, rt = lhs._terms, rhs._terms
-    diffs = [key for key in lt.keys() | rt.keys() if lt.get(key, 0) != rt.get(key, 0)]
-    if not diffs:
+    if lt == rt:
         return None
+    diffs = [key for key in lt.keys() | rt.keys() if lt.get(key, 0) != rt.get(key, 0)]
     key = min(diffs, key=lhs._sort_key)
     return {
         "monomial": lhs._key_json(key),

@@ -45,14 +45,11 @@ def _vertices(n: int) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
-def _edges_for(
-    n: int, colors: frozenset[Color]
-) -> dict[Color, tuple[tuple[Vertex, Vertex], ...]]:
+def _edges_for(n: int) -> dict[Color, tuple[tuple[Vertex, Vertex], ...]]:
+    """The edges of every color in T_n, as (lower, upper) pairs."""
     vset = set(_vertices(n))
     edges: dict[Color, tuple[tuple[Vertex, Vertex], ...]] = {}
     for color in CANONICAL_ORDER:
-        if color not in colors:
-            continue
         dc = STEP[color]
         pairs = []
         for v in _vertices(n):
@@ -159,7 +156,7 @@ class TetraPoset:
     def __init__(self, n: int):
         self.n = n
         self.vertices = _vertices(n)
-        self._edges = _edges_for(n, frozenset(Color))
+        self._edges = _edges_for(n)
 
     @property
     def vertex_count(self) -> int:

@@ -196,6 +196,11 @@ def test_tournament_json_round_trip():
     assert obj["n"] == 4
     assert [g[:2] for g in obj["games"]] == [list(g) for g in games(4)]
     assert Tournament.from_json_obj(obj) == t
+    assert repr(t) == (
+        "Tournament.from_json_obj({'n': 4, 'games': [[1, 2, 1], [1, 3, 3], "
+        "[1, 4, 4], [2, 3, 2], [2, 4, 2], [3, 4, 4]]})"
+    )
+    assert eval(repr(t)) == t
 
 
 def test_unique_smallest_tsscpp():

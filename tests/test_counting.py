@@ -5,6 +5,7 @@ import pytest
 from tetraposet import (
     BudgetError,
     Color,
+    OrderIdeal,
     QPoly,
     all_admissible_sets,
     array_rank_gf,
@@ -13,6 +14,7 @@ from tetraposet import (
     enumerate_ideals,
     rank_gf,
 )
+from tetraposet.counting import _linear_extension
 
 from conftest import brute_force_ideal_sizes
 
@@ -121,6 +123,39 @@ def test_enumerate_ideals_matches_count_and_is_deterministic():
     for i in ideals:
         sizes[len(i)] = sizes.get(len(i), 0) + 1
     assert QPoly(sizes) == rank_gf(p)
+
+
+def walked_ideals(p):
+    """Every order ideal by recursion along the linear extension, leaving a
+    vertex out before putting it in: the order enumerate_ideals must keep."""
+    pred = p.predecessors()
+    order = _linear_extension(p, pred, p.successors())
+    member = {}
+
+    def walk(t):
+        if t == len(order):
+            yield OrderIdeal(p.n, frozenset(v for v, b in member.items() if b))
+            return
+        u = order[t]
+        member[u] = False
+        yield from walk(t + 1)
+        if all(member[v] for v in pred[u]):
+            member[u] = True
+            yield from walk(t + 1)
+        del member[u]
+
+    yield from walk(0)
+
+
+def test_enumerate_ideals_matches_recursive_walk():
+    # n = 1 has no vertices and exactly one (empty) ideal
+    for n in range(1, 5):
+        p = build(n)
+        for colorset in all_admissible_sets():
+            sub = p.subposet(colorset)
+            assert list(enumerate_ideals(sub)) == list(walked_ideals(sub))
+    dual = build(4).subposet("rgy").dual()
+    assert list(enumerate_ideals(dual)) == list(walked_ideals(dual))
 
 
 def test_enumerate_ideals_budget(monkeypatch):

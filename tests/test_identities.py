@@ -9,14 +9,17 @@ from tetraposet import (
     QPoly,
     SparsePoly,
     StaircaseArray,
+    array_rank_gf,
     array_stats,
     array_to_asm,
     asm_expansion_rhs,
     asm_stats,
+    build,
     enumerate_arrays,
     enumerate_tournaments,
     pairwise_product,
     principal_specialization,
+    rank_gf,
     robbins_rumsey_rhs,
     schur_expansion_rhs,
     sort_to_tsscpp,
@@ -147,9 +150,12 @@ def test_transfer_sums_budget(monkeypatch):
         asm_expansion_rhs(4)
     with pytest.raises(BudgetError, match="transfer terms"):
         robbins_rumsey_rhs(6)
+    with pytest.raises(BudgetError, match="transfer terms"):
+        array_rank_gf(4, ASM_COLORS)
     monkeypatch.setenv("TETRAPOSET_BUDGET", "100")
     assert asm_expansion_rhs(4) == tournament_gf(4)
     assert robbins_rumsey_rhs(4) == tournament_gf(4)
+    assert array_rank_gf(4, ASM_COLORS) == rank_gf(build(4).subposet(ASM_COLORS))
 
 
 def test_schur_rhs_equals_pairwise_product():

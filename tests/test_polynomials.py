@@ -181,6 +181,18 @@ def test_first_difference():
         first_difference(a, p)
 
 
+def test_repr():
+    assert repr(QPoly()) == "QPoly(0)"
+    assert repr(QPoly({0: 3})) == "QPoly(3)"
+    assert repr(QPoly({0: 1, 1: -1, 2: -1, 3: 5})) == "QPoly(1 + -q + -q^2 + 5*q^3)"
+    assert repr(QPoly({1: 1, 2: 2})) == "QPoly(q + 2*q^2)"
+    assert repr(SparsePoly()) == "SparsePoly(0)"
+    assert repr(SparsePoly.constant(-2)) == "SparsePoly(-2)"
+    assert repr(SparsePoly.lam() ** 2 * SparsePoly.x(3)) == "SparsePoly(L^2*x3)"
+    p = 1 + 3 * SparsePoly.x(2) - SparsePoly.lam() * SparsePoly.x(1, 2)
+    assert repr(p) == "SparsePoly(1 + 3*x2 + -1*L*x1^2)"
+
+
 def test_polynomial_types_do_not_mix():
     with pytest.raises(TypeError):
         QPoly({1: 2}) * SparsePoly.x(1)
@@ -274,6 +286,8 @@ def test_carlitz_riordan_values():
     for j in range(9):
         assert carlitz_riordan(j)(1) == catalan_number(j)
         assert carlitz_riordan(j).degree == comb(j, 2)
+    with pytest.raises(ValueError, match="negative index"):
+        carlitz_riordan(-1)
 
 
 def test_catalan_product_degree_matches_vertex_count():

@@ -1,10 +1,13 @@
-"""Checks on the code itself: the benchmark tracer's hooks still resolve, and
-src/ keeps its invariants as exceptions rather than asserts."""
+"""Checks on the code itself: the benchmark tracer's hooks still resolve, every
+module imports cleanly when it is loaded first, and src/ keeps its invariants
+as exceptions rather than asserts."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -85,3 +88,28 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "invariants must raise, python -O strips asserts: " + ", ".join(found)
+
+
+# Registers the package without running its __init__, which would load the
+# modules in its own order, then imports one module before any other.
+IMPORT_FIRST = """
+import importlib, sys, types
+package = types.ModuleType("tetraposet")
+package.__path__ = [sys.argv[1]]
+sys.modules["tetraposet"] = package
+importlib.import_module("tetraposet." + sys.argv[2])
+"""
+
+
+def test_each_module_imports_first():
+    src = Path(tetraposet.__file__).parent
+    names = sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__")
+    assert "arrays" in names and "poset" in names
+    for name in names:
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_FIRST, str(src), name],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, f"importing tetraposet.{name} first:\n{proc.stderr}"
