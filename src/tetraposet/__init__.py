@@ -84,7 +84,6 @@ from .polynomials import (
     QPoly,
     SparsePoly,
     first_difference,
-    principal_specialization,
     q_binomial,
     q_bracket,
     q_factorial,

@@ -20,8 +20,8 @@ from math import comb
 
 from .budget import guard
 from .colors import Color, require_admissible
-from .counting import Plan, _fillings, count_ideals
-from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term, principal_specialization
+from .counting import Plan, _fillings, count_ideals, rank_gf
+from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term
 from .poset import build
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
@@ -283,16 +283,9 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
 
 
 def array_rank_gf(n: int, colors) -> QPoly:
-    """Generating function sum q^weight over Y_n(S): the value-count sum at
-    x_k = q^(k-1), lowered by q^C(n,3).
-
-    The specialization gives an array q to the sum of x_{i,j} - 1 over its
-    cells with j >= 1, and its weight is the sum of x_{i,j} - i over the same
-    cells, less by sum_i (i-1)(n-i) = C(n,3).
-    """
-    gf = principal_specialization(value_count_gf(n, colors, equalities=False))
-    shift = comb(n, 3)
-    return QPoly({e - shift: c for e, c in gf.coefficients().items()})
+    """sum q^weight over Y_n(S), the rank gf of T_n(S): its ideals are the
+    arrays, with size as weight (the paper's bijection)."""
+    return rank_gf(build(n).subposet(_require_green(n, colors)))
 
 
 def count_arrays(n: int, colors) -> int:

@@ -4,9 +4,10 @@ One engine gives the rank generating function sum q^|I| over the order ideals
 I of any subposet, dualized or not: the product over connected components of
 a frontier dynamic program along a linear extension (the transfer-matrix
 method, Stanley EC1 4.7). Counts are the evaluation at q = 1. For sets with
-green, the array rank gf in arrays.py is a second, independent formulation,
-kept as a cross-check: the diagonal value-count transfer, specialized at
-x_k = q^(k-1).
+green, the staircase arrays are the same ideals in other coordinates
+(poset.ideal_to_array), so the array counts and rank gf in arrays.py run this
+engine too. The independent cross-check, the diagonal value-count transfer
+specialized at x_k = q^(k-1), lives in the tests.
 
 One filler, _fillings, lists every solution of a Plan of bounded integer
 positions in order. enumerate_ideals runs it on a 0/1 plan over a linear

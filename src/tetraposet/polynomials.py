@@ -349,14 +349,15 @@ class SparsePoly(_Poly):
             return "SparsePoly(0)"
         parts = []
         for key in self._sorted_keys():
-            lam, xs = _unpack(key)
             c = self._terms[key]
-            bits = [] if c == 1 and key else [str(c)]
-            if lam:
-                bits.append("L" if lam == 1 else f"L^{lam}")
-            for k, e in xs:
-                bits.append(f"x{k}" if e == 1 else f"x{k}^{e}")
-            parts.append("*".join(bits))
+            if not key:
+                parts.append(str(c))
+                continue
+            lam, xs = _unpack(key)
+            bits = ["L" if lam == 1 else f"L^{lam}"] if lam else []
+            bits += [f"x{k}" if e == 1 else f"x{k}^{e}" for k, e in xs]
+            head = "" if c == 1 else "-" if c == -1 else f"{c}*"
+            parts.append(head + "*".join(bits))
         return "SparsePoly(" + " + ".join(parts) + ")"
 
 
@@ -365,18 +366,6 @@ def add_binomial_term(terms: dict[int, int], key: int, spread: int, coeff: int) 
     into a dict of SparsePoly terms."""
     for m in range(spread + 1):
         terms[key + m] = terms.get(key + m, 0) + coeff * comb(spread, m)
-
-
-def principal_specialization(poly: SparsePoly) -> QPoly:
-    """Substitute x_k -> q^(k-1). The input must be lambda-free."""
-    coeffs: dict[int, int] = {}
-    for key, c in poly._terms.items():
-        lam, xs = _unpack(key)
-        if lam:
-            raise ValueError("principal specialization of a polynomial with lambda")
-        e = sum((k - 1) * exp for k, exp in xs)
-        coeffs[e] = coeffs.get(e, 0) + c
-    return QPoly._make({e: c for e, c in coeffs.items() if c})
 
 
 def first_difference(lhs, rhs) -> dict | None:

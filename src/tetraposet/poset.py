@@ -194,38 +194,36 @@ class OrderIdeal:
         return cls(int(obj["n"]), frozenset(tuple(v) for v in obj["vertices"]))
 
 
-def _green_chain(n: int, i: int, j: int) -> tuple[Vertex, ...]:
-    """The green chain recorded by array cell (i, j): a j-vertex c2 chain."""
-    return tuple((i - 1, c2, n - i - j) for c2 in range(j))
-
-
 def ideal_to_array(ideal: OrderIdeal):
     """Read off the staircase array of an ideal of some T_n(S) with green in S.
 
-    Cell (i, j) counts how much of its green chain the ideal contains:
-    x_{i,j} = i + |chain intersect ideal|. Correct whenever the ideal is
-    downward closed for green edges; the other colors of S then turn into the
-    matching array inequalities.
+    The green chain of cell (i, j), j >= 1, is (i-1, c2, n-i-j) for
+    c2 = 0..j-1, so vertex (c1, c2, c3) is level c2 of cell
+    (c1+1, n-1-c1-c3) and x_{i,j} = i + the number of members in cell (i, j).
+    Correct whenever the ideal is downward closed for green edges; the other
+    colors of S then turn into the matching array inequalities. Raises
+    ValueError for a member that is not a vertex of T_n.
     """
     from .arrays import StaircaseArray
 
     n = ideal.n
-    rows = []
-    for i in range(1, n + 1):
-        row = [i]
-        for j in range(1, n - i + 1):
-            row.append(i + sum(1 for v in _green_chain(n, i, j) if v in ideal.members))
-        rows.append(tuple(row))
-    return StaircaseArray(tuple(rows))
+    rows = [[i] * (n - i + 1) for i in range(1, n + 1)]
+    for v in ideal.members:
+        c1, c2, c3 = v
+        j = n - 1 - c1 - c3  # c1 + c2 + c3 <= n - 2 is c2 < j
+        if c1 < 0 or c3 < 0 or not 0 <= c2 < j:
+            raise ValueError(f"{v} is not a vertex of T_{n}")
+        rows[c1][j] += 1
+    return StaircaseArray(rows)
 
 
 def array_to_ideal(x) -> OrderIdeal:
-    """Inverse of ideal_to_array: each cell contributes a prefix of its chain."""
+    """Inverse of ideal_to_array: cell (i, j) holds the bottom x_{i,j} - i
+    levels of its green chain."""
     n = x.n
-    members: set[Vertex] = set()
-    for i, j, v in x.cells():
-        if j >= 1:
-            members.update(_green_chain(n, i, j)[: v - i])
+    # a frozenset copied from a set is sized to fit; one grown from a
+    # generator keeps the slack of its last resize
+    members = {(i - 1, c2, n - i - j) for i, j, v in x.cells() for c2 in range(v - i)}
     return OrderIdeal(n, frozenset(members))
 
 

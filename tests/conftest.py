@@ -7,9 +7,12 @@ closure, so it shares no code or idea with the production engines.
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
-from tetraposet import SparsePoly, Subposet
+from tetraposet import QPoly, SparsePoly, Subposet
+from tetraposet.arrays import value_count_gf
 
 
 def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:
@@ -48,6 +51,31 @@ def evaluate(poly: SparsePoly, lam_value: int, x_values) -> int:
             value *= getter(k) ** e
         total += value
     return total
+
+
+def principal_specialization(poly: SparsePoly) -> QPoly:
+    """Substitute x_k -> q^(k-1). The input must be lambda-free."""
+    coeffs: dict[int, int] = {}
+    for (lam, xs), c in poly.terms().items():
+        if lam:
+            raise ValueError("principal specialization of a polynomial with lambda")
+        e = sum((k - 1) * exp for k, exp in xs)
+        coeffs[e] = coeffs.get(e, 0) + c
+    return QPoly(coeffs)
+
+
+def array_transfer_rank_gf(n: int, colors) -> QPoly:
+    """sum q^weight over Y_n(S) by the diagonal value-count transfer, which
+    shares no code with the frontier DP: the value-count sum at
+    x_k = q^(k-1), lowered by q^C(n,3).
+
+    The specialization gives an array q to the sum of x_{i,j} - 1 over its
+    cells with j >= 1, and its weight is the sum of x_{i,j} - i over the same
+    cells, less by sum_i (i-1)(n-i) = C(n,3).
+    """
+    gf = principal_specialization(value_count_gf(n, colors, equalities=False))
+    shift = comb(n, 3)
+    return QPoly({e - shift: c for e, c in gf.coefficients().items()})
 
 
 def value_counts(x) -> dict[int, int]:

@@ -16,7 +16,7 @@ from tetraposet import (
 )
 from tetraposet.counting import _linear_extension
 
-from conftest import brute_force_ideal_sizes
+from conftest import array_transfer_rank_gf, brute_force_ideal_sizes
 
 
 def test_brute_force_oracle_all_sets_small_n():
@@ -43,13 +43,14 @@ def test_brute_force_oracle_n5():
 
 
 def test_frontier_agrees_with_array_transfer():
-    for n in range(2, 7):
+    for n in range(1, 7):
         p = build(n)
         for colorset in all_admissible_sets():
             if Color.GREEN not in colorset:
                 continue
-            sub = p.subposet(colorset)
-            assert rank_gf(sub) == array_rank_gf(n, colorset)
+            gf = rank_gf(p.subposet(colorset))
+            assert gf == array_transfer_rank_gf(n, colorset)
+            assert gf == array_rank_gf(n, colorset)
 
 
 def test_count_is_gf_at_one():

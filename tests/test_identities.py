@@ -14,12 +14,9 @@ from tetraposet import (
     array_to_asm,
     asm_expansion_rhs,
     asm_stats,
-    build,
     enumerate_arrays,
     enumerate_tournaments,
     pairwise_product,
-    principal_specialization,
-    rank_gf,
     robbins_rumsey_rhs,
     schur_expansion_rhs,
     sort_to_tsscpp,
@@ -31,10 +28,17 @@ from tetraposet import (
     verify_identity,
     weight,
 )
+from tetraposet.arrays import value_count_gf
 from tetraposet.identities import SCHUR_COLORS
 from tetraposet.polynomials import FIELD, add_binomial_term
 
-from conftest import evaluate, rise_drop_count, value_counts
+from conftest import (
+    array_transfer_rank_gf,
+    evaluate,
+    principal_specialization,
+    rise_drop_count,
+    value_counts,
+)
 
 
 def _value_count_xs(x, n):
@@ -151,11 +155,11 @@ def test_transfer_sums_budget(monkeypatch):
     with pytest.raises(BudgetError, match="transfer terms"):
         robbins_rumsey_rhs(6)
     with pytest.raises(BudgetError, match="transfer terms"):
-        array_rank_gf(4, ASM_COLORS)
+        value_count_gf(4, ASM_COLORS, equalities=False)
     monkeypatch.setenv("TETRAPOSET_BUDGET", "100")
     assert asm_expansion_rhs(4) == tournament_gf(4)
     assert robbins_rumsey_rhs(4) == tournament_gf(4)
-    assert array_rank_gf(4, ASM_COLORS) == rank_gf(build(4).subposet(ASM_COLORS))
+    assert array_transfer_rank_gf(4, ASM_COLORS) == array_rank_gf(4, ASM_COLORS)
 
 
 def test_schur_rhs_equals_pairwise_product():

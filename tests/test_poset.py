@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from tetraposet import (
     Color,
     OrderIdeal,
+    StaircaseArray,
     all_admissible_sets,
     array_to_ideal,
     build,
@@ -40,6 +42,34 @@ def extreme(p, neighbors):
     """The unique vertex with no neighbors in the given adjacency, or None."""
     ends = [v for v in p.vertices if not neighbors[v]]
     return ends[0] if len(ends) == 1 else None
+
+
+def green_chain(n, i, j):
+    """The green chain recorded by array cell (i, j): a j-vertex c2 chain."""
+    return tuple((i - 1, c2, n - i - j) for c2 in range(j))
+
+
+def chain_ideal_to_array(ideal):
+    """Oracle for ideal_to_array: x_{i,j} = i + the number of members on the
+    green chain of cell (i, j), walking every chain."""
+    n = ideal.n
+    rows = []
+    for i in range(1, n + 1):
+        row = [i]
+        for j in range(1, n - i + 1):
+            row.append(i + sum(1 for v in green_chain(n, i, j) if v in ideal.members))
+        rows.append(tuple(row))
+    return StaircaseArray(tuple(rows))
+
+
+def chain_array_to_ideal(x):
+    """Oracle for array_to_ideal: each cell contributes a prefix of its chain."""
+    n = x.n
+    members = set()
+    for i, j, v in x.cells():
+        if j >= 1:
+            members.update(green_chain(n, i, j)[: v - i])
+    return OrderIdeal(n, frozenset(members))
 
 
 def test_vertex_count():
@@ -147,6 +177,29 @@ def test_ideal_array_bijection_exhaustive():
                 assert array_to_ideal(x) == ideal
                 seen.add(x)
             assert seen == arrays
+
+
+def test_ideal_maps_match_chain_walk():
+    cases = [
+        (n, colors)
+        for n in range(1, 5)
+        for colors in all_admissible_sets()
+        if Color.GREEN in colors
+    ]
+    cases += [(5, "bgoy"), (5, "rgoy"), (5, "rbg")]
+    for n, colors in cases:
+        for ideal in enumerate_ideals(build(n).subposet(colors)):
+            x = ideal_to_array(ideal)
+            assert x == chain_ideal_to_array(ideal), (n, colors, ideal)
+            assert array_to_ideal(x) == chain_array_to_ideal(x), (n, colors, x)
+
+
+def test_ideal_to_array_rejects_non_vertices():
+    # T_3 has the vertices with nonnegative coordinates summing to at most 1
+    for member in [(-1, 0, 0), (0, -1, 1), (0, 0, -1), (0, 0, 2), (1, 1, 0)]:
+        ideal = OrderIdeal(3, frozenset({(0, 0, 0), member}))
+        with pytest.raises(ValueError, match=re.escape(f"{member} is not a vertex of T_3")):
+            ideal_to_array(ideal)
 
 
 def test_dot_output_shape():
