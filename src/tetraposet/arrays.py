@@ -22,7 +22,7 @@ from .budget import guard
 from .colors import Color, require_admissible
 from .counting import Plan, _fillings, count_ideals, rank_gf
 from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term
-from .poset import build
+from .poset import build, json_int
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
 TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
@@ -52,7 +52,7 @@ class Rows:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         self._check(rows)
         object.__setattr__(self, "rows", rows)
 
@@ -72,7 +72,7 @@ class Rows:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(obj)
+        return cls(tuple(json_int(v) for v in row) for row in obj)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.rows == other.rows
@@ -214,6 +214,26 @@ def _diag_assignments(
     ]
 
 
+@lru_cache(maxsize=None)
+def _row_plan(i: int, width: int, colors: frozenset[Color]) -> Plan:
+    """The plan for row i, west to east, after the `width` cells of row i+1."""
+    return _plan([(i + 1, j) for j in range(width)] + [(i, j) for j in range(width + 1)], colors)
+
+
+def _row_assignments(
+    i: int, colors: frozenset[Color], below: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Valid fillings of row i given the filling `below` of row i+1 (empty
+    for the bottom row i = n).
+
+    Every inequality joins cells of one row or of two consecutive rows, so an
+    array is valid exactly when each row is valid over the row below it.
+    """
+    width = len(below)
+    vals = list(below) + [0] * (width + 1)
+    return [tuple(vals[width:]) for _ in _fillings(_row_plan(i, width, colors), vals, width)]
+
+
 def _require_green(n: int, colors) -> frozenset[Color]:
     colorset = require_admissible(colors)
     if Color.GREEN not in colorset:
@@ -330,27 +350,34 @@ def sort_to_tsscpp(beta: StaircaseArray) -> StaircaseArray:
     return result
 
 
-def _row_equalities(alpha: StaircaseArray) -> list[dict[int, int]]:
-    """For each row i < n, the map v -> E_{i,v}: the cells of row i equal to
-    v and to their southwest neighbor."""
-    out = []
-    for row, below in zip(alpha.rows, alpha.rows[1:]):
-        eq: dict[int, int] = {}
-        for v, sw in zip(row[1:], below):
-            if v == sw:
-                eq[v] = eq.get(v, 0) + 1
-        out.append(eq)
-    return out
+def _row_equalities(row: tuple[int, ...], below: tuple[int, ...]) -> dict[int, int]:
+    """For row i over row i+1, the map v -> E_{i,v}: the cells of row i equal
+    to v and to their southwest neighbor."""
+    eq: dict[int, int] = {}
+    for v, sw in zip(row[1:], below):
+        if v == sw:
+            eq[v] = eq.get(v, 0) + 1
+    return eq
+
+
+def _row_fiber(row: tuple[int, ...], below: tuple[int, ...]) -> tuple[int, int]:
+    """Row i's share of the sorting fiber over row i+1: (E_i, the product over
+    values v of binomial(C_{i+1,v}, E_{i,v})), where E_i is the sum of the
+    E_{i,v} and C_{i+1,v} counts v in row i+1. The binomial counts the ways to
+    place E_{i,v} equalities over the cells of row i+1 holding v."""
+    eq = _row_equalities(row, below)
+    ways = 1
+    for v, e in eq.items():
+        ways *= comb(below.count(v), e)
+    return sum(eq.values()), ways
 
 
 def row_shuffle_count(alpha: StaircaseArray) -> int:
-    """Size of the fiber of sort_to_tsscpp over alpha: the product over rows
-    i < n and values v of binomial(C_{i+1,v}, E_{i,v}), where C_{i+1,v}
-    counts v in row i+1."""
+    """Size of the fiber of sort_to_tsscpp over alpha: the product of the
+    per-row factors of _row_fiber."""
     total = 1
-    for eq, below in zip(_row_equalities(alpha), alpha.rows[1:]):
-        for v, e in eq.items():
-            total *= comb(below.count(v), e)
+    for row, below in zip(alpha.rows, alpha.rows[1:]):
+        total *= _row_fiber(row, below)[1]
     return total
 
 
@@ -366,8 +393,10 @@ def enumerate_row_shuffles(alpha: StaircaseArray) -> Iterator[StaircaseArray]:
     if not validate(alpha, SORTED_COLORS):
         raise ValueError("input is not a sorted {b,r,g,y} array")
     guard(row_shuffle_count(alpha), "row shuffles")
-    equalities = [sorted(eq.items()) for eq in _row_equalities(alpha)]
     rows = list(alpha.rows)
+    equalities = [
+        sorted(_row_equalities(row, below).items()) for row, below in zip(rows, rows[1:])
+    ]
 
     def place(i: int) -> Iterator[StaircaseArray]:  # fills rows[i], then above
         if i < 0:

@@ -31,6 +31,7 @@ from .arrays import (
 )
 from .budget import guard
 from .colors import format_colors
+from .poset import json_int
 
 
 class FamilyMismatch(ValueError):
@@ -203,13 +204,13 @@ class Tournament:
 
     @classmethod
     def from_json_obj(cls, obj) -> Tournament:
-        n = int(obj["n"])
+        n = json_int(obj["n"])
         winners: dict[tuple[int, int], int] = {}
         for i, j, w in obj["games"]:
-            game = (int(i), int(j))
+            game = (json_int(i), json_int(j))
             if game in winners:
                 raise ValueError(f"game {game[0]} vs {game[1]} is listed twice")
-            winners[game] = int(w)
+            winners[game] = json_int(w)
         return cls(n, winners)
 
     def __eq__(self, other) -> bool:

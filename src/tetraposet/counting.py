@@ -168,4 +168,5 @@ def enumerate_ideals(p: Subposet) -> Iterator[OrderIdeal]:
     plan = tuple((0, 1, (), tuple((pos[v], 0) for v in pred[u])) for u in order)
     vals = [0] * len(plan)
     for _ in _fillings(plan, vals, 0):
-        yield OrderIdeal(p.n, frozenset(u for u, b in zip(order, vals) if b))
+        # copied from a set, the frozenset is sized to fit (see array_to_ideal)
+        yield OrderIdeal(p.n, frozenset({u for u, b in zip(order, vals) if b}))

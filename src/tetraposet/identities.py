@@ -18,9 +18,12 @@ sums (`asm`, `schur`) are computed by weighted diagonal transfer
 consecutive diagonals. The matrix sum (`rr`) is a transfer over the rows of
 the matrix, whose states are the rows of its monotone triangle; every weight
 in it is local to one row given the column sums above it, and it shares no
-code with the diagonal transfer. Only the sorted-array sums (`tsscpp`,
-`tsscpp-count`) enumerate their arrays. No left side uses either transfer,
-and `rr` and `asm` reach the same product by the two unrelated transfers.
+code with the diagonal transfer. The fiber-count sum (`tsscpp-count`) is a
+transfer over the rows of the sorted arrays, since each row's equalities and
+its factor of the fiber size depend only on that row and the one below.
+Only the sorted-array expansion (`tsscpp`) enumerates its arrays and every
+row shuffle. No left side uses a transfer, and `rr` and `asm` reach the
+same product by two unrelated transfers.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from .arrays import (
     ASM_COLORS,
     SORTED_COLORS,
     StaircaseArray,
+    _row_assignments,
+    _row_fiber,
     enumerate_arrays,
     enumerate_row_shuffles,
-    row_shuffle_count,
     value_count_gf,
 )
 from .bijections import Asm
@@ -217,11 +221,37 @@ def tsscpp_expansion_rhs(n: int) -> SparsePoly:
 
 
 def tsscpp_lambda_count(n: int) -> SparsePoly:
-    """Sum over Y_n({b,r,g,y}) of lambda^E times the shuffle fiber size."""
+    """Sum over Y_n({b,r,g,y}) of lambda^E times the shuffle fiber size, by
+    transfer over the rows of the sorted array from the bottom up.
+
+    E and the fiber size are a sum and a product over rows, and row i's share
+    of both (arrays._row_fiber) depends only on rows i and i+1. The state
+    after row i is that row, mapped to {E so far: partial arrays weighted by
+    their fiber size so far}; lambda is field 0, so E is already a SparsePoly
+    key. Row i's successors come from the color inequalities
+    (arrays._row_assignments). States are dropped as they are consumed, and
+    the live term count is checked against the budget after every row.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for i in range(n, 0, -1):
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        while states:
+            below, weights = states.popitem()
+            for row in _row_assignments(i, SORTED_COLORS, below):
+                e, ways = _row_fiber(row, below)
+                acc = nxt.setdefault(row, {})
+                get = acc.get
+                for k, c in weights.items():
+                    k += e
+                    acc[k] = get(k, 0) + c * ways
+        states = nxt
+        guard(sum(map(len, states.values())), "transfer terms")
     terms: dict[int, int] = {}
-    for alpha in enumerate_arrays(n, SORTED_COLORS):
-        key = array_stats(alpha).eq_total
-        terms[key] = terms.get(key, 0) + row_shuffle_count(alpha)
+    for weights in states.values():
+        for k, c in weights.items():
+            terms[k] = terms.get(k, 0) + c
     return SparsePoly._make(terms)
 
 

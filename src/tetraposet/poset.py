@@ -173,6 +173,13 @@ def build(n: int) -> TetraPoset:
     return TetraPoset(n)
 
 
+def json_int(value) -> int:
+    """A JSON number that must be an integer: an int that is not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OrderIdeal:
     """A downward closed vertex set of some T_n(S), tagged with its n."""
@@ -191,7 +198,10 @@ class OrderIdeal:
 
     @classmethod
     def from_json_obj(cls, obj) -> OrderIdeal:
-        return cls(int(obj["n"]), frozenset(tuple(v) for v in obj["vertices"]))
+        return cls(
+            json_int(obj["n"]),
+            frozenset(tuple(json_int(c) for c in v) for v in obj["vertices"]),
+        )
 
 
 def ideal_to_array(ideal: OrderIdeal):

@@ -11,7 +11,15 @@ from math import comb
 
 import pytest
 
-from tetraposet import QPoly, SparsePoly, Subposet
+from tetraposet import (
+    SORTED_COLORS,
+    QPoly,
+    SparsePoly,
+    Subposet,
+    array_stats,
+    enumerate_arrays,
+    row_shuffle_count,
+)
 from tetraposet.arrays import value_count_gf
 
 
@@ -76,6 +84,16 @@ def array_transfer_rank_gf(n: int, colors) -> QPoly:
     gf = principal_specialization(value_count_gf(n, colors, equalities=False))
     shift = comb(n, 3)
     return QPoly({e - shift: c for e, c in gf.coefficients().items()})
+
+
+def enumerated_tsscpp_lambda_count(n: int) -> SparsePoly:
+    """Oracle for tsscpp_lambda_count: the sum over every enumerated sorted
+    array of lambda^E times its fiber size."""
+    terms: dict[int, int] = {}
+    for alpha in enumerate_arrays(n, SORTED_COLORS):
+        key = array_stats(alpha).eq_total
+        terms[key] = terms.get(key, 0) + row_shuffle_count(alpha)
+    return SparsePoly._make(terms)
 
 
 def value_counts(x) -> dict[int, int]:

@@ -24,6 +24,7 @@ from tetraposet import (
     validate,
     weight,
 )
+from tetraposet.arrays import _row_assignments
 
 from conftest import TOURNAMENT_ARRAYS_3
 
@@ -112,6 +113,20 @@ def test_validate_enumeration_and_transfer_agree_with_brute_force():
             assert array_rank_gf(n, colors)(1) == len(valid)
             ideals = enumerate_ideals(build(n).subposet(colors))
             assert {ideal_to_array(ideal) for ideal in ideals} == valid
+
+
+def test_row_successors_walk_the_sorted_arrays():
+    def walk(i, rows):  # rows holds rows i+1..n, top first
+        if i == 0:
+            yield StaircaseArray(rows)
+            return
+        for row in _row_assignments(i, SORTED_COLORS, rows[0] if rows else ()):
+            yield from walk(i - 1, [row] + rows)
+
+    for n in range(1, 6):
+        walked = list(walk(n, []))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == set(enumerate_arrays(n, SORTED_COLORS))
 
 
 def test_enumeration_first_is_minimal_and_deterministic():

@@ -212,6 +212,24 @@ def test_convert_tournament_rejects_repeated_game(capsys, tmp_path):
     assert "game 1 vs 2 is listed twice" in err
 
 
+def test_convert_rejects_non_integer_json_numbers(capsys, tmp_path):
+    cases = [
+        ("array", [[1.7, 2], [2]], "1.7"),
+        ("array", [[True, 2], [2]], "True"),
+        ("ideal", {"n": 2, "vertices": [[0.0, 0, 0]]}, "0.0"),
+        ("ideal", {"n": 2.0, "vertices": [], "colors": "g"}, "2.0"),
+        ("tournament", {"n": 2, "games": [[1, 2, False]]}, "False"),
+    ]
+    for family, payload, shown in cases:
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "convert", "--from", family, "--to", "asm", "--input", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert f"expected an integer, got {shown}" in err
+
+
 def test_convert_asm_chain(capsys, tmp_path, asm4_rows, mt4_rows, array4_rows):
     path = tmp_path / "a.json"
     path.write_text(json.dumps(asm4_rows))

@@ -34,6 +34,7 @@ from tetraposet.polynomials import FIELD, add_binomial_term
 
 from conftest import (
     array_transfer_rank_gf,
+    enumerated_tsscpp_lambda_count,
     evaluate,
     principal_specialization,
     rise_drop_count,
@@ -113,6 +114,13 @@ def test_count_identity():
         assert verify_identity("tsscpp-count", n)["status"] == "ok"
 
 
+def test_lambda_count_transfer_matches_enumeration():
+    for n in range(1, 7):
+        assert tsscpp_lambda_count(n) == enumerated_tsscpp_lambda_count(n)
+    with pytest.raises(ValueError, match="at least 1"):
+        tsscpp_lambda_count(0)
+
+
 def test_unknown_identity_name():
     with pytest.raises(ValueError):
         verify_identity("nope", 3)
@@ -131,7 +139,7 @@ def test_formula_reports_all_ok():
 def test_lambda_count_is_binomial_power():
     lam = SparsePoly.lam()
     one = SparsePoly.constant(1)
-    for n in range(1, 6):
+    for n in range(1, 9):
         assert tsscpp_lambda_count(n) == (one + lam) ** comb(n, 2)
 
 
@@ -156,9 +164,12 @@ def test_transfer_sums_budget(monkeypatch):
         robbins_rumsey_rhs(6)
     with pytest.raises(BudgetError, match="transfer terms"):
         value_count_gf(4, ASM_COLORS, equalities=False)
+    with pytest.raises(BudgetError, match="transfer terms"):
+        tsscpp_lambda_count(6)
     monkeypatch.setenv("TETRAPOSET_BUDGET", "100")
     assert asm_expansion_rhs(4) == tournament_gf(4)
     assert robbins_rumsey_rhs(4) == tournament_gf(4)
+    assert tsscpp_lambda_count(4) == enumerated_tsscpp_lambda_count(4)
     assert array_transfer_rank_gf(4, ASM_COLORS) == array_rank_gf(4, ASM_COLORS)
 
 
