@@ -6,7 +6,10 @@ to x_{i,0} = i. Each entry x_{i,j} with j >= 1 records the induced ideal size
 of a j-element green chain, which is why every array family here assumes
 green. The remaining colors impose one local inequality each, and
 INEQUALITIES below is the single place they are written down: validate, the
-enumeration bounds and the diagonal transfer are all derived from it.
+enumeration bounds and the row transfer are all derived from it. Each
+inequality joins a cell to its own row or the row below, so every array sum
+whose weights are local to two rows runs as one transfer over the rows
+(_row_transfer).
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 """
@@ -39,8 +42,8 @@ INEQUALITIES = {
     Color.SILVER: (0, -1, 1),  # west neighbor rises by at most 1
 }
 
-Diagonal = tuple[int, ...]
 Cell = tuple[int, int]
+Row = tuple[int, ...]
 
 
 class Rows:
@@ -190,39 +193,12 @@ def _plan(order: list[Cell], colors: frozenset[Color]) -> Plan:
 
 
 @lru_cache(maxsize=None)
-def _diag_plan(d: int, colors: frozenset[Color], after: bool) -> Plan:
-    """The plan for diagonal i+j = d from the pinned x_{d,0} = d northeast to
-    x_{1,d-1}, after the d+1 cells of diagonal d+1 when `after` is set."""
-    nxt = [(i, d + 1 - i) for i in range(1, d + 2)] if after else []
-    return _plan(nxt + [(i, d - i) for i in range(d, 0, -1)], colors)
-
-
-def _diag_assignments(
-    d: int, colors: frozenset[Color], after: Diagonal | None = None
-) -> list[Diagonal]:
-    """Valid fillings of the diagonal i+j = d, as tuples a with a[i-1] = x_{i, d-i}.
-
-    Given the filling `after` of diagonal d+1, only fillings that may precede
-    it are built: the inequalities between the two diagonals bound each entry
-    by its east or south neighbor on diagonal d+1.
-    """
-    vals = list(after or ()) + [0] * d
-    start = len(vals) - d
-    return [
-        tuple(reversed(vals[start:]))
-        for _ in _fillings(_diag_plan(d, colors, after is not None), vals, start)
-    ]
-
-
-@lru_cache(maxsize=None)
 def _row_plan(i: int, width: int, colors: frozenset[Color]) -> Plan:
     """The plan for row i, west to east, after the `width` cells of row i+1."""
     return _plan([(i + 1, j) for j in range(width)] + [(i, j) for j in range(width + 1)], colors)
 
 
-def _row_assignments(
-    i: int, colors: frozenset[Color], below: tuple[int, ...]
-) -> list[tuple[int, ...]]:
+def _row_assignments(i: int, colors: frozenset[Color], below: Row) -> list[Row]:
     """Valid fillings of row i given the filling `below` of row i+1 (empty
     for the bottom row i = n).
 
@@ -232,6 +208,38 @@ def _row_assignments(
     width = len(below)
     vals = list(below) + [0] * (width + 1)
     return [tuple(vals[width:]) for _ in _fillings(_row_plan(i, width, colors), vals, width)]
+
+
+def _row_transfer(
+    n: int, colors: frozenset[Color], step: Callable[[Row, Row], tuple[int, int]]
+) -> dict[int, int]:
+    """Sum over Y_n(S) of a weight that is a product over rows, by transfer
+    over the rows from the bottom up (Stanley, EC1 section 4.7).
+
+    step(row, below) gives row i's share over row i+1 as (key shift, factor):
+    an array's SparsePoly key is the sum of its rows' shifts and its weight
+    the product of their factors. The state after row i is that row, mapped
+    to {key: summed weight of the partial arrays}; row i's successors come
+    from the color inequalities (_row_assignments). States are dropped as
+    they are consumed, and the live term count is checked against the budget
+    after every row. Nothing lies above row 1, so all of its fillings go to
+    the single state (), which holds the result as {key: coefficient}.
+    """
+    states: dict[Row, dict[int, int]] = {(): {0: 1}}
+    for i in range(n, 0, -1):
+        nxt: dict[Row, dict[int, int]] = {}
+        while states:
+            below, weights = states.popitem()
+            for row in _row_assignments(i, colors, below):
+                shift, factor = step(row, below)
+                acc = nxt.setdefault(row if i > 1 else (), {})
+                get = acc.get
+                for k, c in weights.items():
+                    k += shift
+                    acc[k] = get(k, 0) + c * factor
+        states = nxt
+        guard(sum(map(len, states.values())), "transfer terms")
+    return states[()]
 
 
 def _require_green(n: int, colors) -> frozenset[Color]:
@@ -244,21 +252,15 @@ def _require_green(n: int, colors) -> frozenset[Color]:
 
 
 def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
-    """Sum over Y_n(S) of prod_k x_k^(C_k - 1), by diagonal transfer DP
-    (Stanley, EC1 section 4.7).
+    """Sum over Y_n(S) of prod_k x_k^(C_k - 1), by row transfer.
 
     C_k counts the entries equal to k; the pinned column holds one of each
     value, so x^(C_k - 1) is the product of x_v over the cells with j >= 1.
     With equalities, each array also carries lambda^E (1+lambda)^N, where E
-    counts the cells equal to their southwest neighbor (on the same diagonal)
-    and N the cells with x_{i,j-1} < x_{i,j} < x_{i+1,j-1}, strictly between
-    their west and southwest neighbors (on consecutive diagonals); on the
-    array of an alternating sign matrix, N counts its -1 entries.
-
-    Each state is a filling of the last diagonal, mapped to {weight: number
-    of partial arrays}, so a transition shifts every weight by one add. The
-    states start from the empty diagonal 0, and the live term count is
-    checked against the budget after every diagonal.
+    counts the cells equal to their southwest neighbor and N the cells with
+    x_{i,j-1} < x_{i,j} < x_{i+1,j-1}, strictly between their west and
+    southwest neighbors; on the array of an alternating sign matrix, N counts
+    its -1 entries. Each cell's weight lies in its own row and the row below.
 
     Weights are SparsePoly keys, with N (standing for (1+lambda)^N until the
     end) in the extra field n+1. No field fills up: each is at most the
@@ -267,37 +269,18 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     """
     colorset = _require_green(n, colors)
     n_shift = (n + 1) * FIELD
-    states: dict[Diagonal, dict[int, int]] = {(): {0: 1}}
-    for d in range(1, n + 1):
-        nxt: dict[Diagonal, dict[int, int]] = {}
-        for b in _diag_assignments(d, colorset):
-            w = 0
-            for i in range(d - 1):
-                w += 1 << b[i] * FIELD
-                if equalities and b[i] == b[i + 1]:
-                    w += 1
-            acc: dict[int, int] = {}
-            for a in _diag_assignments(d - 1, colorset, b):
-                weights = states.get(a)
-                if weights is None:
-                    continue
-                shift = w
-                if equalities:
-                    shift += sum(a[i] < b[i] < b[i + 1] for i in range(d - 1)) << n_shift
-                for k, c in weights.items():
-                    k += shift
-                    acc[k] = acc.get(k, 0) + c
-            if acc:
-                nxt[b] = acc
-        states = nxt
-        guard(sum(map(len, states.values())), "transfer terms")
-    total: dict[int, int] = {}
-    for weights in states.values():
-        for k, c in weights.items():
-            total[k] = total.get(k, 0) + c
+
+    def step(row: Row, below: Row) -> tuple[int, int]:
+        shift = 0
+        for west, v, sw in zip(row, row[1:], below):
+            shift += 1 << v * FIELD
+            if equalities:
+                shift += (v == sw) + ((west < v < sw) << n_shift)
+        return shift, 1
+
     terms: dict[int, int] = {}
     low = (1 << n_shift) - 1
-    for key, c in total.items():
+    for key, c in _row_transfer(n, colorset, step).items():
         add_binomial_term(terms, key & low, key >> n_shift, c)
     return SparsePoly._make(terms)
 
@@ -350,7 +333,7 @@ def sort_to_tsscpp(beta: StaircaseArray) -> StaircaseArray:
     return result
 
 
-def _row_equalities(row: tuple[int, ...], below: tuple[int, ...]) -> dict[int, int]:
+def _row_equalities(row: Row, below: Row) -> dict[int, int]:
     """For row i over row i+1, the map v -> E_{i,v}: the cells of row i equal
     to v and to their southwest neighbor."""
     eq: dict[int, int] = {}
@@ -360,7 +343,7 @@ def _row_equalities(row: tuple[int, ...], below: tuple[int, ...]) -> dict[int, i
     return eq
 
 
-def _row_fiber(row: tuple[int, ...], below: tuple[int, ...]) -> tuple[int, int]:
+def _row_fiber(row: Row, below: Row) -> tuple[int, int]:
     """Row i's share of the sorting fiber over row i+1: (E_i, the product over
     values v of binomial(C_{i+1,v}, E_{i,v})), where E_i is the sum of the
     E_{i,v} and C_{i+1,v} counts v in row i+1. The binomial counts the ways to

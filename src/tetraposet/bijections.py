@@ -159,8 +159,7 @@ class Tournament:
     __slots__ = ("n", "winners")
 
     def __init__(self, n: int, winners):
-        n = int(n)
-        if n < 1:
+        if json_int(n) < 1:
             raise ValueError("n must be at least 1")
         wmap = dict(winners)
         if len(wmap) != n * (n - 1) // 2:
@@ -169,7 +168,7 @@ class Tournament:
         if set(wmap) != set(expected):
             raise ValueError("winners must cover exactly the games of 1..n")
         for (i, j), w in wmap.items():
-            if w not in (i, j):
+            if json_int(w) not in (i, j):
                 raise ValueError(f"winner of game {i} vs {j} must be one of them")
         object.__setattr__(self, "n", n)
         object.__setattr__(
@@ -204,14 +203,13 @@ class Tournament:
 
     @classmethod
     def from_json_obj(cls, obj) -> Tournament:
-        n = json_int(obj["n"])
         winners: dict[tuple[int, int], int] = {}
         for i, j, w in obj["games"]:
             game = (json_int(i), json_int(j))
             if game in winners:
                 raise ValueError(f"game {game[0]} vs {game[1]} is listed twice")
-            winners[game] = json_int(w)
-        return cls(n, winners)
+            winners[game] = w
+        return cls(obj["n"], winners)
 
     def __eq__(self, other) -> bool:
         return (

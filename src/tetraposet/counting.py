@@ -6,7 +6,7 @@ a frontier dynamic program along a linear extension (the transfer-matrix
 method, Stanley EC1 4.7). Counts are the evaluation at q = 1. For sets with
 green, the staircase arrays are the same ideals in other coordinates
 (poset.ideal_to_array), so the array counts and rank gf in arrays.py run this
-engine too. The independent cross-check, the diagonal value-count transfer
+engine too. The independent cross-check, the row value-count transfer
 specialized at x_k = q^(k-1), lives in the tests.
 
 One filler, _fillings, lists every solution of a Plan of bounded integer

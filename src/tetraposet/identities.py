@@ -13,17 +13,18 @@ themselves, and a sixth matches the value-count sum at lambda = 1 against the
 pairwise product directly.
 
 Left sides are expanded products. Of the right sides, the two value-count
-sums (`asm`, `schur`) are computed by weighted diagonal transfer
-(arrays.value_count_gf), since every weight in them is local to two
-consecutive diagonals. The matrix sum (`rr`) is a transfer over the rows of
-the matrix, whose states are the rows of its monotone triangle; every weight
-in it is local to one row given the column sums above it, and it shares no
-code with the diagonal transfer. The fiber-count sum (`tsscpp-count`) is a
-transfer over the rows of the sorted arrays, since each row's equalities and
-its factor of the fiber size depend only on that row and the one below.
-Only the sorted-array expansion (`tsscpp`) enumerates its arrays and every
-row shuffle. No left side uses a transfer, and `rr` and `asm` reach the
-same product by two unrelated transfers.
+sums (`asm`, `schur`) and the fiber-count sum (`tsscpp-count`) are computed
+by one weighted transfer over the rows of the staircase arrays
+(arrays._row_transfer), since every weight in them is local to a row and
+the row below it: value counts, southwest equalities and cells that rise
+from the west and drop to the southwest for the first two, each row's
+equalities and its factor of the fiber size for the third. The matrix sum
+(`rr`) is a transfer over the rows of the matrix, whose states are the rows
+of its monotone triangle; every weight in it is local to one row given the
+column sums above it, and it shares no code with the array transfer. Only
+the sorted-array expansion (`tsscpp`) enumerates its arrays and every row
+shuffle. No left side uses a transfer, and `rr` and `asm` reach the same
+product by two unrelated transfers.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .arrays import (
     ASM_COLORS,
     SORTED_COLORS,
     StaircaseArray,
-    _row_assignments,
     _row_fiber,
+    _row_transfer,
     enumerate_arrays,
     enumerate_row_shuffles,
     value_count_gf,
@@ -192,7 +193,7 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
 
 def asm_expansion_rhs(n: int) -> SparsePoly:
     """Sum over Y_n({g,y,o,b}) of
-    lambda^E (1+lambda)^N prod_k x_k^(C_k - 1), by diagonal transfer."""
+    lambda^E (1+lambda)^N prod_k x_k^(C_k - 1), by row transfer."""
     return value_count_gf(n, ASM_COLORS, equalities=True)
 
 
@@ -222,37 +223,15 @@ def tsscpp_expansion_rhs(n: int) -> SparsePoly:
 
 def tsscpp_lambda_count(n: int) -> SparsePoly:
     """Sum over Y_n({b,r,g,y}) of lambda^E times the shuffle fiber size, by
-    transfer over the rows of the sorted array from the bottom up.
+    row transfer.
 
     E and the fiber size are a sum and a product over rows, and row i's share
-    of both (arrays._row_fiber) depends only on rows i and i+1. The state
-    after row i is that row, mapped to {E so far: partial arrays weighted by
-    their fiber size so far}; lambda is field 0, so E is already a SparsePoly
-    key. Row i's successors come from the color inequalities
-    (arrays._row_assignments). States are dropped as they are consumed, and
-    the live term count is checked against the budget after every row.
+    of both (arrays._row_fiber) depends only on rows i and i+1; lambda is
+    field 0, so E is already a SparsePoly key.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for i in range(n, 0, -1):
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        while states:
-            below, weights = states.popitem()
-            for row in _row_assignments(i, SORTED_COLORS, below):
-                e, ways = _row_fiber(row, below)
-                acc = nxt.setdefault(row, {})
-                get = acc.get
-                for k, c in weights.items():
-                    k += e
-                    acc[k] = get(k, 0) + c * ways
-        states = nxt
-        guard(sum(map(len, states.values())), "transfer terms")
-    terms: dict[int, int] = {}
-    for weights in states.values():
-        for k, c in weights.items():
-            terms[k] = terms.get(k, 0) + c
-    return SparsePoly._make(terms)
+    return SparsePoly._make(_row_transfer(n, SORTED_COLORS, _row_fiber))
 
 
 def pairwise_product(n: int) -> SparsePoly:
@@ -265,7 +244,7 @@ def pairwise_product(n: int) -> SparsePoly:
 
 
 def schur_expansion_rhs(n: int) -> SparsePoly:
-    """Sum over Y_n({g,y,o}) of prod_k x_k^(C_k - 1), by diagonal transfer."""
+    """Sum over Y_n({g,y,o}) of prod_k x_k^(C_k - 1), by row transfer."""
     return value_count_gf(n, SCHUR_COLORS, equalities=False)
 
 

@@ -21,10 +21,13 @@ monomials by total degree, then lambda exponent, then the x exponent tuple
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
 from functools import reduce
 from math import comb
 from operator import or_
+
+from .poset import json_int
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -335,13 +338,18 @@ class SparsePoly(_Poly):
 
     @classmethod
     def from_json_obj(cls, obj) -> SparsePoly:
+        """Read to_json_obj's format; exponents must be JSON integers, and a
+        coefficient a decimal string or a JSON integer."""
         terms: dict[Monomial, int] = {}
         for item in obj:
             mono = (
-                int(item.get("lambda", 0)),
-                tuple(sorted((int(k), int(e)) for k, e in item.get("x", {}).items())),
+                json_int(item.get("lambda", 0)),
+                tuple(sorted((int(k), json_int(e)) for k, e in item.get("x", {}).items())),
             )
-            terms[mono] = terms.get(mono, 0) + int(item["coeff"])
+            c = item["coeff"]
+            if type(c) is str and re.fullmatch(r"-?[0-9]+", c):
+                c = int(c)
+            terms[mono] = terms.get(mono, 0) + json_int(c)
         return cls(terms)
 
     def __repr__(self) -> str:

@@ -73,7 +73,7 @@ def principal_specialization(poly: SparsePoly) -> QPoly:
 
 
 def array_transfer_rank_gf(n: int, colors) -> QPoly:
-    """sum q^weight over Y_n(S) by the diagonal value-count transfer, which
+    """sum q^weight over Y_n(S) by the row value-count transfer, which
     shares no code with the frontier DP: the value-count sum at
     x_k = q^(k-1), lowered by q^C(n,3).
 

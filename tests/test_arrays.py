@@ -116,17 +116,19 @@ def test_validate_enumeration_and_transfer_agree_with_brute_force():
 
 
 def test_row_successors_walk_the_sorted_arrays():
-    def walk(i, rows):  # rows holds rows i+1..n, top first
+    def walk(i, rows, colors):  # rows holds rows i+1..n, top first
         if i == 0:
             yield StaircaseArray(rows)
             return
-        for row in _row_assignments(i, SORTED_COLORS, rows[0] if rows else ()):
-            yield from walk(i - 1, [row] + rows)
+        for row in _row_assignments(i, colors, rows[0] if rows else ()):
+            yield from walk(i - 1, [row] + rows, colors)
 
-    for n in range(1, 6):
-        walked = list(walk(n, []))
+    cases = [(n, SORTED_COLORS) for n in range(1, 6)]
+    cases += [(n, s) for n in range(1, 5) for s in all_admissible_sets() if Color.GREEN in s]
+    for n, colors in cases:
+        walked = list(walk(n, [], colors))
         assert len(walked) == len(set(walked))
-        assert set(walked) == set(enumerate_arrays(n, SORTED_COLORS))
+        assert set(walked) == set(enumerate_arrays(n, colors))
 
 
 def test_enumeration_first_is_minimal_and_deterministic():

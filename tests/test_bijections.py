@@ -203,6 +203,18 @@ def test_tournament_json_round_trip():
     assert eval(repr(t)) == t
 
 
+def test_tournament_rejects_non_integers():
+    for n, winners in [
+        (2.7, {(1, 2): 1}),
+        (2.0, {(1, 2): 1}),
+        (True, {}),
+        (2, {(1, 2): 2.0}),
+        (2, {(1, 2): True}),
+    ]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            Tournament(n, winners)
+
+
 def test_unique_smallest_tsscpp():
     (t,) = enumerate_tsscpps(1)
     assert t == Tsscpp([[2, 1], [1, 0]])

@@ -154,6 +154,26 @@ def test_sparse_json_round_trip():
     assert all(isinstance(item["coeff"], str) for item in blob)
 
 
+def test_sparse_json_rejects_non_integers():
+    assert SparsePoly.from_json_obj([{"lambda": 1, "x": {"2": 3}, "coeff": 5}]) == 5 * (
+        SparsePoly.lam() * SparsePoly.x(2, 3)
+    )
+    bad = [
+        {"lambda": 1.7, "coeff": "1"},
+        {"lambda": True, "coeff": "1"},
+        {"x": {"2": True}, "coeff": "1"},
+        {"x": {"2": 1.0}, "coeff": "1"},
+        {"coeff": 2.9},
+        {"coeff": False},
+        {"coeff": "2.9"},
+        {"coeff": " 2"},
+        {"lambda": 1.7, "x": {"2": True}, "coeff": 2.9},
+    ]
+    for item in bad:
+        with pytest.raises(ValueError, match="expected an integer"):
+            SparsePoly.from_json_obj([item])
+
+
 def test_monomial_order_is_graded():
     p = SparsePoly.x(2) + SparsePoly.lam() * SparsePoly.x(1, 2) + SparsePoly.constant(5)
     degrees = [lam + sum(e for _, e in xs) for lam, xs in p.monomials()]
