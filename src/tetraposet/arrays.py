@@ -55,7 +55,7 @@ class Rows:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(map(tuple, rows))
         self._check(rows)
         object.__setattr__(self, "rows", rows)
 

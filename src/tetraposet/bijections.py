@@ -11,14 +11,21 @@ model, and array families are told apart by which color inequalities hold.
     sorted tournament arrays     Y_n({b, r, g, y})
 
 Converting an array into a family it does not belong to raises
-FamilyMismatch, which callers can distinguish from malformed input.
+FamilyMismatch, which callers can distinguish from malformed input. Every
+conversion builds its result through the family's checked constructor.
+
+The array of a plane partition records its fundamental wedge, and
+array_to_tsscpp fills the 2n x 2n height matrix block by block from it
+with O(n^2 log n) lookups. A monotone triangle read bottom row first is the
+transpose of its array.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from itertools import product
+from itertools import accumulate, compress, product, zip_longest
+from operator import sub
 
 from .arrays import (
     ASM_COLORS,
@@ -167,7 +174,8 @@ class Tournament:
         expected = games(n)
         if set(wmap) != set(expected):
             raise ValueError("winners must cover exactly the games of 1..n")
-        for (i, j), w in wmap.items():
+        for game, w in wmap.items():
+            i, j = (json_int(c) for c in game)
             if json_int(w) not in (i, j):
                 raise ValueError(f"winner of game {i} vs {j} must be one of them")
         object.__setattr__(self, "n", n)
@@ -227,47 +235,44 @@ class Tournament:
 
 def asm_to_mt(a: Asm) -> MonotoneTriangle:
     """Row i of the triangle lists the columns whose first i partial sums are 1."""
-    n = a.n
-    rows = []
-    sums = [0] * n
-    for i in range(n):
-        for j in range(n):
-            sums[j] += a.rows[i][j]
-        rows.append(tuple(j + 1 for j in range(n) if sums[j] == 1))
-    return MonotoneTriangle(rows)
+    partial_sums = zip(*(accumulate(column) for column in zip(*a.rows)))
+    columns = range(1, a.n + 1)
+    return MonotoneTriangle(tuple(compress(columns, sums)) for sums in partial_sums)
 
 
 def mt_to_asm(mt: MonotoneTriangle) -> Asm:
+    """Row i of the matrix is the indicator of triangle row i minus that of
+    row i - 1."""
     n = mt.n
     rows = []
-    prev: set[int] = set()
-    for i in range(n):
-        cur = set(mt.rows[i])
-        rows.append(
-            tuple((1 if j in cur else 0) - (1 if j in prev else 0) for j in range(1, n + 1))
-        )
+    prev = [0] * n
+    for row in mt.rows:
+        cur = [0] * n
+        for j in row:
+            cur[j - 1] = 1
+        rows.append(tuple(map(sub, cur, prev)))
         prev = cur
     return Asm(rows)
 
 
+def _staircase_columns(rows) -> list[tuple[int, ...]]:
+    """The columns of a staircase whose rows have lengths n, n-1, ..., 1;
+    column j has n - j entries, so the columns form the same shape."""
+    n = len(rows)
+    return [column[: n - j] for j, column in enumerate(zip_longest(*rows))]
+
+
 def mt_to_array(mt: MonotoneTriangle) -> StaircaseArray:
-    """x_{i,j} = entry i of triangle row n-j; strict rows become the strict
-    column condition and the interlacing becomes the yellow and blue bounds."""
-    n = mt.n
-    return StaircaseArray(
-        tuple(
-            tuple(mt.rows[n - j - 1][i - 1] for j in range(n - i + 1))
-            for i in range(1, n + 1)
-        )
-    )
+    """x_{i,j} = entry i of triangle row n-j: the array is the transpose of
+    the triangle read bottom row first. Strict rows become the strict column
+    condition and the interlacing becomes the yellow and blue bounds."""
+    return StaircaseArray(_staircase_columns(mt.rows[::-1]))
 
 
 def array_to_mt(x: StaircaseArray) -> MonotoneTriangle:
+    """Triangle row i is array column n-i read down its i entries."""
     require_family(x, ASM_COLORS)
-    n = x.n
-    return MonotoneTriangle(
-        tuple(tuple(x.entry(j, n - i) for j in range(1, i + 1)) for i in range(1, n + 1))
-    )
+    return MonotoneTriangle(_staircase_columns(x.rows)[::-1])
 
 
 def asm_to_array(a: Asm) -> StaircaseArray:
@@ -303,41 +308,56 @@ def array_to_tournament(x: StaircaseArray) -> Tournament:
     return Tournament(n, winners)
 
 
-def _wedge_heights(x: StaircaseArray) -> dict[tuple[int, int], int]:
-    """Heights t_{a,b} on the wedge n+1 <= b <= a <= 2n read off the array."""
+def _wedge_heights(x: StaircaseArray) -> list[list[int]]:
+    """The heights t_{a,b} on the block n+1 <= a, b <= 2n, as the symmetric
+    n x n matrix w[a-n-1][b-n-1]. Cell (i, j) gives the wedge entry
+    t_{2n-j, 2n-j+1-i} = x_{i,j} - i and its mirror."""
     n = x.n
-    heights = {}
-    for i, j, v in x.cells():
-        heights[(2 * n - j, 2 * n - j + 1 - i)] = v - i
-    return heights
+    w = [[0] * n for _ in range(n)]
+    for r, row in enumerate(x.rows):  # r = i - 1
+        for j, v in enumerate(row):
+            p, q = n - 1 - j, n - 1 - j - r
+            w[p][q] = w[q][p] = v - r - 1
+    return w
 
 
 def array_to_tsscpp(x: StaircaseArray) -> Tsscpp:
     """Grow the full plane partition back from its fundamental wedge.
 
-    A triple whose two largest coordinates both exceed n is classified by the
-    wedge directly (coordinate permutations do not change membership); every
-    other triple has two coordinates at most n, so its complementary triple is
-    wedge-classified and self-complementarity decides it.
+    Cell (a, b, c) lies in the partition iff c <= t_{a,b}, and membership
+    does not change when the coordinates are permuted. A triple whose two
+    largest coordinates exceed n lies in it iff its smallest is at most the
+    wedge height at the two largest. Every other triple has two coordinates
+    at most n, so its complement (2n+1-a, 2n+1-b, 2n+1-c) is classified that
+    way, and the triple lies in the partition iff its complement does not.
+    Counting the c of each column (a, b) gives three blocks:
+
+    - a, b > n: t_{a,b} is the wedge height h, since h <= n - 1 < b rules
+      out every c > b.
+    - a > n >= b: c > n counts when b <= t_{a,c}, and c <= n counts when
+      2n+1-a > t_{2n+1-b,2n+1-c}. Both are counts over one sorted wedge row,
+      found by bisection. The block b > n >= a is the transpose.
+    - a, b <= n: t_{a,b} = 2n - t_{2n+1-a,2n+1-b} by complementation.
+
+    Checks the family, the Tsscpp invariants and that the wedge reads back.
     """
     require_family(x, TSSCPP_COLORS)
     n = x.n
-    size = 2 * n
-    heights = _wedge_heights(x)
-
-    def member(a: int, b: int, c: int) -> bool:
-        big, mid, small = sorted((a, b, c), reverse=True)
-        if mid >= n + 1:
-            return small <= heights[(big, mid)]
-        return not member(size + 1 - a, size + 1 - b, size + 1 - c)
-
-    rows = tuple(
-        tuple(
-            sum(1 for c in range(1, size + 1) if member(a, b, c))
-            for b in range(1, size + 1)
-        )
-        for a in range(1, size + 1)
-    )
+    w = _wedge_heights(x)
+    ranked = [sorted(row) for row in w]
+    # mixed[p][b-1] = t_{n+1+p, b} for b = 1..n
+    mixed = [
+        [
+            n - bisect_right(ranked[p], b) + bisect_left(ranked[n - 1 - b], n - p)
+            for b in range(n)
+        ]
+        for p in range(n)
+    ]
+    rows = [
+        [2 * n - v for v in reversed(w[n - 1 - a])] + [m[a] for m in mixed]
+        for a in range(n)
+    ]
+    rows += [m + wp for m, wp in zip(mixed, w)]
     t = Tsscpp(rows)
     if tsscpp_to_array(t) != x:
         raise RuntimeError("wedge does not read back from the rebuilt cube")

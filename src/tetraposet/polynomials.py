@@ -268,6 +268,13 @@ def _unpack(key: int) -> Monomial:
     return (key & _MASK, tuple((k, e) for k in fields if (e := key >> k * FIELD & _MASK)))
 
 
+def _json_index(key) -> int:
+    """An x index as to_json_obj writes it: a string of decimal digits."""
+    if type(key) is not str or not re.fullmatch("[0-9]+", key):
+        raise ValueError(f"expected an integer, got {key!r}")
+    return int(key)
+
+
 class SparsePoly(_Poly):
     """Sparse polynomial in lambda and the variables x_1, x_2, ..."""
 
@@ -338,13 +345,14 @@ class SparsePoly(_Poly):
 
     @classmethod
     def from_json_obj(cls, obj) -> SparsePoly:
-        """Read to_json_obj's format; exponents must be JSON integers, and a
-        coefficient a decimal string or a JSON integer."""
+        """Read to_json_obj's format; exponents must be JSON integers, an x
+        index a string of decimal digits, and a coefficient a decimal string
+        or a JSON integer."""
         terms: dict[Monomial, int] = {}
         for item in obj:
             mono = (
                 json_int(item.get("lambda", 0)),
-                tuple(sorted((int(k), json_int(e)) for k, e in item.get("x", {}).items())),
+                tuple(sorted((_json_index(k), json_int(e)) for k, e in item.get("x", {}).items())),
             )
             c = item["coeff"]
             if type(c) is str and re.fullmatch(r"-?[0-9]+", c):

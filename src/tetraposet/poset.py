@@ -11,6 +11,11 @@ step vectors generate the cover relations:
 A color set S keeps only the edges of those colors. Order ideals of the
 resulting poset are the central objects: their counts and rank generating
 functions specialize to many classical product formulas.
+
+When green is in S, an ideal is read as a staircase array: vertex
+(c1, c2, c3) is level c2 of the green chain of array cell (c1+1, n-1-c1-c3).
+array_to_ideal takes each cell's chain from a per-n table, so the ideals it
+returns share their vertex tuples with T_n.
 """
 
 from __future__ import annotations
@@ -45,6 +50,16 @@ def _vertices(n: int) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _green_chains(n: int) -> tuple[tuple[tuple[Vertex, ...], ...], ...]:
+    """[i-1][j] = the green chain (i-1, c2, n-i-j), c2 = 0..j-1, of array
+    cell (i, j), bottom up, made of the vertex tuples of _vertices(n)."""
+    chains: list[list[list[Vertex]]] = [[[] for _ in range(n - r)] for r in range(n)]
+    for v in _vertices(n):  # sorted, so each chain fills bottom up
+        chains[v[0]][n - 1 - v[0] - v[2]].append(v)
+    return tuple(tuple(map(tuple, row)) for row in chains)
+
+
 def _edges_for(n: int) -> dict[Color, tuple[tuple[Vertex, Vertex], ...]]:
     """The edges of every color in T_n, as (lower, upper) pairs."""
     vset = set(_vertices(n))
@@ -67,7 +82,7 @@ class Subposet:
     the same edge lists but reads each edge in reverse.
     """
 
-    __slots__ = ("n", "colors", "vertices", "edges", "is_dual")
+    __slots__ = ("n", "colors", "vertices", "edges", "is_dual", "_lower")
 
     def __init__(
         self,
@@ -82,6 +97,7 @@ class Subposet:
         self.vertices = vertices
         self.edges = edges
         self.is_dual = is_dual
+        self._lower: dict[Vertex, tuple[Vertex, ...]] | None = None
 
     def covers(self):
         """Yield (lower, upper) cover pairs in canonical color order."""
@@ -134,13 +150,22 @@ class Subposet:
         return tuple(comps)
 
     def is_ideal(self, members) -> bool:
-        """True iff the member set is downward closed."""
-        mset = set(members)
-        if not mset <= set(self.vertices):
-            return False
-        for v, w in self.covers():
-            if w in mset and v not in mset:
+        """True iff every member is a vertex and its lower covers are members.
+
+        The map vertex -> lower covers is built on the first call and kept;
+        dual() and components() return new subposets with their own.
+        """
+        if self._lower is None:
+            self._lower = self.predecessors()
+        lower = self._lower
+        mset = members if isinstance(members, (set, frozenset)) else set(members)
+        for w in mset:
+            below = lower.get(w)
+            if below is None:
                 return False
+            for v in below:
+                if v not in mset:
+                    return False
         return True
 
     def __repr__(self) -> str:
@@ -229,11 +254,16 @@ def ideal_to_array(ideal: OrderIdeal):
 
 def array_to_ideal(x) -> OrderIdeal:
     """Inverse of ideal_to_array: cell (i, j) holds the bottom x_{i,j} - i
-    levels of its green chain."""
+    levels of its green chain, whose vertex tuples come from a per-n table
+    rather than being built anew for every ideal."""
     n = x.n
+    chains = _green_chains(n)
     # a frozenset copied from a set is sized to fit; one grown from a
     # generator keeps the slack of its last resize
-    members = {(i - 1, c2, n - i - j) for i, j, v in x.cells() for c2 in range(v - i)}
+    members: set[Vertex] = set()
+    for r, row in enumerate(x.rows):  # r = i - 1
+        for j, v in enumerate(row):
+            members.update(chains[r][j][: v - r - 1])
     return OrderIdeal(n, frozenset(members))
 
 

@@ -96,6 +96,35 @@ def enumerated_tsscpp_lambda_count(n: int) -> SparsePoly:
     return SparsePoly._make(terms)
 
 
+def member_tsscpp_rows(x) -> tuple[tuple[int, ...], ...]:
+    """Oracle for array_to_tsscpp: the height matrix of the plane partition
+    whose fundamental wedge the array x records, found by classifying every
+    triple (a, b, c) of the 2n cube.
+
+    A triple whose two largest coordinates exceed n lies in the partition iff
+    its smallest is at most the wedge height t_{2n-j, 2n-j+1-i} = x_{i,j} - i
+    at the two largest; any other triple lies in it iff its complement
+    (2n+1-a, 2n+1-b, 2n+1-c), which is classified that way, does not.
+    """
+    n = x.n
+    size = 2 * n
+    heights = {(2 * n - j, 2 * n - j + 1 - i): v - i for i, j, v in x.cells()}
+
+    def member(a: int, b: int, c: int) -> bool:
+        big, mid, small = sorted((a, b, c), reverse=True)
+        if mid >= n + 1:
+            return small <= heights[(big, mid)]
+        return not member(size + 1 - a, size + 1 - b, size + 1 - c)
+
+    return tuple(
+        tuple(
+            sum(1 for c in range(1, size + 1) if member(a, b, c))
+            for b in range(1, size + 1)
+        )
+        for a in range(1, size + 1)
+    )
+
+
 def value_counts(x) -> dict[int, int]:
     """Map k -> number of entries of the staircase array x equal to k,
     counting the pinned first column."""

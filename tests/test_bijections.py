@@ -8,6 +8,7 @@ import pytest
 from tetraposet import (
     SORTED_COLORS,
     TOURNAMENT_COLORS,
+    TSSCPP_COLORS,
     Asm,
     FamilyMismatch,
     MonotoneTriangle,
@@ -34,7 +35,7 @@ from tetraposet import (
     validate,
 )
 
-from conftest import TOURNAMENT_ARRAYS_3
+from conftest import TOURNAMENT_ARRAYS_3, member_tsscpp_rows
 
 
 def test_worked_example_asm_chain(asm4_rows, mt4_rows, array4_rows):
@@ -210,6 +211,9 @@ def test_tournament_rejects_non_integers():
         (True, {}),
         (2, {(1, 2): 2.0}),
         (2, {(1, 2): True}),
+        (2, {(1.0, 2): 1}),
+        (2, {(True, 2): 1}),
+        (2, {(1, 2.0): 2}),
     ]:
         with pytest.raises(ValueError, match="expected an integer"):
             Tournament(n, winners)
@@ -242,6 +246,20 @@ def test_tsscpp_round_trip_exhaustive():
             x = tsscpp_to_array(t)
             assert validate(x, "gyor")
             assert array_to_tsscpp(x) == t
+
+
+def test_wedge_fill_matches_triple_classification():
+    for n in (1, 2, 3, 4, 5):
+        count = 0
+        for x in enumerate_arrays(n, TSSCPP_COLORS):
+            assert array_to_tsscpp(x).rows == member_tsscpp_rows(x), x
+            count += 1
+        assert count == asm_number(n)
+    # green, yellow and orange hold but red fails: not a TSSCPP array
+    x = StaircaseArray([[1, 1, 1], [2, 3], [3]])
+    assert validate(x, "gyo") and not validate(x, "gr")
+    with pytest.raises(FamilyMismatch):
+        array_to_tsscpp(x)
 
 
 def test_tournament_round_trip_exhaustive():

@@ -158,6 +158,7 @@ def test_sparse_json_rejects_non_integers():
     assert SparsePoly.from_json_obj([{"lambda": 1, "x": {"2": 3}, "coeff": 5}]) == 5 * (
         SparsePoly.lam() * SparsePoly.x(2, 3)
     )
+    assert SparsePoly.from_json_obj([{"x": {"02": 1}, "coeff": "3"}]) == 3 * SparsePoly.x(2)
     bad = [
         {"lambda": 1.7, "coeff": "1"},
         {"lambda": True, "coeff": "1"},
@@ -168,6 +169,10 @@ def test_sparse_json_rejects_non_integers():
         {"coeff": "2.9"},
         {"coeff": " 2"},
         {"lambda": 1.7, "x": {"2": True}, "coeff": 2.9},
+    ]
+    bad += [
+        {"x": {key: 1}, "coeff": "3"}
+        for key in [" +2", "+2", "2 ", "-2", "2.0", "", "\u00b2", 2, True]
     ]
     for item in bad:
         with pytest.raises(ValueError, match="expected an integer"):

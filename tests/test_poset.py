@@ -196,10 +196,45 @@ def test_ideal_maps_match_chain_walk():
 
 def test_ideal_to_array_rejects_non_vertices():
     # T_3 has the vertices with nonnegative coordinates summing to at most 1
-    for member in [(-1, 0, 0), (0, -1, 1), (0, 0, -1), (0, 0, 2), (1, 1, 0)]:
-        ideal = OrderIdeal(3, frozenset({(0, 0, 0), member}))
-        with pytest.raises(ValueError, match=re.escape(f"{member} is not a vertex of T_3")):
+    cases = [(3, m) for m in [(-1, 0, 0), (0, -1, 1), (0, 0, -1), (0, 0, 2), (1, 1, 0)]]
+    for n in (2, 4):
+        top = (0, 0, n - 1)  # a vertex of T_{n+1}
+        assert top in build(n + 1).vertices
+        cases += [(n, m) for m in [top, (0, -1, 0), (-1, 0, 1)]]
+    for n, member in cases:
+        assert member not in build(n).vertices
+        ideal = OrderIdeal(n, frozenset({(0, 0, 0), member}))
+        with pytest.raises(ValueError, match=re.escape(f"{member} is not a vertex of T_{n}")):
             ideal_to_array(ideal)
+
+
+def uncached_is_ideal(p, members):
+    """The cover rule, evaluated afresh: members are vertices, and no cover
+    leads from a non-member up to a member."""
+    mset = set(members)
+    return mset <= set(p.vertices) and not any(
+        w in mset and v not in mset for v, w in p.covers()
+    )
+
+
+def test_is_ideal_cache_agrees_with_cover_rule():
+    for n, colors in [(3, "rbgoys"), (4, "g"), (4, "rbg"), (4, "bgoy"), (4, "rgoy")]:
+        p = build(n).subposet(colors)
+        p.is_ideal(())  # fill the caches before deriving new subposets
+        d = p.dual()
+        d.is_ideal(())
+        for q in (p, d, *p.components(), *d.components()):
+            lower = q.predecessors()
+            minimal = {v for v in q.vertices if not lower[v]}
+            cases = []
+            for ideal in enumerate_ideals(q):
+                cases.append(ideal.members)
+                cases += [ideal.members - {v} for v in ideal.members & minimal]
+            cases += [{(0, 0, n - 1)}, {(-1, 0, 0)}, set(build(n).vertices)]
+            assert any(not uncached_is_ideal(q, m) for m in cases)
+            for members in cases:
+                assert q.is_ideal(members) == uncached_is_ideal(q, members), (q, members)
+                assert q.is_ideal(list(members)) == uncached_is_ideal(q, members)
 
 
 def test_dot_output_shape():
