@@ -98,12 +98,18 @@ class MonotoneTriangle(Rows):
                 if j and row[j - 1] >= v:
                     raise ValueError(f"row {i} is not strictly increasing")
             if i < n:
+                # A short next row ends the interlace reads with the length
+                # message that row would get; a failed interlace before the
+                # short index is still reported first.
                 below = rows[i]
-                for j, v in enumerate(row):
-                    if not below[j] <= v <= below[j + 1]:
-                        raise ValueError(
-                            f"row {i} does not interlace row {i + 1}"
-                        )
+                try:
+                    for j, v in enumerate(row):
+                        if not below[j] <= v <= below[j + 1]:
+                            raise ValueError(
+                                f"row {i} does not interlace row {i + 1}"
+                            )
+                except IndexError:
+                    raise ValueError(f"row {i + 1} must have {i + 1} entries") from None
         if rows[-1] != tuple(range(1, n + 1)):
             raise ValueError("bottom row must be 1..n")
 

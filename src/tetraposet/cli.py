@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid input, 3 no formula available,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -184,7 +185,10 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later main call in the process. It holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="tetraposet",
         description="Tetrahedral poset order ideals: counting, bijections, "
@@ -227,8 +231,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NoFormula as exc:

@@ -74,6 +74,14 @@ def test_mt_rejects_invalid():
         MonotoneTriangle([[3], [1, 2]])
     with pytest.raises(ValueError):
         MonotoneTriangle([[1], [1, 3]])
+    # a short next row gets its length message, unless an interlace read
+    # before the short index fails first
+    with pytest.raises(ValueError, match="row 2 must have 2 entries"):
+        MonotoneTriangle([[1], [1]])
+    with pytest.raises(ValueError, match="row 3 must have 3 entries"):
+        MonotoneTriangle([[2], [1, 3], [1]])
+    with pytest.raises(ValueError, match="row 1 does not interlace row 2"):
+        MonotoneTriangle([[1], [2]])
 
 
 def test_tsscpp_rejects_invalid():

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -283,6 +284,16 @@ def test_convert_stdin(capsys, monkeypatch, asm4_rows, mt4_rows):
     assert json.loads(out) == mt4_rows
 
 
+def test_convert_short_mt_row_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[1],[1]]"))
+    code, out, err = run_cli(
+        capsys, "convert", "--from", "mt", "--to", "asm", "--input", "-"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: row 2 must have 2 entries\n"
+    assert "Traceback" not in err
+
+
 def test_convert_array_to_ideal_and_back(capsys, tmp_path, array4_rows):
     path = tmp_path / "x.json"
     path.write_text(json.dumps(array4_rows))
@@ -427,3 +438,48 @@ def test_seed_list_arrays_round_trip(capsys):
         x = ideal_to_array(ideal)
         assert isinstance(x, StaircaseArray)
         assert validate(x, "gybo")
+
+
+def main_outcomes(capsys, monkeypatch, calls):
+    """(exit code, stdout, stderr) of cli.main on each (argv, stdin) in turn,
+    in one process; an argparse exit counts by its SystemExit code and the
+    verify elapsed_ms field is zeroed."""
+    outcomes = []
+    for argv, stdin in calls:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        out = re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out)
+        outcomes.append((code, out, err))
+    return outcomes
+
+
+def test_cached_parser_matches_a_fresh_parser(capsys, monkeypatch, asm4_rows):
+    calls = [
+        (["count", "--n", "x"], ""),
+        (["count", "--n", "4", "--colors", "gybo", "--q"], ""),
+        (["count", "--n", "4", "--colors", "gybo"], ""),
+        (["verify", "--identity", "rr", "--n", "3"], ""),
+        (["convert", "--from", "asm", "--to", "mt", "--input", "-"], json.dumps(asm4_rows)),
+        (["count", "--help"], ""),
+    ]
+    cached = main_outcomes(capsys, monkeypatch, calls + calls)
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    fresh = main_outcomes(capsys, monkeypatch, calls)
+    assert cached == fresh + fresh
+    assert fresh[0][0] == ("SystemExit", 2)
+    assert "argument --n: invalid int value: 'x'" in fresh[0][2]
+    assert fresh[2][1] == "42\n"
+    assert [code for code, _, _ in fresh[1:5]] == [0, 0, 0, 0]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert cli.main(["count", "--n", "2", "--colors", "g"]) == 0
+    assert capsys.readouterr().out == "2\n" * 3
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

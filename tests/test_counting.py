@@ -113,6 +113,22 @@ def test_unformula_pair_regression_n9():
     assert bgs == rgy.reversed_poly(comb(10, 3))
 
 
+def test_formula_free_five_color_sets():
+    # bgoys and rbgoy are dual, rbgys is self-dual; no closed formula is known
+    pair = [1, 2, 6, 26, 162, 1450, 18626, 343210]
+    self_dual = [1, 2, 6, 28, 202, 2252, 38756, 1028964]
+    for n in range(1, 9):
+        p = build(n)
+        top = comb(n + 1, 3)
+        bgoys = rank_gf(p.subposet("bgoys"))
+        rbgoy = rank_gf(p.subposet("rbgoy"))
+        rbgys = rank_gf(p.subposet("rbgys"))
+        assert bgoys(1) == rbgoy(1) == pair[n - 1]
+        assert rbgoy == bgoys.reversed_poly(top)
+        assert rbgys(1) == self_dual[n - 1]
+        assert rbgys == rbgys.reversed_poly(top)
+
+
 def test_enumerate_ideals_matches_count_and_is_deterministic():
     p = build(4).subposet("gyor")
     ideals = list(enumerate_ideals(p))
