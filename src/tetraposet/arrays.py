@@ -4,12 +4,14 @@ An order-n staircase array has rows i = 1..n, row i holding entries
 x_{i,j} for j = 0..n-i, with i <= x_{i,j} <= i+j. The j = 0 column is pinned
 to x_{i,0} = i. Each entry x_{i,j} with j >= 1 records the induced ideal size
 of a j-element green chain, which is why every array family here assumes
-green. The remaining colors impose one local inequality each, and
-INEQUALITIES below is the single place they are written down: validate, the
-enumeration bounds and the row transfer are all derived from it. Each
-inequality joins a cell to its own row or the row below, so every array sum
-whose weights are local to two rows runs as one transfer over the rows
-(_row_transfer).
+green. The remaining colors impose one local inequality each. INEQUALITIES
+below derives them from the lattice steps in colors.STEP through the vertex
+to cell map, and validate and the row successors (_row_assignments) are
+derived from it. Each inequality joins a cell to its own row or the row
+below, so one row successor serves every job: every array sum whose weights
+are local to two rows runs as one transfer over the rows (_row_transfer),
+and enumerate_arrays and the sorting fibers (enumerate_row_shuffles) walk
+the same successors depth first (_walk_rows).
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 """
@@ -18,11 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from itertools import chain, combinations, product
 from math import comb
 
 from .budget import guard
-from .colors import Color, require_admissible
+from .colors import STEP, Color, require_admissible
 from .counting import Plan, _fillings, count_ideals, rank_gf
 from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term
 from .poset import build, json_int
@@ -33,13 +34,12 @@ ASM_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.BLUE})
 SORTED_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN, Color.YELLOW})
 
 #: color -> (di, dj, slack): x_{i,j} <= x_{i+di,j+dj} + slack wherever both
-#: cells exist.
+#: cells exist. Vertex (c1, c2, c3) is level c2 of cell (c1+1, n-1-c1-c3), so an
+#: edge v -> v + (a, b, c) joins level c2 of cell (i, j) to level c2 + b of
+#: cell (i+a, j-a-c), and an ideal holding the upper level holds the lower one.
+#: Green, (0, 1, 0), stacks the levels of one cell and is the array itself.
 INEQUALITIES = {
-    Color.ORANGE: (1, 0, -1),  # strict down a column
-    Color.RED: (-1, 1, 1),  # northeast neighbor drops by at most 1
-    Color.YELLOW: (0, 1, 0),  # weakly increasing along a row
-    Color.BLUE: (1, -1, 0),  # bounded by the southwest neighbor
-    Color.SILVER: (0, -1, 1),  # west neighbor rises by at most 1
+    color: (-a, a + c, a + b) for color, (a, b, c) in STEP.items() if color is not Color.GREEN
 }
 
 Cell = tuple[int, int]
@@ -174,28 +174,25 @@ def validate(x: StaircaseArray, colors) -> bool:
     return True
 
 
-def _plan(order: list[Cell], colors: frozenset[Color]) -> Plan:
-    """For cells placed in the given order: each cell's range i..i+j and its
-    (lower, upper) bounds as (position, delta) against earlier cells."""
+@lru_cache(maxsize=None)
+def _row_plan(i: int, width: int, colors: frozenset[Color]) -> Plan:
+    """The plan for row i, west to east, after the `width` cells of row i+1:
+    each cell's range i..i+j and its (lower, upper) bounds as (position,
+    delta) against earlier cells."""
+    order = [(i + 1, j) for j in range(width)] + [(i, j) for j in range(width + 1)]
     pos = {cell: t for t, cell in enumerate(order)}
     plan = []
-    for t, (i, j) in enumerate(order):
-        lower, upper = _bounds(colors, i, j, lambda ii, jj: pos.get((ii, jj), t) < t)
+    for t, (ii, j) in enumerate(order):
+        lower, upper = _bounds(colors, ii, j, lambda ci, cj: pos.get((ci, cj), t) < t)
         plan.append(
             (
-                i,
-                i + j,
+                ii,
+                ii + j,
                 tuple((pos[cell], delta) for cell, delta in lower),
                 tuple((pos[cell], delta) for cell, delta in upper),
             )
         )
     return tuple(plan)
-
-
-@lru_cache(maxsize=None)
-def _row_plan(i: int, width: int, colors: frozenset[Color]) -> Plan:
-    """The plan for row i, west to east, after the `width` cells of row i+1."""
-    return _plan([(i + 1, j) for j in range(width)] + [(i, j) for j in range(width + 1)], colors)
 
 
 def _row_assignments(i: int, colors: frozenset[Color], below: Row) -> list[Row]:
@@ -208,6 +205,28 @@ def _row_assignments(i: int, colors: frozenset[Color], below: Row) -> list[Row]:
     width = len(below)
     vals = list(below) + [0] * (width + 1)
     return [tuple(vals[width:]) for _ in _fillings(_row_plan(i, width, colors), vals, width)]
+
+
+def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Iterator[list[Row]]:
+    """Every array whose row i is one of successors(i, row i+1), depth first
+    from row n (over the empty row) up to row 1, taking the candidates in
+    their given order. Yields one list, rows[i-1] = row i, reused on every
+    yield."""
+    rows: list[Row] = [()] * n
+    todo: list[Iterator[Row]] = [iter(())] * (n + 1)  # rows left to try
+    i = n
+    todo[n] = iter(successors(n, ()))
+    while i <= n:
+        row = next(todo[i], None)
+        if row is None:
+            i += 1
+        elif i > 1:
+            rows[i - 1] = row
+            i -= 1
+            todo[i] = iter(successors(i, row))
+        else:
+            rows[0] = row
+            yield rows
 
 
 def _row_transfer(
@@ -296,23 +315,12 @@ def count_arrays(n: int, colors) -> int:
     return count_ideals(build(n).subposet(_require_green(n, colors)))
 
 
-@lru_cache(maxsize=None)
-def _array_plan(n: int, colors: frozenset[Color]) -> Plan:
-    return _plan([(i, j) for i in range(n, 0, -1) for j in range(n - i + 1)], colors)
-
-
 def enumerate_arrays(n: int, colors) -> Iterator[StaircaseArray]:
     """Yield Y_n(S) in deterministic order (rows bottom-up, values ascending)."""
     colorset = _require_green(n, colors)
     guard(count_arrays(n, colorset), "arrays")
-    plan = _array_plan(n, colorset)
-    vals = [0] * len(plan)
-    # row i occupies positions starts[i-1] .. starts[i-1] + n-i of vals
-    starts = [(n - i) * (n - i + 1) // 2 for i in range(1, n + 1)]
-    for _ in _fillings(plan, vals, 0):
-        yield StaircaseArray(
-            tuple(vals[s : s + n - i + 1]) for i, s in enumerate(starts, start=1)
-        )
+    for rows in _walk_rows(n, lambda i, below: _row_assignments(i, colorset, below)):
+        yield StaircaseArray(rows)
 
 
 def sort_to_tsscpp(beta: StaircaseArray) -> StaircaseArray:
@@ -333,22 +341,16 @@ def sort_to_tsscpp(beta: StaircaseArray) -> StaircaseArray:
     return result
 
 
-def _row_equalities(row: Row, below: Row) -> dict[int, int]:
-    """For row i over row i+1, the map v -> E_{i,v}: the cells of row i equal
-    to v and to their southwest neighbor."""
+def _row_fiber(row: Row, below: Row) -> tuple[int, int]:
+    """Row i's share of the sorting fiber over row i+1: (E_i, the product over
+    values v of binomial(C_{i+1,v}, E_{i,v})). E_{i,v} counts the cells of row
+    i equal to v and to their southwest neighbor, E_i is their sum, and
+    C_{i+1,v} counts v in row i+1. The binomial counts the ways to place
+    E_{i,v} equalities over the cells of row i+1 holding v."""
     eq: dict[int, int] = {}
     for v, sw in zip(row[1:], below):
         if v == sw:
             eq[v] = eq.get(v, 0) + 1
-    return eq
-
-
-def _row_fiber(row: Row, below: Row) -> tuple[int, int]:
-    """Row i's share of the sorting fiber over row i+1: (E_i, the product over
-    values v of binomial(C_{i+1,v}, E_{i,v})), where E_i is the sum of the
-    E_{i,v} and C_{i+1,v} counts v in row i+1. The binomial counts the ways to
-    place E_{i,v} equalities over the cells of row i+1 holding v."""
-    eq = _row_equalities(row, below)
     ways = 1
     for v, e in eq.items():
         ways *= comb(below.count(v), e)
@@ -364,37 +366,28 @@ def row_shuffle_count(alpha: StaircaseArray) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _rows_by_sorted(i: int, below: Row) -> dict[Row, list[Row]]:
+    """The {b,r,g} fillings of row i over `below`, grouped by their sorted
+    row, each group in _row_assignments order."""
+    groups: dict[Row, list[Row]] = {}
+    for row in _row_assignments(i, TOURNAMENT_COLORS, below):
+        groups.setdefault(tuple(sorted(row)), []).append(row)
+    return groups
+
+
 def enumerate_row_shuffles(alpha: StaircaseArray) -> Iterator[StaircaseArray]:
     """Yield the fiber {beta in Y_n({b,r,g}) : sort_to_tsscpp(beta) = alpha}.
 
-    alpha must lie in Y_n({b,r,g,y}). Rows are built from the bottom up. A
-    cell of row i over a southwest value sw holds sw (an equality) or sw - 1,
-    and the row keeps alpha's row multiset exactly when E_{i,v} of the cells
-    over each value v hold v; which cells is free. Values are placed in
-    ascending order, and the fiber always contains alpha itself.
+    alpha must lie in Y_n({b,r,g,y}). Row i of beta is any {b,r,g} filling
+    over beta's row i+1 that sorts to alpha's row i (_rows_by_sorted), so the
+    fiber is walked with the same row successors as enumerate_arrays and in
+    the same order: rows bottom-up, values ascending. The fiber always
+    contains alpha itself.
     """
     if not validate(alpha, SORTED_COLORS):
         raise ValueError("input is not a sorted {b,r,g,y} array")
     guard(row_shuffle_count(alpha), "row shuffles")
-    rows = list(alpha.rows)
-    equalities = [
-        sorted(_row_equalities(row, below).items()) for row, below in zip(rows, rows[1:])
-    ]
-
-    def place(i: int) -> Iterator[StaircaseArray]:  # fills rows[i], then above
-        if i < 0:
-            yield StaircaseArray(rows)
-            return
-        below = rows[i + 1]
-        choices = [
-            combinations([j for j, sw in enumerate(below, start=1) if sw == v], e)
-            for v, e in equalities[i]
-        ]
-        for picks in product(*choices):
-            eq = set(chain.from_iterable(picks))
-            rows[i] = (i + 1,) + tuple(
-                sw if j in eq else sw - 1 for j, sw in enumerate(below, start=1)
-            )
-            yield from place(i - 1)
-
-    yield from place(alpha.n - 2)
+    target = alpha.rows
+    for rows in _walk_rows(alpha.n, lambda i, below: _rows_by_sorted(i, below)[target[i - 1]]):
+        yield StaircaseArray(rows)

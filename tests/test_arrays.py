@@ -128,7 +128,8 @@ def test_row_successors_walk_the_sorted_arrays():
     for n, colors in cases:
         walked = list(walk(n, [], colors))
         assert len(walked) == len(set(walked))
-        assert set(walked) == set(enumerate_arrays(n, colors))
+        ideals = enumerate_ideals(build(n).subposet(colors))
+        assert set(walked) == {ideal_to_array(ideal) for ideal in ideals}
 
 
 def test_enumeration_first_is_minimal_and_deterministic():
@@ -199,6 +200,15 @@ def test_row_shuffles_partition_tournament_arrays():
             total += len(fiber)
         assert total == 2 ** comb(n, 2)
         assert seen == set(enumerate_arrays(n, TOURNAMENT_COLORS))
+
+
+def test_row_shuffles_follow_the_tournament_array_order():
+    for n in range(1, 6):
+        fibers: dict[StaircaseArray, list[StaircaseArray]] = {}
+        for beta in enumerate_arrays(n, TOURNAMENT_COLORS):
+            fibers.setdefault(sort_to_tsscpp(beta), []).append(beta)
+        for alpha in enumerate_arrays(n, SORTED_COLORS):
+            assert list(enumerate_row_shuffles(alpha)) == fibers[alpha]
 
 
 def test_row_shuffles_reject_unsorted_input():
