@@ -11,7 +11,9 @@ derived from it. Each inequality joins a cell to its own row or the row
 below, so one row successor serves every job: every array sum whose weights
 are local to two rows runs as one transfer over the rows (_row_transfer),
 and enumerate_arrays and the sorting fibers (enumerate_row_shuffles) walk
-the same successors depth first (_walk_rows).
+the same successors depth first (_walk_rows). Both take the successors as a
+function, so the transfer also runs over the sorting fibers' rows
+(_shuffle_successors).
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 """
@@ -230,26 +232,28 @@ def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Itera
 
 
 def _row_transfer(
-    n: int, colors: frozenset[Color], step: Callable[[Row, Row], tuple[int, int]]
+    n: int,
+    successors: Callable[[int, Row], Iterable[Row]],
+    step: Callable[[Row, Row], tuple[int, int]],
 ) -> dict[int, int]:
-    """Sum over Y_n(S) of a weight that is a product over rows, by transfer
-    over the rows from the bottom up (Stanley, EC1 section 4.7).
+    """Sum over the arrays whose row i is one of successors(i, row i+1), as
+    in _walk_rows, of a weight that is a product over rows, by transfer over
+    the rows from the bottom up (Stanley, EC1 section 4.7).
 
     step(row, below) gives row i's share over row i+1 as (key shift, factor):
     an array's SparsePoly key is the sum of its rows' shifts and its weight
     the product of their factors. The state after row i is that row, mapped
-    to {key: summed weight of the partial arrays}; row i's successors come
-    from the color inequalities (_row_assignments). States are dropped as
-    they are consumed, and the live term count is checked against the budget
-    after every row. Nothing lies above row 1, so all of its fillings go to
-    the single state (), which holds the result as {key: coefficient}.
+    to {key: summed weight of the partial arrays}. States are dropped as they
+    are consumed, and the live term count is checked against the budget after
+    every row. Nothing lies above row 1, so all of its fillings go to the
+    single state (), which holds the result as {key: coefficient}.
     """
     states: dict[Row, dict[int, int]] = {(): {0: 1}}
     for i in range(n, 0, -1):
         nxt: dict[Row, dict[int, int]] = {}
         while states:
             below, weights = states.popitem()
-            for row in _row_assignments(i, colors, below):
+            for row in successors(i, below):
                 shift, factor = step(row, below)
                 acc = nxt.setdefault(row if i > 1 else (), {})
                 get = acc.get
@@ -299,7 +303,8 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
 
     terms: dict[int, int] = {}
     low = (1 << n_shift) - 1
-    for key, c in _row_transfer(n, colorset, step).items():
+    sums = _row_transfer(n, lambda i, below: _row_assignments(i, colorset, below), step)
+    for key, c in sums.items():
         add_binomial_term(terms, key & low, key >> n_shift, c)
     return SparsePoly._make(terms)
 
@@ -374,6 +379,17 @@ def _rows_by_sorted(i: int, below: Row) -> dict[Row, list[Row]]:
     for row in _row_assignments(i, TOURNAMENT_COLORS, below):
         groups.setdefault(tuple(sorted(row)), []).append(row)
     return groups
+
+
+def _shuffle_successors(i: int, below: Row) -> Iterator[Row]:
+    """The {b,r,g} fillings of row i over `below`, by _rows_by_sorted group.
+    Each group's sorted row must be a {b,r,g,y} filling over sorted(below),
+    the claim of sort_to_tsscpp row by row, or this raises RuntimeError."""
+    allowed = _row_assignments(i, SORTED_COLORS, tuple(sorted(below)))
+    for alpha, group in _rows_by_sorted(i, below).items():
+        if alpha not in allowed:
+            raise RuntimeError("sorting broke a red or blue inequality")
+        yield from group
 
 
 def enumerate_row_shuffles(alpha: StaircaseArray) -> Iterator[StaircaseArray]:

@@ -13,18 +13,19 @@ themselves, and a sixth matches the value-count sum at lambda = 1 against the
 pairwise product directly.
 
 Left sides are expanded products. Of the right sides, the two value-count
-sums (`asm`, `schur`) and the fiber-count sum (`tsscpp-count`) are computed
-by one weighted transfer over the rows of the staircase arrays
-(arrays._row_transfer), since every weight in them is local to a row and
-the row below it: value counts, southwest equalities and cells that rise
-from the west and drop to the southwest for the first two, each row's
-equalities and its factor of the fiber size for the third. The matrix sum
-(`rr`) is a transfer over the rows of the matrix, whose states are the rows
-of its monotone triangle; every weight in it is local to one row given the
-column sums above it, and it shares no code with the array transfer. Only
-the sorted-array expansion (`tsscpp`) enumerates its arrays and every row
-shuffle. No left side uses a transfer, and `rr` and `asm` reach the same
-product by two unrelated transfers.
+sums (`asm`, `schur`), the fiber-count sum (`tsscpp-count`) and the
+sorted-array expansion (`tsscpp`) are computed by one weighted transfer over
+the rows of the staircase arrays (arrays._row_transfer), since every weight
+in them is local to a row and the row below it: value counts, southwest
+equalities and cells that rise from the west and drop to the southwest for
+the first two, each row's equalities and its factor of the fiber size for
+the third, and for the fourth each sorted row's equalities and each shuffled
+row's equalities by diagonal, with the shuffled row as the state. The matrix
+sum (`rr`) is a transfer over the rows of the matrix, whose states are the
+rows of its monotone triangle; every weight in it is local to one row given
+the column sums above it, and it shares no code with the array transfer. No
+right side lists its objects, no left side uses a transfer, and `rr` and
+`asm` reach the same product by two unrelated transfers.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from math import comb
 from .arrays import (
     ASM_COLORS,
     SORTED_COLORS,
+    Row,
     StaircaseArray,
+    _row_assignments,
     _row_fiber,
     _row_transfer,
-    enumerate_arrays,
-    enumerate_row_shuffles,
+    _shuffle_successors,
     value_count_gf,
 )
 from .bijections import Asm
@@ -206,19 +208,26 @@ def tsscpp_expansion_rhs(n: int) -> SparsePoly:
     Each shuffle beta is a tournament array; its wins for player v split into
     the diagonal-v equalities of beta plus the row-v slack of alpha, which is
     how the tournament product re-emerges.
+
+    By row transfer whose state is beta's row (arrays._shuffle_successors):
+    checking each sorted row against the one below makes the pairs (alpha,
+    beta) exactly the fibers of sort_to_tsscpp over Y_n({b,r,g,y}). Row i
+    adds alpha's E_i to lambda, n-i-E_i to x_i, and x_{i+j} for each
+    southwest equality beta_{i,j} = beta_{i+1,j-1}.
     """
-    terms: dict[int, int] = {}
-    for alpha in enumerate_arrays(n, SORTED_COLORS):
-        st = array_stats(alpha)
-        outer = st.eq_total
-        for i in range(1, n):
-            outer += n - i - st.eq_row[i - 1] << i * FIELD
-        for beta in enumerate_row_shuffles(alpha):
-            key = outer
-            for d, e in enumerate(array_stats(beta).eq_diag):
-                key += e << d * FIELD
-            terms[key] = terms.get(key, 0) + 1
-    return SparsePoly._make(terms)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+    def step(row: Row, below: Row) -> tuple[int, int]:
+        i = n - len(below)
+        e = sum(v == sw for v, sw in zip(sorted(row)[1:], sorted(below)))
+        shift = e + (len(below) - e << i * FIELD)
+        for j, (v, sw) in enumerate(zip(row[1:], below), start=i + 1):
+            if v == sw:
+                shift += 1 << j * FIELD
+        return shift, 1
+
+    return SparsePoly._make(_row_transfer(n, _shuffle_successors, step))
 
 
 def tsscpp_lambda_count(n: int) -> SparsePoly:
@@ -231,7 +240,10 @@ def tsscpp_lambda_count(n: int) -> SparsePoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return SparsePoly._make(_row_transfer(n, SORTED_COLORS, _row_fiber))
+    sums = _row_transfer(
+        n, lambda i, below: _row_assignments(i, SORTED_COLORS, below), _row_fiber
+    )
+    return SparsePoly._make(sums)
 
 
 def pairwise_product(n: int) -> SparsePoly:

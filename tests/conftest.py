@@ -18,9 +18,11 @@ from tetraposet import (
     Subposet,
     array_stats,
     enumerate_arrays,
+    enumerate_row_shuffles,
     row_shuffle_count,
 )
 from tetraposet.arrays import value_count_gf
+from tetraposet.polynomials import FIELD
 
 
 def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:
@@ -93,6 +95,24 @@ def enumerated_tsscpp_lambda_count(n: int) -> SparsePoly:
     for alpha in enumerate_arrays(n, SORTED_COLORS):
         key = array_stats(alpha).eq_total
         terms[key] = terms.get(key, 0) + row_shuffle_count(alpha)
+    return SparsePoly._make(terms)
+
+
+def enumerated_tsscpp_expansion_rhs(n: int) -> SparsePoly:
+    """Oracle for tsscpp_expansion_rhs: the sum over every enumerated sorted
+    array alpha and every shuffle beta in its fiber of
+    lambda^E(alpha) prod_i x_i^(n-i-E_i(alpha)) prod_d x_d^(eq on diagonal d of beta)."""
+    terms: dict[int, int] = {}
+    for alpha in enumerate_arrays(n, SORTED_COLORS):
+        st = array_stats(alpha)
+        outer = st.eq_total
+        for i in range(1, n):
+            outer += n - i - st.eq_row[i - 1] << i * FIELD
+        for beta in enumerate_row_shuffles(alpha):
+            key = outer
+            for d, e in enumerate(array_stats(beta).eq_diag):
+                key += e << d * FIELD
+            terms[key] = terms.get(key, 0) + 1
     return SparsePoly._make(terms)
 
 

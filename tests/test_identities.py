@@ -23,17 +23,20 @@ from tetraposet import (
     three_color_product,
     tournament_gf,
     tournament_to_array,
+    tsscpp_expansion_rhs,
     tsscpp_lambda_count,
     verify_formulas,
     verify_identity,
     weight,
 )
+from tetraposet import arrays
 from tetraposet.arrays import value_count_gf
 from tetraposet.identities import SCHUR_COLORS
 from tetraposet.polynomials import FIELD, add_binomial_term
 
 from conftest import (
     array_transfer_rank_gf,
+    enumerated_tsscpp_expansion_rhs,
     enumerated_tsscpp_lambda_count,
     evaluate,
     principal_specialization,
@@ -94,8 +97,31 @@ def test_expansion_identities(name):
         assert report["elapsed_ms"] >= 0
 
 
-def test_tsscpp_identity_at_n6():
-    assert verify_identity("tsscpp", 6)["status"] == "ok"
+def test_tsscpp_identity_at_n7():
+    assert verify_identity("tsscpp", 7)["status"] == "ok"
+
+
+def test_tsscpp_transfer_matches_enumeration():
+    for n in range(1, 6):
+        assert tsscpp_expansion_rhs(n) == enumerated_tsscpp_expansion_rhs(n)
+    with pytest.raises(ValueError, match="at least 1"):
+        tsscpp_expansion_rhs(0)
+
+
+def test_tsscpp_transfer_checks_every_sorted_row(monkeypatch):
+    """A group whose sorted row breaks a {b,r,g,y} inequality over the sorted
+    row below must stop the transfer, as sort_to_tsscpp stops on an array."""
+    real = arrays._rows_by_sorted
+
+    def with_unsorted_group(i, below):
+        groups = dict(real(i, below))
+        if below:
+            groups[(i,) * (len(below) + 1)] = []  # breaks red once row i+1 rises
+        return groups
+
+    monkeypatch.setattr(arrays, "_rows_by_sorted", with_unsorted_group)
+    with pytest.raises(RuntimeError, match="red or blue"):
+        tsscpp_expansion_rhs(3)
 
 
 def test_rr_identity_at_n7():

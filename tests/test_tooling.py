@@ -73,8 +73,6 @@ def test_tracer_sees_every_verify_layer():
         "identities.schur_rhs",
         "formulas.tournament_gf",
         "identities.pairwise_product",
-        "identities.array_stats",
-        "arrays.enumerate_row_shuffles",
     }
     assert expected <= seen, sorted(expected - seen)
 
