@@ -13,7 +13,9 @@ are local to two rows runs as one transfer over the rows (_row_transfer),
 and enumerate_arrays and the sorting fibers (enumerate_row_shuffles) walk
 the same successors depth first (_walk_rows). Both take the successors as a
 function, so the transfer also runs over the sorting fibers' rows
-(_shuffle_successors).
+(_shuffle_successors) and over the rows of monotone triangles
+(identities._row_steps), and every right side of the identities module
+uses it.
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 """
@@ -27,7 +29,7 @@ from math import comb
 from .budget import guard
 from .colors import STEP, Color, require_admissible
 from .counting import Plan, _fillings, count_ideals, rank_gf
-from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term
+from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field
 from .poset import build, json_int
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
@@ -238,7 +240,10 @@ def _row_transfer(
 ) -> dict[int, int]:
     """Sum over the arrays whose row i is one of successors(i, row i+1), as
     in _walk_rows, of a weight that is a product over rows, by transfer over
-    the rows from the bottom up (Stanley, EC1 section 4.7).
+    the rows from the bottom up (Stanley, EC1 section 4.7). A row is any
+    tuple, and the transfer starts from the empty row (), so the same loop
+    runs over other row sequences: the rows of a monotone triangle, from ()
+    to its last row, are the states of identities.robbins_rumsey_rhs.
 
     step(row, below) gives row i's share over row i+1 as (key shift, factor):
     an array's SparsePoly key is the sum of its rows' shifts and its weight
@@ -285,10 +290,10 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     southwest neighbors; on the array of an alternating sign matrix, N counts
     its -1 entries. Each cell's weight lies in its own row and the row below.
 
-    Weights are SparsePoly keys, with N (standing for (1+lambda)^N until the
-    end) in the extra field n+1. No field fills up: each is at most the
-    n(n-1)/2 non-pinned cells, below 2^16 for every n up to 362, far beyond
-    the n the transfer can reach.
+    Weights are SparsePoly keys, with N in the extra field n+1 until
+    expand_binomial_field multiplies out (1+lambda)^N. No field fills up:
+    each is at most the n(n-1)/2 non-pinned cells, below 2^16 for every n up
+    to 362, far beyond the n the transfer can reach.
     """
     colorset = _require_green(n, colors)
     n_shift = (n + 1) * FIELD
@@ -301,12 +306,8 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
                 shift += (v == sw) + ((west < v < sw) << n_shift)
         return shift, 1
 
-    terms: dict[int, int] = {}
-    low = (1 << n_shift) - 1
     sums = _row_transfer(n, lambda i, below: _row_assignments(i, colorset, below), step)
-    for key, c in sums.items():
-        add_binomial_term(terms, key & low, key >> n_shift, c)
-    return SparsePoly._make(terms)
+    return expand_binomial_field(sums, n + 1)
 
 
 def array_rank_gf(n: int, colors) -> QPoly:
@@ -371,39 +372,34 @@ def row_shuffle_count(alpha: StaircaseArray) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _rows_by_sorted(i: int, below: Row) -> dict[Row, list[Row]]:
-    """The {b,r,g} fillings of row i over `below`, grouped by their sorted
-    row, each group in _row_assignments order."""
-    groups: dict[Row, list[Row]] = {}
-    for row in _row_assignments(i, TOURNAMENT_COLORS, below):
-        groups.setdefault(tuple(sorted(row)), []).append(row)
-    return groups
-
-
-def _shuffle_successors(i: int, below: Row) -> Iterator[Row]:
-    """The {b,r,g} fillings of row i over `below`, by _rows_by_sorted group.
-    Each group's sorted row must be a {b,r,g,y} filling over sorted(below),
-    the claim of sort_to_tsscpp row by row, or this raises RuntimeError."""
-    allowed = _row_assignments(i, SORTED_COLORS, tuple(sorted(below)))
-    for alpha, group in _rows_by_sorted(i, below).items():
-        if alpha not in allowed:
-            raise RuntimeError("sorting broke a red or blue inequality")
-        yield from group
+def _shuffle_successors(i: int, below: Row) -> list[Row]:
+    """The {b,r,g} fillings of row i over `below`. Each one's sorted row must
+    be a {b,r,g,y} filling over sorted(below), the claim of sort_to_tsscpp
+    row by row, or this raises RuntimeError."""
+    allowed = set(_row_assignments(i, SORTED_COLORS, tuple(sorted(below))))
+    rows = _row_assignments(i, TOURNAMENT_COLORS, below)
+    if any(tuple(sorted(row)) not in allowed for row in rows):
+        raise RuntimeError("sorting broke a red or blue inequality")
+    return rows
 
 
 def enumerate_row_shuffles(alpha: StaircaseArray) -> Iterator[StaircaseArray]:
     """Yield the fiber {beta in Y_n({b,r,g}) : sort_to_tsscpp(beta) = alpha}.
 
     alpha must lie in Y_n({b,r,g,y}). Row i of beta is any {b,r,g} filling
-    over beta's row i+1 that sorts to alpha's row i (_rows_by_sorted), so the
-    fiber is walked with the same row successors as enumerate_arrays and in
-    the same order: rows bottom-up, values ascending. The fiber always
-    contains alpha itself.
+    over beta's row i+1 that sorts to alpha's row i, so the fiber is walked
+    with the same row successors as enumerate_arrays, filtered, and in the
+    same order: rows bottom-up, values ascending. The fiber always contains
+    alpha itself.
     """
     if not validate(alpha, SORTED_COLORS):
         raise ValueError("input is not a sorted {b,r,g,y} array")
     guard(row_shuffle_count(alpha), "row shuffles")
     target = alpha.rows
-    for rows in _walk_rows(alpha.n, lambda i, below: _rows_by_sorted(i, below)[target[i - 1]]):
+
+    def successors(i: int, below: Row) -> list[Row]:
+        rows = _row_assignments(i, TOURNAMENT_COLORS, below)
+        return [row for row in rows if tuple(sorted(row)) == target[i - 1]]
+
+    for rows in _walk_rows(alpha.n, successors):
         yield StaircaseArray(rows)

@@ -12,20 +12,22 @@ row shuffles. A fifth, lambda-only identity checks the shuffle fibers
 themselves, and a sixth matches the value-count sum at lambda = 1 against the
 pairwise product directly.
 
-Left sides are expanded products. Of the right sides, the two value-count
-sums (`asm`, `schur`), the fiber-count sum (`tsscpp-count`) and the
-sorted-array expansion (`tsscpp`) are computed by one weighted transfer over
-the rows of the staircase arrays (arrays._row_transfer), since every weight
-in them is local to a row and the row below it: value counts, southwest
-equalities and cells that rise from the west and drop to the southwest for
-the first two, each row's equalities and its factor of the fiber size for
-the third, and for the fourth each sorted row's equalities and each shuffled
-row's equalities by diagonal, with the shuffled row as the state. The matrix
-sum (`rr`) is a transfer over the rows of the matrix, whose states are the
-rows of its monotone triangle; every weight in it is local to one row given
-the column sums above it, and it shares no code with the array transfer. No
-right side lists its objects, no left side uses a transfer, and `rr` and
-`asm` reach the same product by two unrelated transfers.
+Left sides are expanded products. Every right side is computed by one
+weighted transfer over rows (arrays._row_transfer), since every weight in
+them is local to a row and the row before it. The two value-count sums
+(`asm`, `schur`), the fiber-count sum (`tsscpp-count`) and the sorted-array
+expansion (`tsscpp`) run it over the rows of the staircase arrays: value
+counts, southwest equalities and cells that rise from the west and drop to
+the southwest for the first two, each row's equalities and its factor of the
+fiber size for the third, and for the fourth each sorted row's equalities
+and each shuffled row's equalities by diagonal, with the shuffled row as the
+state. The matrix sum (`rr`) runs it over the rows of the matrix, whose
+states are the rows of its monotone triangle (_row_steps); every weight in
+it is local to one row given the column sums above it. `rr` shares the loop
+and the closing (1+lambda)^N expansion with `asm`, but its states,
+successors and weights are its own, so the two reach the same product by
+routes that share no row logic. No right side lists its objects, and no
+left side uses a transfer.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ from .arrays import (
     value_count_gf,
 )
 from .bijections import Asm
-from .budget import guard
 from .colors import Color, all_admissible_sets, format_colors
 from .counting import rank_gf
 from .formulas import formula_count, formula_rank_gf, tournament_gf
-from .polynomials import FIELD, QPoly, SparsePoly, add_binomial_term, first_difference
+from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field, first_difference
 from .poset import build
 
 SCHUR_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE})
@@ -109,19 +110,24 @@ def asm_stats(a: Asm) -> AsmStats:
 
 
 @lru_cache(maxsize=None)
-def _row_steps(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
+def _row_steps(n: int) -> dict[Row, dict[Row, int]]:
     """Every row an n x n alternating sign matrix can have after its first i-1
-    rows, keyed by S_{i-1}: the columns whose partial sum is 1 after those
-    rows, as a mask with bit j-1 for column j.
+    rows, keyed by S_{i-1}: row i-1 of its monotone triangle, the columns
+    whose partial sum is 1 after those rows (S_0 = ()).
 
     Row i is 1_{S_i} - 1_{S_{i-1}}, and it is a valid row exactly when its
     running sum stays in {0, 1} and ends at 1, so S_i is built column by
-    column from that running sum. Each step is (S_i, shift), where shift is
-    row i's weight as a SparsePoly key offset: lambda gains sum_j A_{ij}
-    |{l in S_{i-1} : l > j}| (row i's inversions against the rows above)
-    minus its -1 count, x_j gains (n-i) A_{ij}, and field n+1 counts the -1s.
+    column from that running sum, as a mask with bit j-1 for column j. Each
+    entry maps S_i to row i's weight as a SparsePoly key offset: lambda gains
+    sum_j A_{ij} |{l in S_{i-1} : l > j}| (row i's inversions against the
+    rows above) minus its -1 count, x_j gains (n-i) A_{ij}, and field n+1
+    counts the -1s.
     """
     neg = (1 << (n + 1) * FIELD) - 1  # one more -1, one less lambda
+
+    def columns(mask: int) -> Row:
+        return tuple(j for j in range(1, n + 1) if mask >> j - 1 & 1)
+
     steps = {}
     for prev in range(1 << n):
         i = bin(prev).count("1") + 1
@@ -142,7 +148,7 @@ def _row_steps(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
                     if not run:
                         grown.append((mask | bit, 1, shift + gain))
             partial = grown
-        steps[prev] = tuple((mask, shift) for mask, run, shift in partial if run)
+        steps[columns(prev)] = {columns(mask): shift for mask, run, shift in partial if run}
     return steps
 
 
@@ -152,13 +158,11 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
     by transfer over the rows of A (Mills, Robbins and Rumsey; Stanley, EC1
     section 4.7).
 
-    The state after row i is the set S_i of columns whose partial sum is 1,
-    that is, row i of the monotone triangle of A; _row_steps gives each
-    state's successors with the packed weight of the row between them. Each
-    state maps to {key: number of partial matrices}, and the -1 count stays
-    in field n+1 until the end, so a state holds one term per monomial rather
-    than branching on every -1. States are dropped as they are consumed, and
-    the live term count is checked against the budget after every row.
+    The state after row i is row i of the monotone triangle of A, and
+    _row_steps gives each state's successors with the packed weight of the
+    row between them; arrays._row_transfer sums them. The -1 count stays in
+    field n+1 until the end, so a state holds one term per monomial rather
+    than branching on every -1.
 
     No packed field ever goes negative, so adding a shift never borrows, and
     none reaches n^2. Summing by parts, column j's x exponent after row i,
@@ -172,25 +176,8 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
     if n < 1:
         raise ValueError("n must be at least 1")
     steps = _row_steps(n)
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
-    for _ in range(n):
-        nxt: dict[int, dict[int, int]] = {}
-        while states:
-            prev, weights = states.popitem()
-            for mask, shift in steps[prev]:
-                acc = nxt.setdefault(mask, {})
-                get = acc.get
-                for k, c in weights.items():
-                    k += shift
-                    acc[k] = get(k, 0) + c
-        states = nxt
-        guard(sum(map(len, states.values())), "transfer terms")
-    n_shift = (n + 1) * FIELD
-    low = (1 << n_shift) - 1
-    terms: dict[int, int] = {}
-    for key, c in states.popitem()[1].items():
-        add_binomial_term(terms, key & low, key >> n_shift, c)
-    return SparsePoly._make(terms)
+    sums = _row_transfer(n, lambda i, prev: steps[prev], lambda row, prev: (steps[prev][row], 1))
+    return expand_binomial_field(sums, n + 1)
 
 
 def asm_expansion_rhs(n: int) -> SparsePoly:

@@ -377,11 +377,22 @@ class SparsePoly(_Poly):
         return "SparsePoly(" + " + ".join(parts) + ")"
 
 
-def add_binomial_term(terms: dict[int, int], key: int, spread: int, coeff: int) -> None:
-    """Add coeff * (1+lambda)^spread times the monomial of a SparsePoly key
-    into a dict of SparsePoly terms."""
-    for m in range(spread + 1):
-        terms[key + m] = terms.get(key + m, 0) + coeff * comb(spread, m)
+def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:
+    """The SparsePoly of packed terms whose top field, number `field`, holds
+    an exponent N that stands for (1+lambda)^N: each term c * m *
+    (1+lambda)^N becomes the terms c * binomial(N, k) * lambda^k * m. The
+    coefficients must be positive, as a transfer's counts are, so no
+    expanded term cancels."""
+    shift = field * FIELD
+    low = (1 << shift) - 1
+    terms: dict[int, int] = {}
+    get = terms.get
+    for key, c in sums.items():
+        spread = key >> shift
+        key &= low
+        for m in range(spread + 1):
+            terms[key + m] = get(key + m, 0) + c * comb(spread, m)
+    return SparsePoly._make(terms)
 
 
 def first_difference(lhs, rhs) -> dict | None:

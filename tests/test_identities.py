@@ -14,7 +14,9 @@ from tetraposet import (
     array_to_asm,
     asm_expansion_rhs,
     asm_stats,
+    asm_to_mt,
     enumerate_arrays,
+    enumerate_asms,
     enumerate_tournaments,
     pairwise_product,
     robbins_rumsey_rhs,
@@ -31,8 +33,8 @@ from tetraposet import (
 )
 from tetraposet import arrays
 from tetraposet.arrays import value_count_gf
-from tetraposet.identities import SCHUR_COLORS
-from tetraposet.polynomials import FIELD, add_binomial_term
+from tetraposet.identities import SCHUR_COLORS, _row_steps
+from tetraposet.polynomials import FIELD
 
 from conftest import (
     array_transfer_rank_gf,
@@ -52,16 +54,21 @@ def _value_count_xs(x, n):
 
 def enumerated_rr_rhs(n):
     """Oracle for robbins_rumsey_rhs: the sum over every enumerated
-    alternating sign matrix."""
-    terms = {}
+    alternating sign matrix, with (1+lambda)^neg multiplied out by the ring's
+    own power."""
+    by_neg = {}
     for x in enumerate_arrays(n, ASM_COLORS):
         a = array_to_asm(x)
         st = asm_stats(a)
         key = st.inversions - st.neg_count
         for j, column in enumerate(zip(*a.rows), start=1):
             key += sum((n - i) * v for i, v in enumerate(column, start=1)) << j * FIELD
-        add_binomial_term(terms, key, st.neg_count, 1)
-    return SparsePoly._make(terms)
+        terms = by_neg.setdefault(st.neg_count, {})
+        terms[key] = terms.get(key, 0) + 1
+    out = SparsePoly()
+    for neg, terms in by_neg.items():
+        out = out + SparsePoly._make(terms) * (1 + SparsePoly.lam()) ** neg
+    return out
 
 
 def enumerated_asm_rhs(n):
@@ -109,23 +116,38 @@ def test_tsscpp_transfer_matches_enumeration():
 
 
 def test_tsscpp_transfer_checks_every_sorted_row(monkeypatch):
-    """A group whose sorted row breaks a {b,r,g,y} inequality over the sorted
+    """A {b,r,g} row whose sort breaks a {b,r,g,y} inequality over the sorted
     row below must stop the transfer, as sort_to_tsscpp stops on an array."""
-    real = arrays._rows_by_sorted
+    real = arrays._row_assignments
 
-    def with_unsorted_group(i, below):
-        groups = dict(real(i, below))
-        if below:
-            groups[(i,) * (len(below) + 1)] = []  # breaks red once row i+1 rises
-        return groups
+    def with_unsorted_row(i, colors, below):
+        rows = real(i, colors, below)
+        if colors == arrays.TOURNAMENT_COLORS and below:
+            rows.append((i,) * (len(below) + 1))  # breaks red once row i+1 rises
+        return rows
 
-    monkeypatch.setattr(arrays, "_rows_by_sorted", with_unsorted_group)
+    monkeypatch.setattr(arrays, "_row_assignments", with_unsorted_row)
     with pytest.raises(RuntimeError, match="red or blue"):
         tsscpp_expansion_rhs(3)
 
 
 def test_rr_identity_at_n7():
     assert verify_identity("rr", 7)["status"] == "ok"
+
+
+def test_rr_row_steps_follow_the_monotone_triangles():
+    """Each key of _row_steps(n) maps to exactly the rows that follow it in
+    the monotone triangles of the n x n alternating sign matrices."""
+    for n in range(1, 6):
+        follow = {}
+        for a in enumerate_asms(n):
+            rows = ((), *asm_to_mt(a).rows)
+            for prev, row in zip(rows, rows[1:]):
+                follow.setdefault(prev, set()).add(row)
+        steps = _row_steps(n)
+        assert steps.keys() == follow.keys()
+        for prev, nxt in steps.items():
+            assert set(nxt) == follow[prev]
 
 
 def test_rr_transfer_matches_enumeration():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tetraposet import (
     QPoly,
@@ -23,6 +23,7 @@ from tetraposet.formulas import (
     three_color_product,
     tspp_number,
 )
+from tetraposet.polynomials import FIELD, expand_binomial_field
 
 from conftest import evaluate, principal_specialization
 
@@ -145,6 +146,32 @@ def test_sparse_ring_laws(a, b, c):
 @given(sparse_polys, st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
 def test_sparse_evaluate_consistent_with_specialize(p, lam, xv):
     assert evaluate(p, lam, xv) == evaluate(lambda_specialize(p, lam), 0, xv)
+
+
+@settings(max_examples=200, deadline=1000)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(min_value=0, max_value=6)] * 3),
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=1, max_value=10**20),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(min_value=3, max_value=5),
+)
+def test_expand_binomial_field_matches_power(terms, field):
+    """Field `field` of each packed key stands for (1+lambda)^N; the
+    expansion equals multiplying each term out by the ring's own power."""
+    sums = {}
+    expected = SparsePoly()
+    for exps, spread, c in terms:
+        key = sum(e << k * FIELD for k, e in enumerate(exps))
+        packed = key + (spread << field * FIELD)
+        sums[packed] = sums.get(packed, 0) + c
+        expected = expected + SparsePoly._make({key: c}) * (1 + SparsePoly.lam()) ** spread
+    assert expand_binomial_field(sums, field) == expected
 
 
 def test_sparse_json_round_trip():

@@ -1,6 +1,6 @@
 """Checks on the code itself: the benchmark tracer's hooks still resolve, every
-module imports cleanly when it is loaded first, and src/ keeps its invariants
-as exceptions rather than asserts."""
+module imports cleanly when it is loaded first, src/ keeps its invariants as
+exceptions rather than asserts, and the sources parse as Python 3.10."""
 
 from __future__ import annotations
 
@@ -86,6 +86,16 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "invariants must raise, python -O strips asserts: " + ", ".join(found)
+
+
+def test_sources_parse_as_python_310():
+    """CI also runs Python 3.10, so src/ and bench/ must parse with its
+    grammar: newer syntax such as except* or type parameters fails here. This
+    checks syntax only, not library calls that a newer Python adds."""
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 # Registers the package without running its __init__, which would load the
