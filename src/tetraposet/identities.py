@@ -49,6 +49,7 @@ from .arrays import (
     value_count_gf,
 )
 from .bijections import Asm
+from .budget import guard
 from .colors import Color, all_admissible_sets, format_colors
 from .counting import rank_gf
 from .formulas import formula_count, formula_rank_gf, tournament_gf
@@ -239,6 +240,7 @@ def pairwise_product(n: int) -> SparsePoly:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             out = out * (SparsePoly.x(i) + SparsePoly.x(j))
+            guard(out.term_count(), "generating function terms")
     return out
 
 

@@ -6,7 +6,9 @@ point anywhere.
 One ring core, _Poly, keeps the terms as a dict from monomial key to nonzero
 coefficient and implements +, -, *, **, == and hashing once, for both types.
 The types differ only in their keys, and the key of a product is the sum of
-the keys for both. A QPoly key is the q exponent. A SparsePoly key packs a
+the keys for both; a product shifts the factor with more terms once per
+term of the other and merges the shifts. A QPoly key is the q exponent. A
+SparsePoly key packs a
 monomial into one int of FIELD-bit fields, lambda's exponent in field 0 and
 x_k's in field k (Kronecker substitution), so lambda^a x_1^b x_3^c is
 a + (b << 16) + (c << 48). A field must never carry into the next one: the
@@ -103,16 +105,29 @@ class _Poly:
         return rhs - self
 
     def __mul__(self, other):
+        """Shift the factor with more terms by each term of the smaller one:
+        the first shift is the result's start, and the later ones merge into
+        it, dropping any coefficient that cancels to 0."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         self._check_factor(self._terms)
         self._check_factor(rhs._terms)
-        out: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in rhs._terms.items():
+        small, big = self._terms, rhs._terms
+        if len(small) > len(big):
+            small, big = big, small
+        if not small:
+            return self._make({})
+        # One nonzero term shifts distinct keys to distinct keys and keeps
+        # every coefficient nonzero, so the first shift needs no merge.
+        pairs = iter(small.items())
+        k1, c1 = next(pairs)
+        out = {k1 + k2: c1 * c2 for k2, c2 in big.items()}
+        get = out.get
+        for k1, c1 in pairs:
+            for k2, c2 in big.items():
                 key = k1 + k2
-                s = out.get(key, 0) + c1 * c2
+                s = get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -382,16 +397,19 @@ def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:
     an exponent N that stands for (1+lambda)^N: each term c * m *
     (1+lambda)^N becomes the terms c * binomial(N, k) * lambda^k * m. The
     coefficients must be positive, as a transfer's counts are, so no
-    expanded term cancels."""
+    expanded term cancels. A key with N = 0 stands for itself, and no two of
+    them are equal, so those keys are copied in one pass before the terms
+    with N > 0 are expanded and merged."""
     shift = field * FIELD
     low = (1 << shift) - 1
-    terms: dict[int, int] = {}
+    terms = {key: c for key, c in sums.items() if key <= low}
     get = terms.get
     for key, c in sums.items():
-        spread = key >> shift
-        key &= low
-        for m in range(spread + 1):
-            terms[key + m] = get(key + m, 0) + c * comb(spread, m)
+        if key > low:
+            spread = key >> shift
+            key &= low
+            for m in range(spread + 1):
+                terms[key + m] = get(key + m, 0) + c * comb(spread, m)
     return SparsePoly._make(terms)
 
 

@@ -165,6 +165,15 @@ def test_exit_2_verify_budget(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_exit_2_verify_schur_lhs_budget(capsys, monkeypatch):
+    """The pairwise product is guarded factor by factor, before any right side."""
+    monkeypatch.setenv("TETRAPOSET_BUDGET", "5")
+    code, out, err = run_cli(capsys, "verify", "--identity", "schur", "--n", "6")
+    assert (code, out) == (2, "")
+    assert "generating function terms" in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_verify_rr_budget(capsys, monkeypatch):
     monkeypatch.setenv("TETRAPOSET_BUDGET", "100")
     code, out, err = run_cli(capsys, "verify", "--identity", "rr", "--n", "6")

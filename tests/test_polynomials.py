@@ -143,6 +143,90 @@ def test_sparse_ring_laws(a, b, c):
     assert a - a == SparsePoly()
 
 
+def schoolbook_sparse(a: SparsePoly, b: SparsePoly) -> dict:
+    """Every pair of terms multiplied out, monomials as tuples, zeros dropped."""
+    out = {}
+    for (la, xa), ca in a.terms().items():
+        for (lb, xb), cb in b.terms().items():
+            xs = dict(xa)
+            for k, e in xb:
+                xs[k] = xs.get(k, 0) + e
+            mono = (la + lb, tuple(sorted(xs.items())))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def schoolbook_q(a: QPoly, b: QPoly) -> list[int]:
+    out = [0] * (len(a.to_coeff_list()) + len(b.to_coeff_list()))
+    for i, ca in enumerate(a.to_coeff_list()):
+        for j, cb in enumerate(b.to_coeff_list()):
+            out[i + j] += ca * cb
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+# Small coefficients over few monomials, so terms often cancel; sizes 0..8
+# give operands of equal and of unequal size.
+dense_sparse_polys = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=2)),
+            max_size=2,
+            unique_by=lambda t: t[0],
+        ).map(lambda xs: tuple(sorted(xs))),
+    ),
+    st.integers(min_value=-2, max_value=2),
+    max_size=8,
+).map(SparsePoly)
+# (p + r, p - r): the cross terms p*r cancel in the product.
+cancelling_pairs = st.tuples(dense_sparse_polys, dense_sparse_polys).map(
+    lambda t: (t[0] + t[1], t[0] - t[1])
+)
+sparse_operands = st.one_of(
+    st.tuples(dense_sparse_polys, dense_sparse_polys),
+    cancelling_pairs,
+    st.tuples(dense_sparse_polys, st.integers(min_value=-3, max_value=3)),
+)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(sparse_operands)
+def test_sparse_product_matches_schoolbook(operands):
+    a, b = operands
+    expected = schoolbook_sparse(a, SparsePoly.constant(b) if isinstance(b, int) else b)
+    for product in (a * b, b * a):
+        assert product.terms() == expected
+        assert 0 not in product._terms.values()
+
+
+@settings(max_examples=300, deadline=1000)
+@given(
+    st.one_of(
+        st.tuples(qpolys, qpolys),
+        st.tuples(qpolys, qpolys).map(lambda t: (t[0] + t[1], t[0] - t[1])),
+        st.tuples(qpolys, st.integers(min_value=-3, max_value=3)),
+    )
+)
+def test_q_product_matches_schoolbook(operands):
+    a, b = operands
+    expected = schoolbook_q(a, QPoly({0: b}) if isinstance(b, int) else b)
+    for product in (a * b, b * a):
+        assert product.to_coeff_list() == expected
+        assert 0 not in product.coefficients().values()
+
+
+def test_product_cancels_terms_and_handles_zero():
+    x1, lam = SparsePoly.x(1), SparsePoly.lam()
+    assert (x1 + lam) * (x1 - lam) == x1 * x1 - lam * lam
+    assert ((1 + x1) * (1 - x1 + x1 * x1)).terms() == {(0, ()): 1, (0, ((1, 3),)): 1}
+    assert (x1 + lam) * SparsePoly() == SparsePoly()
+    assert SparsePoly() * (x1 + lam) == SparsePoly()
+    assert (x1 + lam) * 0 == SparsePoly()
+    assert QPoly.from_coeff_list([1, -1]) * QPoly.from_coeff_list([1, 1]) == QPoly({0: 1, 2: -1})
+
+
 @given(sparse_polys, st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
 def test_sparse_evaluate_consistent_with_specialize(p, lam, xv):
     assert evaluate(p, lam, xv) == evaluate(lambda_specialize(p, lam), 0, xv)
@@ -170,6 +254,44 @@ def test_expand_binomial_field_matches_power(terms, field):
         key = sum(e << k * FIELD for k, e in enumerate(exps))
         packed = key + (spread << field * FIELD)
         sums[packed] = sums.get(packed, 0) + c
+        expected = expected + SparsePoly._make({key: c}) * (1 + SparsePoly.lam()) ** spread
+    assert expand_binomial_field(sums, field) == expected
+
+
+def test_expand_binomial_field_merges_colliding_keys():
+    """lambda x_1 with N = 0 is also a term of x_1 (1+lambda)^1."""
+    field = 2
+    x1 = 1 << FIELD
+    sums = {1 + x1: 3, x1 + (1 << field * FIELD): 5}
+    assert expand_binomial_field(sums, field) == 5 * SparsePoly.x(1) + 8 * SparsePoly.lam() * SparsePoly.x(1)
+    assert expand_binomial_field({x1 + (1 << field * FIELD): 5, 1 + x1: 3}, field).terms() == {
+        (0, ((1, 1),)): 5,
+        (1, ((1, 1),)): 8,
+    }
+
+
+@settings(max_examples=200, deadline=1000)
+@given(
+    st.dictionaries(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=2),
+        ),
+        st.integers(min_value=1, max_value=5),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_expand_binomial_field_matches_power_on_colliding_keys(terms):
+    """Keys over lambda^0..2 x_1^0..1 and N = 0..2, so expanded terms often
+    land on other keys, N = 0 keys included."""
+    field = 2
+    sums = {}
+    expected = SparsePoly()
+    for (lam, e, spread), c in terms.items():
+        key = lam + (e << FIELD)
+        sums[key + (spread << field * FIELD)] = c
         expected = expected + SparsePoly._make({key: c}) * (1 + SparsePoly.lam()) ** spread
     assert expand_binomial_field(sums, field) == expected
 
@@ -303,6 +425,12 @@ def test_packed_fields_never_carry():
         top * x(1)
     with pytest.raises(OverflowError):
         x(1, 2**15) * x(1)
+    bad_small, bad_big = x(2, 2**15), x(2, 2**15) + x(1) + SparsePoly.lam()
+    good_small, good_big = x(1), x(1) + x(2) + x(3) + SparsePoly.lam()
+    for bad, good in [(bad_small, good_big), (bad_big, good_small), (bad_big, good_big)]:
+        for a, b in [(bad, good), (good, bad)]:
+            with pytest.raises(OverflowError):
+                a * b
     assert QPoly.q(40000) * QPoly.q(40000) == QPoly.q(80000)
 
 
