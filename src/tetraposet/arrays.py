@@ -6,16 +6,18 @@ to x_{i,0} = i. Each entry x_{i,j} with j >= 1 records the induced ideal size
 of a j-element green chain, which is why every array family here assumes
 green. The remaining colors impose one local inequality each. INEQUALITIES
 below derives them from the lattice steps in colors.STEP through the vertex
-to cell map, and validate and the row successors (_row_assignments) are
-derived from it. Each inequality joins a cell to its own row or the row
-below, so one row successor serves every job: every array sum whose weights
-are local to two rows runs as one transfer over the rows (_row_transfer),
-and enumerate_arrays and the sorting fibers (enumerate_row_shuffles) walk
-the same successors depth first (_walk_rows). Both take the successors as a
-function, so the transfer also runs over the sorting fibers' rows
-(_shuffle_successors) and over the rows of monotone triangles
-(identities._row_steps), and every right side of the identities module
-uses it.
+to cell map, and validate reads them off it. Each inequality joins a cell to
+its west, southwest or south neighbour, or the reverse, so one table of
+neighbour deltas (_neighbour_deltas) bounds every cell of a row over the row
+below, and one row successor (_row_assignments) serves every job: every
+array sum whose weights are local to two rows runs as one transfer over the
+rows (_row_transfer), and enumerate_arrays and the sorting fibers
+(enumerate_row_shuffles) walk the same successors depth first with
+counting._walk_rows, the walk that also lists order ideals. The transfer
+and the walk take the successors as a function, so the transfer also runs
+over the sorting fibers' rows (_shuffle_successors) and over the rows of
+monotone triangles (identities._row_steps), and every right side of the
+identities module uses it.
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 """
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 from .budget import guard
 from .colors import STEP, Color, require_admissible
-from .counting import Plan, _fillings, count_ideals, rank_gf
+from .counting import Row, _walk_rows, count_ideals, rank_gf
 from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field
 from .poset import build, json_int
 
@@ -45,9 +47,6 @@ SORTED_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN, Color.YELLOW})
 INEQUALITIES = {
     color: (-a, a + c, a + b) for color, (a, b, c) in STEP.items() if color is not Color.GREEN
 }
-
-Cell = tuple[int, int]
-Row = tuple[int, ...]
 
 
 class Rows:
@@ -136,36 +135,38 @@ def weight(x: StaircaseArray) -> int:
     return sum(v - i for i, _, v in x.cells())
 
 
-def _bounds(
-    colors: frozenset[Color], i: int, j: int, filled: Callable[[int, int], bool]
-) -> tuple[list[tuple[Cell, int]], list[tuple[Cell, int]]]:
-    """The inequalities of `colors` between x_{i,j} and the cells for which
-    filled(i', j') holds, as (lower, upper) lists of (cell, delta) meaning
-    x_{i,j} >= x_cell + delta and x_{i,j} <= x_cell + delta. A rule relates
-    x_{i,j} to two neighbors, one on each side; each filled one bounds it."""
-    lower, upper = [], []
-    for color, (di, dj, slack) in INEQUALITIES.items():
-        if color in colors:
-            if filled(i + di, j + dj):
-                upper.append(((i + di, j + dj), slack))
-            if filled(i - di, j - dj):
-                lower.append(((i - di, j - dj), -slack))
-    return lower, upper
+#: (di, dj) of a cell's west, southwest and south neighbours. Each
+#: inequality joins x_{i,j} to x_{i+di,j+dj}, and one of the two cells is a
+#: west, southwest or south neighbour of the other.
+_NEIGHBOURS = ((0, -1), (1, -1), (1, 0))
+
+
+@lru_cache(maxsize=None)
+def _neighbour_deltas(colors: frozenset[Color]) -> tuple[tuple[float, float], ...]:
+    """(lower, upper) per neighbour in _NEIGHBOURS: the inequalities of
+    `colors` say lower <= x_{i,j} - neighbour <= upper, unbounded as -inf or
+    inf."""
+    deltas = {offset: [-inf, inf] for offset in _NEIGHBOURS}
+    for color in colors & INEQUALITIES.keys():
+        di, dj, slack = INEQUALITIES[color]
+        if (di, dj) in deltas:  # x_{i,j} <= neighbour + slack
+            deltas[di, dj][1] = min(deltas[di, dj][1], slack)
+        else:  # neighbour <= x_{i,j} + slack
+            deltas[-di, -dj][0] = max(deltas[-di, -dj][0], -slack)
+    return tuple(tuple(deltas[offset]) for offset in _NEIGHBOURS)
 
 
 @lru_cache(maxsize=None)
 def _checks(n: int, colors: frozenset[Color]) -> tuple[tuple[int, int, int, int, int], ...]:
     """Every inequality of Y_n(S) as (i, j, i', j', slack) over 0-based rows:
     rows[i][j] <= rows[i'][j'] + slack."""
-
-    def exists(i: int, j: int) -> bool:
-        return 1 <= i <= n and 0 <= j <= n - i
-
     return tuple(
-        (i - 1, j, ii - 1, jj, slack)
-        for i in range(1, n + 1)
-        for j in range(n - i + 1)
-        for (ii, jj), slack in _bounds(colors, i, j, exists)[1]
+        (i, j, i + di, j + dj, slack)
+        for color, (di, dj, slack) in INEQUALITIES.items()
+        if color in colors
+        for i in range(n)
+        for j in range(n - i)
+        if 0 <= i + di < n and 0 <= j + dj < n - i - di
     )
 
 
@@ -179,58 +180,33 @@ def validate(x: StaircaseArray, colors) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _row_plan(i: int, width: int, colors: frozenset[Color]) -> Plan:
-    """The plan for row i, west to east, after the `width` cells of row i+1:
-    each cell's range i..i+j and its (lower, upper) bounds as (position,
-    delta) against earlier cells."""
-    order = [(i + 1, j) for j in range(width)] + [(i, j) for j in range(width + 1)]
-    pos = {cell: t for t, cell in enumerate(order)}
-    plan = []
-    for t, (ii, j) in enumerate(order):
-        lower, upper = _bounds(colors, ii, j, lambda ci, cj: pos.get((ci, cj), t) < t)
-        plan.append(
-            (
-                ii,
-                ii + j,
-                tuple((pos[cell], delta) for cell, delta in lower),
-                tuple((pos[cell], delta) for cell, delta in upper),
-            )
-        )
-    return tuple(plan)
+def _cell_values(
+    colors: frozenset[Color], i: int, j: int, sw: int, s: int | None
+) -> tuple[range, ...]:
+    """The values of x_{i,j}, j >= 1, over southwest neighbour sw and south
+    neighbour s (None past the end of row i+1), indexed by the value w < i+j
+    of its west neighbour."""
+    (w_lo, w_hi), (sw_lo, sw_hi), (s_lo, s_hi) = _neighbour_deltas(colors)
+    lo, hi = max(i, sw + sw_lo), min(i + j, sw + sw_hi)
+    if s is not None:
+        lo, hi = max(lo, s + s_lo), min(hi, s + s_hi)
+    return tuple(range(max(lo, w + w_lo), min(hi, w + w_hi) + 1) for w in range(i + j))
 
 
 def _row_assignments(i: int, colors: frozenset[Color], below: Row) -> list[Row]:
     """Valid fillings of row i given the filling `below` of row i+1 (empty
-    for the bottom row i = n).
+    for the bottom row i = n), in ascending order.
 
     Every inequality joins cells of one row or of two consecutive rows, so an
-    array is valid exactly when each row is valid over the row below it.
+    array is valid exactly when each row is valid over the row below it. The
+    row grows west to east from its pinned cell x_{i,0} = i, which no
+    inequality with a valid row below cuts.
     """
-    width = len(below)
-    vals = list(below) + [0] * (width + 1)
-    return [tuple(vals[width:]) for _ in _fillings(_row_plan(i, width, colors), vals, width)]
-
-
-def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Iterator[list[Row]]:
-    """Every array whose row i is one of successors(i, row i+1), depth first
-    from row n (over the empty row) up to row 1, taking the candidates in
-    their given order. Yields one list, rows[i-1] = row i, reused on every
-    yield."""
-    rows: list[Row] = [()] * n
-    todo: list[Iterator[Row]] = [iter(())] * (n + 1)  # rows left to try
-    i = n
-    todo[n] = iter(successors(n, ()))
-    while i <= n:
-        row = next(todo[i], None)
-        if row is None:
-            i += 1
-        elif i > 1:
-            rows[i - 1] = row
-            i -= 1
-            todo[i] = iter(successors(i, row))
-        else:
-            rows[0] = row
-            yield rows
+    rows: list[Row] = [(i,)]
+    for j, sw in enumerate(below, start=1):
+        spans = _cell_values(colors, i, j, sw, below[j] if j < len(below) else None)
+        rows = [row + (v,) for row in rows for v in spans[row[-1]]]
+    return rows
 
 
 def _row_transfer(

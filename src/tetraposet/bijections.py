@@ -175,6 +175,7 @@ class Tournament:
         if json_int(n) < 1:
             raise ValueError("n must be at least 1")
         wmap = dict(winners)
+        # counted first, so a huge n with few games never builds games(n)
         if len(wmap) != n * (n - 1) // 2:
             raise ValueError("winners must cover exactly the games of 1..n")
         expected = games(n)

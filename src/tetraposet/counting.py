@@ -9,19 +9,22 @@ green, the staircase arrays are the same ideals in other coordinates
 engine too. The independent cross-check, the row value-count transfer
 specialized at x_k = q^(k-1), lives in the tests.
 
-One filler, _fillings, lists every solution of a Plan of bounded integer
-positions in order. enumerate_ideals runs it on a 0/1 plan over a linear
-extension, and arrays.py runs it on staircase cells.
+One depth-first walk, _walk_rows, lists every path of rows that a successor
+function allows. enumerate_ideals walks the DP's own steps with it, one row
+(frontier mask, vertex taken) per vertex, so it lists exactly the ideals
+rank_gf sums over; arrays.py walks staircase rows with it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .budget import guard
 from .polynomials import QPoly
 from .poset import OrderIdeal, Subposet, Vertex
+
+Row = tuple[int, ...]
 
 
 def _linear_extension(
@@ -46,12 +49,14 @@ def _linear_extension(
     return order
 
 
-def _steps(p: Subposet) -> list[tuple[int, int, int]]:
-    """One (need_mask, u_bit, keep_mask) triple per vertex u of the linear
-    extension. A vertex holds the lowest free bit slot from its own step until
-    its last upper cover is visited. need_mask has the slots of u's lower
-    covers, keep_mask the slots still held after u's step (u aside), and u_bit
-    is u's slot, or 0 when nothing covers u."""
+def _steps(p: Subposet) -> tuple[list[Vertex], list[tuple[int, int, int]]]:
+    """The linear extension, and one (need_mask, u_bit, keep_mask) triple per
+    vertex u of it. A vertex holds the lowest free bit slot from its own step
+    until its last upper cover is visited. need_mask has the slots of u's
+    lower covers, keep_mask the slots still held after u's step (u aside), and
+    u_bit is u's slot, or 0 when nothing covers u. So u may join an ideal
+    whose frontier mask before the step is mask exactly when
+    mask & need_mask == need_mask."""
     pred = p.predecessors()
     succ = p.successors()
     order = _linear_extension(p, pred, succ)
@@ -73,7 +78,7 @@ def _steps(p: Subposet) -> list[tuple[int, int, int]]:
             held |= u_bit
             bit[u] = u_bit
         steps.append((need, u_bit, keep))
-    return steps
+    return order, steps
 
 
 def _component_rank_coeffs(p: Subposet) -> list[int]:
@@ -87,7 +92,7 @@ def _component_rank_coeffs(p: Subposet) -> list[int]:
     """
     width = len(p.vertices) + 1
     states = {0: 1}
-    for need, u_bit, keep in _steps(p):
+    for need, u_bit, keep in _steps(p)[1]:
         new_states: dict[int, int] = {}
         for mask, packed in states.items():
             base = mask & keep
@@ -115,58 +120,50 @@ def count_ideals(p: Subposet) -> int:
     return rank_gf(p)(1)
 
 
-#: One (lo, hi, lower, upper) entry per position t: vals[t] ranges over
-#: lo..hi, and (k, delta) in lower or upper, with k < t, means
-#: vals[t] >= vals[k] + delta or vals[t] <= vals[k] + delta.
-Plan = tuple[tuple[int, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
-
-
-def _fillings(plan: Plan, vals: list[int], start: int) -> Iterator[None]:
-    """Fill vals[start:] in every way the plan allows, depth first with values
-    ascending, yielding each time vals is complete (once if nothing is left
-    to fill)."""
-    last = len(plan) - 1
-    if start > last:
-        yield
-        return
-    todo: list[Iterator[int]] = [iter(())] * len(plan)  # values left to try
-    t, fresh = start, True
-    while t >= start:
-        if fresh:
-            lo, hi, lower, upper = plan[t]
-            for k, delta in lower:
-                if vals[k] + delta > lo:
-                    lo = vals[k] + delta
-            for k, delta in upper:
-                if vals[k] + delta < hi:
-                    hi = vals[k] + delta
-            todo[t] = iter(range(lo, hi + 1))
-        v = next(todo[t], None)
-        if v is None:
-            t, fresh = t - 1, False
+def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Iterator[list[Row]]:
+    """Every path whose row i is one of successors(i, row i+1), depth first
+    from row n (over the empty row) up to row 1, taking the candidates in
+    their given order. Yields one list, rows[i-1] = row i, reused on every
+    yield; with no rows (n = 0) that is one empty list."""
+    rows: list[Row] = [()] * n
+    todo: list[Iterator[Row]] = [iter(())] * (n + 1)  # rows left to try
+    i, fresh = n, True
+    while i <= n:
+        if i == 0:
+            yield rows
+            i, fresh = 1, False
             continue
-        vals[t] = v
-        if t < last:
-            t, fresh = t + 1, True
+        if fresh:
+            todo[i] = iter(successors(i, rows[i] if i < n else ()))
+        row = next(todo[i], None)
+        if row is None:
+            i, fresh = i + 1, False
         else:
-            fresh = False
-            yield
+            rows[i - 1] = row
+            i, fresh = i - 1, True
 
 
 def enumerate_ideals(p: Subposet) -> Iterator[OrderIdeal]:
     """Yield every order ideal, in a deterministic depth-first order.
 
-    Vertex t of the linear extension is in the ideal when vals[t] = 1, which
-    the plan allows only when every lower cover is in. Values ascend, so the
-    branch that leaves a vertex out comes before the one that puts it in. The
-    total count is checked against the yield budget before any work is done.
+    Row i of the walk is (frontier mask, u taken) for u = order[size - i],
+    so the walk goes along the linear extension with the state and the
+    choice of the DP in rank_gf. Leaving u out comes first, and u may join
+    only when every lower cover is in. The total count is checked against
+    the yield budget before any work is done.
     """
     guard(count_ideals(p), "order ideals")
-    pred = p.predecessors()
-    order = _linear_extension(p, pred, p.successors())
-    pos = {u: t for t, u in enumerate(order)}
-    plan = tuple((0, 1, (), tuple((pos[v], 0) for v in pred[u])) for u in order)
-    vals = [0] * len(plan)
-    for _ in _fillings(plan, vals, 0):
+    order, steps = _steps(p)
+    size = len(order)
+
+    def successors(i: int, below: Row) -> tuple[Row, ...]:
+        need, u_bit, keep = steps[size - i]
+        mask = below[0] if below else 0
+        base = mask & keep
+        if mask & need == need:
+            return (base, False), (base | u_bit, True)
+        return ((base, False),)
+
+    for rows in _walk_rows(size, successors):
         # copied from a set, the frozenset is sized to fit (see array_to_ideal)
-        yield OrderIdeal(p.n, frozenset({u for u, b in zip(order, vals) if b}))
+        yield OrderIdeal(p.n, frozenset({u for u, row in zip(order, reversed(rows)) if row[1]}))

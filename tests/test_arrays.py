@@ -109,7 +109,8 @@ def test_validate_enumeration_and_transfer_agree_with_brute_force():
         assert len(candidates) == [1, 2, 12, 288][n - 1]
         for colors in green_sets:
             valid = {x for x in candidates if validate(x, colors)}
-            assert set(enumerate_arrays(n, colors)) == valid
+            # rows bottom-up, each row ascending
+            assert list(enumerate_arrays(n, colors)) == sorted(valid, key=lambda x: x.rows[::-1])
             assert array_rank_gf(n, colors)(1) == len(valid)
             ideals = enumerate_ideals(build(n).subposet(colors))
             assert {ideal_to_array(ideal) for ideal in ideals} == valid
@@ -120,7 +121,9 @@ def test_row_successors_walk_the_sorted_arrays():
         if i == 0:
             yield StaircaseArray(rows)
             return
-        for row in _row_assignments(i, colors, rows[0] if rows else ()):
+        successors = _row_assignments(i, colors, rows[0] if rows else ())
+        assert all(a < b for a, b in zip(successors, successors[1:]))
+        for row in successors:
             yield from walk(i - 1, [row] + rows, colors)
 
     cases = [(n, SORTED_COLORS) for n in range(1, 6)]

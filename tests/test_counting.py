@@ -168,9 +168,17 @@ def test_enumerate_ideals_matches_recursive_walk():
     # n = 1 has no vertices and exactly one (empty) ideal
     for n in range(1, 5):
         p = build(n)
+        total = 0
         for colorset in all_admissible_sets():
             sub = p.subposet(colorset)
-            assert list(enumerate_ideals(sub)) == list(walked_ideals(sub))
+            walked = list(walked_ideals(sub))
+            assert list(enumerate_ideals(sub)) == walked
+            total += len(walked)
+    assert total == 5318  # over all 40 sets at n = 4
+    p = build(5)
+    for colorset in ("bgoy", "rgoy", "rbg"):
+        sub = p.subposet(colorset)
+        assert list(enumerate_ideals(sub)) == list(walked_ideals(sub))
     dual = build(4).subposet("rgy").dual()
     assert list(enumerate_ideals(dual)) == list(walked_ideals(dual))
 
