@@ -16,7 +16,7 @@ rows (_row_transfer), and enumerate_arrays and the sorting fibers
 counting._walk_rows, the walk that also lists order ideals. The transfer
 and the walk take the successors as a function, so the transfer also runs
 over the sorting fibers' rows (_shuffle_successors) and over the rows of
-monotone triangles (identities._row_steps), and every right side of the
+monotone triangles (identities._mt_rows), and every right side of the
 identities module uses it.
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.

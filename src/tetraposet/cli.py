@@ -240,10 +240,7 @@ def main(argv=None) -> int:
     except FamilyMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAMILY
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (BudgetError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

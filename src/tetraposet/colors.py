@@ -14,6 +14,8 @@ from collections.abc import Iterable
 from enum import Enum
 
 
+# The members are declared in canonical order, and CANONICAL_ORDER is read
+# off the declaration, so their order is significant.
 class Color(Enum):
     RED = "r"
     BLUE = "b"
@@ -27,25 +29,7 @@ class Color(Enum):
 
 
 #: Canonical ordering used wherever a stable color order is needed.
-CANONICAL_ORDER = (
-    Color.RED,
-    Color.BLUE,
-    Color.GREEN,
-    Color.ORANGE,
-    Color.YELLOW,
-    Color.SILVER,
-)
-
-_ORDER_INDEX = {color: index for index, color in enumerate(CANONICAL_ORDER)}
-
-FULL_NAME = {
-    Color.RED: "red",
-    Color.BLUE: "blue",
-    Color.GREEN: "green",
-    Color.ORANGE: "orange",
-    Color.YELLOW: "yellow",
-    Color.SILVER: "silver",
-}
+CANONICAL_ORDER = tuple(Color)
 
 #: Lattice step of an upward edge of each color, in (c1, c2, c3) coordinates.
 STEP = {
@@ -69,12 +53,8 @@ ADMISSIBILITY_RULES = (
 _BY_LETTER = {color.value: color for color in Color}
 
 
-def color_key(color: Color) -> int:
-    return _ORDER_INDEX[color]
-
-
 def sort_colors(colors: Iterable[Color]) -> tuple[Color, ...]:
-    return tuple(sorted(colors, key=color_key))
+    return tuple(sorted(colors, key=CANONICAL_ORDER.index))
 
 
 def parse_colors(colors: str | Iterable[Color]) -> frozenset[Color]:

@@ -22,12 +22,12 @@ the southwest for the first two, each row's equalities and its factor of the
 fiber size for the third, and for the fourth each sorted row's equalities
 and each shuffled row's equalities by diagonal, with the shuffled row as the
 state. The matrix sum (`rr`) runs it over the rows of the matrix, whose
-states are the rows of its monotone triangle (_row_steps); every weight in
-it is local to one row given the column sums above it. `rr` shares the loop
-and the closing (1+lambda)^N expansion with `asm`, but its states,
-successors and weights are its own, so the two reach the same product by
-routes that share no row logic. No right side lists its objects, and no
-left side uses a transfer.
+states are the rows of its monotone triangle, each followed by the rows
+that interlace with it (_mt_rows); every weight in it is local to one row
+given the column sums above it. `rr` shares the loop and the closing
+(1+lambda)^N expansion with `asm`, but its states, successors and weights
+are its own, so the two reach the same product by routes that share no row
+logic. No right side lists its objects, and no left side uses a transfer.
 """
 
 from __future__ import annotations
@@ -111,46 +111,35 @@ def asm_stats(a: Asm) -> AsmStats:
 
 
 @lru_cache(maxsize=None)
-def _row_steps(n: int) -> dict[Row, dict[Row, int]]:
-    """Every row an n x n alternating sign matrix can have after its first i-1
-    rows, keyed by S_{i-1}: row i-1 of its monotone triangle, the columns
-    whose partial sum is 1 after those rows (S_0 = ()).
+def _mt_rows(n: int, prev: Row) -> dict[Row, int]:
+    """Every row S_i an order-n monotone triangle can have after its row
+    S_{i-1} = prev (S_0 = ()), mapped to the weight of row i of the
+    alternating sign matrix, 1_{S_i} - 1_{S_{i-1}}, as a SparsePoly key
+    offset. S_i is the set of columns whose partial sum is 1 after row i.
 
-    Row i is 1_{S_i} - 1_{S_{i-1}}, and it is a valid row exactly when its
-    running sum stays in {0, 1} and ends at 1, so S_i is built column by
-    column from that running sum, as a mask with bit j-1 for column j. Each
-    entry maps S_i to row i's weight as a SparsePoly key offset: lambda gains
-    sum_j A_{ij} |{l in S_{i-1} : l > j}| (row i's inversions against the
-    rows above) minus its -1 count, x_j gains (n-i) A_{ij}, and field n+1
-    counts the -1s.
+    S_i follows prev exactly when the two interlace (Mills, Robbins and
+    Rumsey): s_k lies in [p_{k-1}, p_k] for k = 1..i, with p_0 = 1 and
+    p_i = n, and s_1 < ... < s_i, so S_i grows column by column. In the
+    weight, lambda gains sum_j A_{ij} |{l in prev : l > j}| (row i's
+    inversions against the rows above) minus its -1 count, x_j gains
+    (n-i) A_{ij}, and field n+1 counts the -1s: the columns of prev that
+    S_i leaves out, i - 1 - |S_i & prev| of them. So each column of prev
+    carries one -1, which S_i pays back when it keeps the column.
     """
+    i = len(prev) + 1
     neg = (1 << (n + 1) * FIELD) - 1  # one more -1, one less lambda
-
-    def columns(mask: int) -> Row:
-        return tuple(j for j in range(1, n + 1) if mask >> j - 1 & 1)
-
-    steps = {}
-    for prev in range(1 << n):
-        i = bin(prev).count("1") + 1
-        if i > n:
-            continue
-        partial = [(0, 0, 0)]  # (S_i so far, running sum, shift)
-        for j in range(1, n + 1):
-            bit = 1 << j - 1
-            gain = bin(prev >> j).count("1") + ((n - i) << j * FIELD)
-            grown = []
-            for mask, run, shift in partial:
-                if prev & bit:
-                    grown.append((mask | bit, run, shift))
-                    if run:
-                        grown.append((mask, 0, shift - gain + neg))
-                else:
-                    grown.append((mask, run, shift))
-                    if not run:
-                        grown.append((mask | bit, 1, shift + gain))
-            partial = grown
-        steps[columns(prev)] = {columns(mask): shift for mask, run, shift in partial if run}
-    return steps
+    gain = [
+        sum(l > j for l in prev) + ((n - i) << j * FIELD) - (j in prev) * neg
+        for j in range(n + 1)
+    ]
+    rows = {(): -sum(gain[j] for j in prev)}
+    for lo, hi in zip((1, *prev), (*prev, n)):
+        rows = {
+            row + (s,): shift + gain[s]
+            for row, shift in rows.items()
+            for s in range(max(lo, row[-1] + 1) if row else lo, hi + 1)
+        }
+    return rows
 
 
 def robbins_rumsey_rhs(n: int) -> SparsePoly:
@@ -160,7 +149,7 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
     section 4.7).
 
     The state after row i is row i of the monotone triangle of A, and
-    _row_steps gives each state's successors with the packed weight of the
+    _mt_rows gives each state's successors with the packed weight of the
     row between them; arrays._row_transfer sums them. The -1 count stays in
     field n+1 until the end, so a state holds one term per monomial rather
     than branching on every -1.
@@ -176,8 +165,9 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    steps = _row_steps(n)
-    sums = _row_transfer(n, lambda i, prev: steps[prev], lambda row, prev: (steps[prev][row], 1))
+    sums = _row_transfer(
+        n, lambda i, prev: _mt_rows(n, prev), lambda row, prev: (_mt_rows(n, prev)[row], 1)
+    )
     return expand_binomial_field(sums, n + 1)
 
 

@@ -27,7 +27,6 @@ from math import comb
 from .colors import (
     CANONICAL_ORDER,
     Color,
-    FULL_NAME,
     STEP,
     format_colors,
     require_admissible,
@@ -277,7 +276,7 @@ def to_dot(p: Subposet) -> str:
             a, b = ((w, v) if p.is_dual else (v, w))
             lines.append(
                 f'  "{a[0]},{a[1]},{a[2]}" -> "{b[0]},{b[1]},{b[2]}"'
-                f" [color={FULL_NAME[color]}];"
+                f" [color={color.name.lower()}];"
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

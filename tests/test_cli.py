@@ -3,7 +3,6 @@ import json
 import re
 import subprocess
 import sys
-import time
 
 from tetraposet import OrderIdeal, StaircaseArray, build, cli, validate
 
@@ -200,16 +199,34 @@ def test_convert_array_to_tsscpp_family_mismatch(capsys, tmp_path, array4_rows):
     assert code == 4
 
 
-def test_convert_tournament_rejects_missing_games_fast(capsys, tmp_path):
+# Runs cli.main on its arguments in a process capped at 1 GiB of address
+# space, so a call that tries to allocate without bound fails with
+# MemoryError instead of exhausting the host. The last stderr line is the
+# time main took.
+_CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tetraposet import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_convert_tournament_rejects_missing_games_fast(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"n": 1000000000, "games": []}))
-    start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "convert", "--from", "tournament", "--to", "array", "--input", str(path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN,
+         "convert", "--from", "tournament", "--to", "array", "--input", str(path)],
+        capture_output=True,
+        text=True,
     )
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert "winners must cover exactly the games" in err
+    *err, elapsed = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert float(elapsed) < 1.0
+    assert "winners must cover exactly the games" in "\n".join(err)
 
 
 def test_convert_tournament_rejects_repeated_game(capsys, tmp_path):

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -33,7 +34,7 @@ from tetraposet import (
 )
 from tetraposet import arrays
 from tetraposet.arrays import value_count_gf
-from tetraposet.identities import SCHUR_COLORS, _row_steps
+from tetraposet.identities import SCHUR_COLORS, _mt_rows
 from tetraposet.polynomials import FIELD
 
 from conftest import (
@@ -135,19 +136,20 @@ def test_rr_identity_at_n7():
     assert verify_identity("rr", 7)["status"] == "ok"
 
 
-def test_rr_row_steps_follow_the_monotone_triangles():
-    """Each key of _row_steps(n) maps to exactly the rows that follow it in
-    the monotone triangles of the n x n alternating sign matrices."""
+def test_rr_mt_rows_follow_the_monotone_triangles():
+    """The rows S_{i-1} of the monotone triangles of the n x n alternating
+    sign matrices are every k-subset of 1..n for k < n (S_0 = ()), and
+    _mt_rows(n, S_{i-1}) has exactly the rows S_i that follow each one."""
     for n in range(1, 6):
         follow = {}
         for a in enumerate_asms(n):
             rows = ((), *asm_to_mt(a).rows)
             for prev, row in zip(rows, rows[1:]):
                 follow.setdefault(prev, set()).add(row)
-        steps = _row_steps(n)
-        assert steps.keys() == follow.keys()
-        for prev, nxt in steps.items():
-            assert set(nxt) == follow[prev]
+        subsets = {s for k in range(n) for s in combinations(range(1, n + 1), k)}
+        assert follow.keys() == subsets
+        for prev, nxt in follow.items():
+            assert _mt_rows(n, prev).keys() == nxt
 
 
 def test_rr_transfer_matches_enumeration():
