@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from math import comb, inf
 
-from .budget import guard
+from .budget import enumeration_budget, guard
 from .colors import STEP, Color, require_admissible
 from .counting import Row, _walk_rows, count_ideals, rank_gf
 from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field
@@ -225,24 +225,31 @@ def _row_transfer(
     an array's SparsePoly key is the sum of its rows' shifts and its weight
     the product of their factors. The state after row i is that row, mapped
     to {key: summed weight of the partial arrays}. States are dropped as they
-    are consumed, and the live term count is checked against the budget after
-    every row. Nothing lies above row 1, so all of its fillings go to the
-    single state (), which holds the result as {key: coefficient}.
+    are consumed, and the live terms, of the states left and of the next
+    row's, are counted and checked against the budget after every consumed
+    state. Nothing lies above row 1, so all of its fillings go to the single
+    state (), which holds the result as {key: coefficient}.
     """
+    budget = enumeration_budget()
     states: dict[Row, dict[int, int]] = {(): {0: 1}}
+    live = 1
     for i in range(n, 0, -1):
         nxt: dict[Row, dict[int, int]] = {}
         while states:
             below, weights = states.popitem()
+            live -= len(weights)
             for row in successors(i, below):
                 shift, factor = step(row, below)
                 acc = nxt.setdefault(row if i > 1 else (), {})
+                live -= len(acc)
                 get = acc.get
                 for k, c in weights.items():
                     k += shift
                     acc[k] = get(k, 0) + c * factor
+                live += len(acc)
+            if live > budget:
+                guard(live, "transfer terms")
         states = nxt
-        guard(sum(map(len, states.values())), "transfer terms")
     return states[()]
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from itertools import accumulate, compress, product, zip_longest
+from itertools import accumulate, chain, compress, product, zip_longest
 from operator import sub
 
 from .arrays import (
@@ -163,13 +163,14 @@ def games(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-class Tournament:
+class Tournament(Rows):
     """Outcome of one game between every pair of players 1..n.
 
-    An upset is a game won by the larger index.
+    Row i holds the winners of the games (i, j), j > i, in order of j. An
+    upset is a game won by the larger index.
     """
 
-    __slots__ = ("n", "winners")
+    __slots__ = ()
 
     def __init__(self, n: int, winners):
         if json_int(n) < 1:
@@ -178,26 +179,24 @@ class Tournament:
         # counted first, so a huge n with few games never builds games(n)
         if len(wmap) != n * (n - 1) // 2:
             raise ValueError("winners must cover exactly the games of 1..n")
-        expected = games(n)
-        if set(wmap) != set(expected):
+        if set(wmap) != set(games(n)):
             raise ValueError("winners must cover exactly the games of 1..n")
         for game, w in wmap.items():
             i, j = (json_int(c) for c in game)
             if json_int(w) not in (i, j):
                 raise ValueError(f"winner of game {i} vs {j} must be one of them")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "winners", tuple(wmap[g] for g in expected)
-        )
+        rows = tuple(tuple(wmap[i, j] for j in range(i + 1, n + 1)) for i in range(1, n + 1))
+        object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tournament is immutable")
+    @property
+    def winners(self) -> tuple[int, ...]:
+        """The winners of games(n), in that order."""
+        return tuple(chain.from_iterable(self.rows))
 
     def winner(self, i: int, j: int) -> int:
         if not 1 <= i < j <= self.n:
             raise ValueError(f"({i}, {j}) is not a game of 1..{self.n}")
-        # games before (i, j) in lexicographic order: (n-1) + ... + (n-i+1) + (j-i-1)
-        return self.winners[(i - 1) * (2 * self.n - i) // 2 + j - i - 1]
+        return self.rows[i - 1][j - i - 1]
 
     def is_upset(self, i: int, j: int) -> bool:
         return self.winner(i, j) == j
@@ -225,16 +224,6 @@ class Tournament:
                 raise ValueError(f"game {game[0]} vs {game[1]} is listed twice")
             winners[game] = w
         return cls(obj["n"], winners)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tournament)
-            and self.n == other.n
-            and self.winners == other.winners
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.winners))
 
     def __repr__(self) -> str:
         return f"Tournament.from_json_obj({self.to_json_obj()!r})"

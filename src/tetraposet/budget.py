@@ -1,9 +1,11 @@
-"""Resource guard for explicit enumeration.
+"""Resource guard for explicit enumeration and expansion.
 
-Counting is exact and cheap (dynamic programming); enumeration is not. Every
-enumerating operation counts first and refuses to stream more objects than the
-budget allows. The default budget is 10**8 objects and can be overridden with
-the TETRAPOSET_BUDGET environment variable.
+Counting is exact and cheap (dynamic programming); enumeration is not. The
+budget bounds three things: the objects an enumeration would stream, counted
+before streaming starts; the live terms of a row transfer, checked after every
+state it consumes; and the terms of a polynomial product, checked after every
+factor. The default budget is 10**8 and can be overridden with the
+TETRAPOSET_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ ENV_VAR = "TETRAPOSET_BUDGET"
 
 
 class BudgetError(RuntimeError):
-    """An enumeration would exceed the configured object budget."""
+    """An enumeration, transfer or product would exceed the configured budget."""
 
 
 def enumeration_budget() -> int:

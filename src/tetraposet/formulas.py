@@ -1,13 +1,12 @@
 """Closed-form counting products and the tournament generating function.
 
-Every product here is evaluated exactly. Factorial quotients are computed as
-big-integer products with divisibility checked before the final division.
+Every product here is evaluated exactly. Quotients are computed as big-integer
+products with divisibility checked before the final division.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -71,11 +70,8 @@ def asm_number(n: int) -> int:
     """prod_{j=0..n-1} (3j+1)!/(n+j)! : the count for every 4-color set."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    num = 1
-    den = 1
-    for j in range(n):
-        num *= factorial(3 * j + 1)
-        den *= factorial(n + j)
+    num = prod(factorial(3 * j + 1) for j in range(n))
+    den = prod(factorial(n + j) for j in range(n))
     if num % den:
         raise ArithmeticError(f"factorial quotient not integral at n={n}")
     return num // den
@@ -85,13 +81,23 @@ def tspp_number(n: int) -> int:
     """Totally symmetric plane partitions in the (n-1)-cube: all six colors."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    value = Fraction(1)
-    for i in range(1, n):
-        for j in range(i, n):
-            value *= Fraction(i + j + n - 2, i + 2 * j - 2)
-    if value.denominator != 1:
+    pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
+    num = prod(i + j + n - 2 for i, j in pairs)
+    den = prod(i + 2 * j - 2 for i, j in pairs)
+    if num % den:
         raise ArithmeticError(f"product not integral at n={n}")
-    return value.numerator
+    return num // den
+
+
+def _pair_product(n: int, upset: int) -> SparsePoly:
+    """prod_{1<=i<j<=n} (x_i + lambda^upset x_j), expanded; the term count is
+    checked against the budget after every factor."""
+    out = SparsePoly.constant(1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out = out * SparsePoly({(0, ((i, 1),)): 1, (upset, ((j, 1),)): 1})
+            guard(out.term_count(), "generating function terms")
+    return out
 
 
 def tournament_gf(n: int) -> SparsePoly:
@@ -101,12 +107,7 @@ def tournament_gf(n: int) -> SparsePoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = SparsePoly.constant(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out * (SparsePoly.x(i) + SparsePoly.lam() * SparsePoly.x(j))
-            guard(out.term_count(), "generating function terms")
-    return out
+    return _pair_product(n, 1)
 
 
 # Formula dispatch: which admissible sets have a closed form.
@@ -118,7 +119,7 @@ _THREE_NO_FORMULA = tuple(map(parse_colors, ("rgy", "bgs")))
 
 
 def _catalan_count(n: int) -> int:
-    return catalan_product(n)[0]
+    return prod(map(catalan_number, range(1, n + 1)))
 
 
 def _closed_forms(colors) -> tuple[Callable[[int], int], Callable[[int], QPoly] | None] | None:

@@ -49,10 +49,9 @@ from .arrays import (
     value_count_gf,
 )
 from .bijections import Asm
-from .budget import guard
 from .colors import Color, all_admissible_sets, format_colors
 from .counting import rank_gf
-from .formulas import formula_count, formula_rank_gf, tournament_gf
+from .formulas import _pair_product, formula_count, formula_rank_gf, tournament_gf
 from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field, first_difference
 from .poset import build
 
@@ -226,12 +225,7 @@ def tsscpp_lambda_count(n: int) -> SparsePoly:
 
 def pairwise_product(n: int) -> SparsePoly:
     """prod_{i<j} (x_i + x_j): the lambda = 1 tournament product."""
-    out = SparsePoly.constant(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out * (SparsePoly.x(i) + SparsePoly.x(j))
-            guard(out.term_count(), "generating function terms")
-    return out
+    return _pair_product(n, 0)
 
 
 def schur_expansion_rhs(n: int) -> SparsePoly:

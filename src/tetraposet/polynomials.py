@@ -40,10 +40,10 @@ class _Poly:
     Keys are ints that add under multiplication, and 0 is the key of 1. A
     subclass fixes their meaning with _check_factor (raises if a factor's
     keys could overflow a product), _sort_key (listing order; None for the
-    keys' own order), _key_json (a key as JSON) and _clean_key (checks a
-    public key and returns its int). The public constructor checks every key
-    and coefficient; arithmetic builds results through _make, which trusts
-    them.
+    keys' own order), _format_key (a key other than 0 as repr prints it),
+    _key_json (a key as JSON) and _clean_key (checks a public key and returns
+    its int). The public constructor checks every key and coefficient;
+    arithmetic builds results through _make, which trusts them.
     """
 
     __slots__ = ("_terms",)
@@ -157,6 +157,17 @@ class _Poly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
+    def _sorted_keys(self) -> list[int]:
+        return sorted(self._terms, key=self._sort_key)
+
+    def __repr__(self) -> str:
+        parts = []
+        for key in self._sorted_keys():
+            c = self._terms[key]
+            head = "" if c == 1 else "-" if c == -1 else f"{c}*"
+            parts.append(head + self._format_key(key) if key else str(c))
+        return f"{type(self).__name__}({' + '.join(parts) or 0})"
+
 
 class QPoly(_Poly):
     """Polynomial in the single variable q with integer coefficients; the key
@@ -174,6 +185,10 @@ class QPoly(_Poly):
     @staticmethod
     def _check_factor(terms: dict) -> None:
         pass
+
+    @staticmethod
+    def _format_key(exp: int) -> str:
+        return f"q^{exp}" if exp > 1 else "q"
 
     @staticmethod
     def _key_json(exp: int) -> dict:
@@ -213,19 +228,6 @@ class QPoly(_Poly):
         if degree < self.degree:
             raise ValueError("reversal degree below polynomial degree")
         return QPoly._make({degree - e: c for e, c in self._terms.items()})
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "QPoly(0)"
-        parts = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else "-" if c == -1 else f"{c}*"
-                parts.append(f"{head}q^{e}" if e > 1 else f"{head}q")
-        return "QPoly(" + " + ".join(parts) + ")"
 
 
 def q_bracket(m: int) -> QPoly:
@@ -316,6 +318,13 @@ class SparsePoly(_Poly):
         return (lam + sum(e for _, e in xs), lam, xs)
 
     @staticmethod
+    def _format_key(key: int) -> str:
+        lam, xs = _unpack(key)
+        bits = ["L" if lam == 1 else f"L^{lam}"] if lam else []
+        bits += [f"x{k}" if e == 1 else f"x{k}^{e}" for k, e in xs]
+        return "*".join(bits)
+
+    @staticmethod
     def _key_json(key: int) -> dict:
         lam, xs = _unpack(key)
         return {"lambda": lam, "x": {str(k): e for k, e in xs}}
@@ -338,9 +347,6 @@ class SparsePoly(_Poly):
 
     def terms(self) -> dict[Monomial, int]:
         return {_unpack(key): c for key, c in self._terms.items()}
-
-    def _sorted_keys(self) -> list[int]:
-        return sorted(self._terms, key=self._sort_key)
 
     def monomials(self) -> list[Monomial]:
         return [_unpack(key) for key in self._sorted_keys()]
@@ -374,22 +380,6 @@ class SparsePoly(_Poly):
                 c = int(c)
             terms[mono] = terms.get(mono, 0) + json_int(c)
         return cls(terms)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "SparsePoly(0)"
-        parts = []
-        for key in self._sorted_keys():
-            c = self._terms[key]
-            if not key:
-                parts.append(str(c))
-                continue
-            lam, xs = _unpack(key)
-            bits = ["L" if lam == 1 else f"L^{lam}"] if lam else []
-            bits += [f"x{k}" if e == 1 else f"x{k}^{e}" for k, e in xs]
-            head = "" if c == 1 else "-" if c == -1 else f"{c}*"
-            parts.append(head + "*".join(bits))
-        return "SparsePoly(" + " + ".join(parts) + ")"
 
 
 def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:

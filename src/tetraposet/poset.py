@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 from .colors import (
@@ -62,67 +63,58 @@ def _green_chains(n: int) -> tuple[tuple[tuple[Vertex, ...], ...], ...]:
 def _edges_for(n: int) -> dict[Color, tuple[tuple[Vertex, Vertex], ...]]:
     """The edges of every color in T_n, as (lower, upper) pairs."""
     vset = set(_vertices(n))
-    edges: dict[Color, tuple[tuple[Vertex, Vertex], ...]] = {}
-    for color in CANONICAL_ORDER:
-        dc = STEP[color]
-        pairs = []
-        for v in _vertices(n):
-            w = (v[0] + dc[0], v[1] + dc[1], v[2] + dc[2])
-            if w in vset:
-                pairs.append((v, w))
-        edges[color] = tuple(pairs)
+    edges = {}
+    for color, (a, b, c) in STEP.items():
+        ups = ((v, (v[0] + a, v[1] + b, v[2] + c)) for v in _vertices(n))
+        edges[color] = tuple((v, w) for v, w in ups if w in vset)
     return edges
 
 
 class Subposet:
     """T_n(S): the vertices of T_n with only the edges colored by S.
 
-    Every edge points upward in the order. A dual subposet (see dual()) keeps
-    the same edge lists but reads each edge in reverse.
+    The covers are one tuple of (lower, upper) pairs, grouped by color in
+    canonical order. A dual subposet (see dual()) stores each pair reversed.
     """
 
-    __slots__ = ("n", "colors", "vertices", "edges", "is_dual", "_lower")
+    __slots__ = ("n", "colors", "vertices", "_covers", "is_dual", "_lower")
 
     def __init__(
         self,
         n: int,
         colors: frozenset[Color],
         vertices: tuple[Vertex, ...],
-        edges: dict[Color, tuple[tuple[Vertex, Vertex], ...]],
+        covers: tuple[tuple[Vertex, Vertex], ...],
         is_dual: bool = False,
     ):
         self.n = n
         self.colors = colors
         self.vertices = vertices
-        self.edges = edges
+        self._covers = covers
         self.is_dual = is_dual
         self._lower: dict[Vertex, tuple[Vertex, ...]] | None = None
 
-    def covers(self):
-        """Yield (lower, upper) cover pairs in canonical color order."""
-        for color in CANONICAL_ORDER:
-            for v, w in self.edges.get(color, ()):
-                yield (w, v) if self.is_dual else (v, w)
+    def covers(self) -> tuple[tuple[Vertex, Vertex], ...]:
+        """The (lower, upper) cover pairs in canonical color order."""
+        return self._covers
 
     def successors(self) -> dict[Vertex, tuple[Vertex, ...]]:
         succ: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for v, w in self.covers():
+        for v, w in self._covers:
             succ[v].append(w)
         return {v: tuple(sorted(ws)) for v, ws in succ.items()}
 
     def predecessors(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        pred: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for v, w in self.covers():
-            pred[w].append(v)
-        return {v: tuple(sorted(ws)) for v, ws in pred.items()}
+        return self.dual().successors()
 
     def dual(self) -> Subposet:
-        return Subposet(self.n, self.colors, self.vertices, self.edges, not self.is_dual)
+        flipped = tuple((w, v) for v, w in self._covers)
+        return Subposet(self.n, self.colors, self.vertices, flipped, not self.is_dual)
 
     def components(self) -> tuple[Subposet, ...]:
         """Connected components, each as a Subposet on its own vertex set."""
         adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
-        for v, w in self.covers():
+        for v, w in self._covers:
             adj[v].add(w)
             adj[w].add(v)
         seen: set[Vertex] = set()
@@ -139,12 +131,9 @@ class Subposet:
                 comp.add(v)
                 stack.extend(adj[v] - comp)
             seen |= comp
-            comp_edges = {
-                color: tuple(p for p in pairs if p[0] in comp)
-                for color, pairs in self.edges.items()
-            }
+            comp_covers = tuple(p for p in self._covers if p[0] in comp)
             comps.append(
-                Subposet(self.n, self.colors, tuple(sorted(comp)), comp_edges, self.is_dual)
+                Subposet(self.n, self.colors, tuple(sorted(comp)), comp_covers, self.is_dual)
             )
         return tuple(comps)
 
@@ -188,8 +177,8 @@ class TetraPoset:
 
     def subposet(self, colors) -> Subposet:
         colorset = require_admissible(colors)
-        edges = {c: self._edges[c] for c in CANONICAL_ORDER if c in colorset}
-        return Subposet(self.n, colorset, self.vertices, edges)
+        covers = chain.from_iterable(self._edges[c] for c in CANONICAL_ORDER if c in colorset)
+        return Subposet(self.n, colorset, self.vertices, tuple(covers))
 
 
 @lru_cache(maxsize=None)
@@ -266,17 +255,20 @@ def array_to_ideal(x) -> OrderIdeal:
     return OrderIdeal(n, frozenset(members))
 
 
+_COLOR_OF_STEP = {step: color for color, step in STEP.items()}
+
+
 def to_dot(p: Subposet) -> str:
     """Render a subposet as a Graphviz digraph, edges grouped by color."""
     lines = [f'digraph "T{p.n}_{format_colors(p.colors)}" {{']
     for v in p.vertices:
         lines.append(f'  "{v[0]},{v[1]},{v[2]}";')
-    for color in CANONICAL_ORDER:
-        for v, w in p.edges.get(color, ()):
-            a, b = ((w, v) if p.is_dual else (v, w))
-            lines.append(
-                f'  "{a[0]},{a[1]},{a[2]}" -> "{b[0]},{b[1]},{b[2]}"'
-                f" [color={color.name.lower()}];"
-            )
+    sign = -1 if p.is_dual else 1
+    for a, b in p.covers():
+        color = _COLOR_OF_STEP[tuple(sign * (y - x) for x, y in zip(a, b))]
+        lines.append(
+            f'  "{a[0]},{a[1]},{a[2]}" -> "{b[0]},{b[1]},{b[2]}"'
+            f" [color={color.name.lower()}];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import re
+import time
 from itertools import combinations
 from math import comb
 
@@ -222,6 +224,18 @@ def test_transfer_sums_budget(monkeypatch):
     assert robbins_rumsey_rhs(4) == tournament_gf(4)
     assert tsscpp_lambda_count(4) == enumerated_tsscpp_lambda_count(4)
     assert array_transfer_rank_gf(4, ASM_COLORS) == array_rank_gf(4, ASM_COLORS)
+
+
+def test_transfer_budget_is_checked_per_state(monkeypatch):
+    # one row of rr at n = 30 holds many times the budget; the running count
+    # stops the transfer soon after it passes the budget
+    monkeypatch.setenv("TETRAPOSET_BUDGET", "100000")
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="transfer terms") as info:
+        robbins_rumsey_rhs(30)
+    assert time.perf_counter() - start < 1.0
+    named = int(re.search(r"enumerate (\d+) ", str(info.value)).group(1))
+    assert 100000 < named <= 200000
 
 
 def test_schur_rhs_equals_pairwise_product():

@@ -11,6 +11,8 @@ from tetraposet import (
     catalan_number,
     catalan_product,
     first_difference,
+    formula_count,
+    formulas,
     polynomials,
     q_binomial,
     q_bracket,
@@ -474,6 +476,18 @@ def test_catalan_product_degree_matches_vertex_count():
         count, poly = catalan_product(n)
         assert poly(1) == count
         assert poly.degree == comb(n + 1, 3)
+
+
+def test_adjacent_pair_counts_skip_the_q_catalan_product(monkeypatch):
+    def refuse(j):
+        raise AssertionError("formula_count built a q-Catalan polynomial")
+
+    monkeypatch.setattr(formulas, "carlitz_riordan", refuse)
+    expected = 1
+    for j in range(1, 13):
+        expected *= catalan_number(j)
+    for colors in ("bg", "bs", "oy", "gs", "ry", "rg", "gy", "bo"):
+        assert formula_count(colors, 12) == expected
 
 
 # Reference implementations: every closed form read as a product over the

@@ -96,18 +96,18 @@ def test_full_poset_has_unique_extremes():
 
 def test_edge_counts_match_steps():
     p = build(4)
-    full = p.subposet("rbgoys")
     vset = set(p.vertices)
     from tetraposet.colors import STEP
 
-    for color, pairs in full.edges.items():
-        dc = STEP[color]
+    for color, dc in STEP.items():
         expected = {
             (v, (v[0] + dc[0], v[1] + dc[1], v[2] + dc[2]))
             for v in vset
             if (v[0] + dc[0], v[1] + dc[1], v[2] + dc[2]) in vset
         }
-        assert set(pairs) == expected
+        covers = p.subposet([color]).covers()
+        assert len(covers) == len(expected)
+        assert set(covers) == expected
 
 
 def test_red_blue_green_components():
@@ -250,3 +250,21 @@ def test_dot_dual_reverses_arrows():
     p = build(3).subposet("g")
     assert '"0,0,0" -> "0,1,0" [color=green];' in to_dot(p)
     assert '"0,1,0" -> "0,0,0" [color=green];' in to_dot(p.dual())
+
+
+def test_dot_dual_lists_every_edge_reversed():
+    # each edge's color is read off its step, with the sign flipped for a dual
+    arrow = re.compile(r'  "([0-9,]+)" -> "([0-9,]+)" \[color=([a-z]+)\];')
+
+    def split(dot):
+        lines = dot.splitlines()
+        edges = [arrow.fullmatch(line).groups() for line in lines if "->" in line]
+        return [line for line in lines if "->" not in line], edges
+
+    p = build(4).subposet("rbgoys")
+    vertices, up = split(to_dot(p))
+    dual_vertices, down = split(to_dot(p.dual()))
+    assert dual_vertices == vertices
+    assert len(up) == len(p.covers())
+    assert down == [(b, a, color) for a, b, color in up]
+    assert {color for *_, color in up} == {c.name.lower() for c in Color}
