@@ -1,9 +1,10 @@
 """Resource guard for explicit enumeration and expansion.
 
 Counting is exact and cheap (dynamic programming); enumeration is not. The
-budget bounds three things: the objects an enumeration would stream, counted
-before streaming starts; the live terms of a row transfer, checked after every
-state it consumes; and the terms of a polynomial product, checked after every
+budget bounds four things: the C(n+1, 3) vertices of build(n), counted before
+any is made; the objects an enumeration would stream, counted before
+streaming starts; the live terms of a row transfer, checked after every state
+it consumes; and the terms of a polynomial product, checked after every
 factor. The default budget is 10**8 and can be overridden with the
 TETRAPOSET_BUDGET environment variable.
 """
@@ -17,7 +18,7 @@ ENV_VAR = "TETRAPOSET_BUDGET"
 
 
 class BudgetError(RuntimeError):
-    """An enumeration, transfer or product would exceed the configured budget."""
+    """A poset, enumeration, transfer or product would exceed the configured budget."""
 
 
 def enumeration_budget() -> int:

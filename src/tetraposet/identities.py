@@ -33,7 +33,7 @@ logic. No right side lists its objects, and no left side uses a transfer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -58,19 +58,14 @@ from .poset import build
 SCHUR_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE})
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayStats:
-    """Southwest equalities of a staircase array.
+ArrayStats = namedtuple("ArrayStats", "eq_total eq_row eq_diag")
+ArrayStats.__doc__ = """Southwest equalities of a staircase array.
 
-    An equality is a cell matching its southwest neighbor, x_{i,j} =
-    x_{i+1,j-1}; for tournament arrays these mark games won by the larger
-    player. Counts are split by row (eq_row[i-1]) and by diagonal d = i + j
-    (eq_diag[d], with eq_diag[0] and eq_diag[1] always 0).
-    """
-
-    eq_total: int
-    eq_row: tuple[int, ...]
-    eq_diag: tuple[int, ...]
+An equality is a cell matching its southwest neighbor, x_{i,j} =
+x_{i+1,j-1}; for tournament arrays these mark games won by the larger
+player. Counts are split by row (eq_row[i-1]) and by diagonal d = i + j
+(eq_diag[d], with eq_diag[0] and eq_diag[1] always 0).
+"""
 
 
 def array_stats(x: StaircaseArray) -> ArrayStats:
@@ -85,10 +80,7 @@ def array_stats(x: StaircaseArray) -> ArrayStats:
     return ArrayStats(eq_total=sum(eq_row), eq_row=tuple(eq_row), eq_diag=tuple(eq_diag))
 
 
-@dataclass(frozen=True)
-class AsmStats:
-    inversions: int
-    neg_count: int
+AsmStats = namedtuple("AsmStats", "inversions neg_count")
 
 
 def asm_stats(a: Asm) -> AsmStats:

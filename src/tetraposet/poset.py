@@ -20,11 +20,11 @@ returns share their vertex tuples with T_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
 
+from .budget import guard
 from .colors import (
     CANONICAL_ORDER,
     Color,
@@ -40,6 +40,7 @@ Vertex = tuple[int, int, int]
 def _vertices(n: int) -> tuple[Vertex, ...]:
     if n < 1:
         raise ValueError("the poset needs n >= 1")
+    guard(comb(n + 1, 3), "vertices")
     out = [
         (c1, c2, c3)
         for c1 in range(n - 1)
@@ -193,12 +194,35 @@ def json_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class OrderIdeal:
     """A downward closed vertex set of some T_n(S), tagged with its n."""
 
-    n: int
-    members: frozenset[Vertex]
+    __slots__ = ("n", "members")
+
+    def __init__(self, n: int, members: frozenset[Vertex]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members))
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots through __setattr__
+        return type(self), (self.n, self.members)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, members={self.members!r})"
 
     def __len__(self) -> int:
         return len(self.members)

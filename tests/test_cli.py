@@ -3,6 +3,9 @@ import json
 import re
 import subprocess
 import sys
+from math import comb
+
+import pytest
 
 from tetraposet import OrderIdeal, StaircaseArray, build, cli, validate
 
@@ -227,6 +230,25 @@ def test_convert_tournament_rejects_missing_games_fast(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert float(elapsed) < 1.0
     assert "winners must cover exactly the games" in "\n".join(err)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "--n", "3000", "--colors", "g"),
+        ("export-dot", "--n", "2000", "--colors", "g", "--output", "-"),
+    ],
+)
+def test_oversized_poset_is_refused_before_it_is_built(args):
+    """build(n) allocates C(n+1, 3) vertices; the budget refuses them first."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *args], capture_output=True, text=True
+    )
+    *err, elapsed = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert float(elapsed) < 1.0
+    vertices = comb(int(args[2]) + 1, 3)
+    assert len(err) == 1 and err[0].startswith(f"error: refusing to enumerate {vertices} vertices ")
 
 
 def test_convert_tournament_rejects_repeated_game(capsys, tmp_path):

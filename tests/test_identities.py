@@ -268,6 +268,18 @@ def test_asm_statistics_worked_example(asm4_rows, array4_rows):
     assert rise_drop_count(x) == 1
 
 
+def test_statistics_records_are_immutable_values(asm4_rows, array4_rows):
+    st = asm_stats(Asm(asm4_rows))
+    assert (st.inversions, st.neg_count) == (4, 1)
+    assert repr(st) == "AsmStats(inversions=4, neg_count=1)"
+    xst = array_stats(StaircaseArray(array4_rows))
+    assert (xst.eq_total, xst.eq_row, xst.eq_diag) == (3, (0, 2, 1, 0), (0, 0, 0, 1, 2))
+    assert repr(xst) == "ArrayStats(eq_total=3, eq_row=(0, 2, 1, 0), eq_diag=(0, 0, 0, 1, 2))"
+    for record, name in ((st, "neg_count"), (xst, "eq_total")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
 def test_asm_statistics_exhaustive():
     for n in range(1, 6):
         for x in enumerate_arrays(n, ASM_COLORS):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from math import comb
 
@@ -159,6 +161,27 @@ def test_order_ideal_json_round_trip():
     obj = ideal.to_json_obj()
     assert obj == {"n": 3, "vertices": [[0, 0, 0], [0, 0, 1]]}
     assert OrderIdeal.from_json_obj(obj) == ideal
+
+
+def test_order_ideal_is_an_immutable_value():
+    members = frozenset({(0, 0, 1), (0, 0, 0)})
+    ideal = OrderIdeal(3, members)
+    assert ideal == OrderIdeal(3, frozenset(members))
+    assert ideal != OrderIdeal(4, members)
+    assert ideal != OrderIdeal(3, frozenset({(0, 0, 0)}))
+    assert ideal != (3, members)
+    assert hash(ideal) == hash((3, members))
+    assert len(ideal) == 2
+    assert repr(OrderIdeal(2, frozenset({(0, 0, 0)}))) == (
+        "OrderIdeal(n=2, members=frozenset({(0, 0, 0)}))"
+    )
+    for name, value in (("n", 4), ("members", frozenset()), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(ideal, name, value)
+        with pytest.raises(AttributeError):
+            delattr(ideal, name)
+    assert (ideal.n, ideal.members) == (3, members)
+    assert pickle.loads(pickle.dumps(ideal)) == ideal == copy.deepcopy(ideal)
 
 
 def test_ideal_array_bijection_exhaustive():

@@ -1,11 +1,13 @@
 """Checks on the code itself: the benchmark tracer's hooks still resolve, every
-module imports cleanly when it is loaded first, src/ keeps its invariants as
-exceptions rather than asserts, and the sources parse as Python 3.10."""
+module imports cleanly when it is loaded first, importing the package loads no
+code generators, src/ keeps its invariants as exceptions rather than asserts,
+and the sources parse as Python 3.10."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 import types
@@ -121,3 +123,26 @@ def test_each_module_imports_first():
             timeout=60,
         )
         assert proc.returncode == 0, f"importing tetraposet.{name} first:\n{proc.stderr}"
+
+
+# Diffs sys.modules around the import, so whatever site preloads is not
+# counted against the package.
+COLD_START = """
+import sys
+before = set(sys.modules)
+import tetraposet, tetraposet.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cold_start_loads_no_code_generators():
+    """Every CLI call pays for the import, so the package must not pull in
+    dataclasses or the modules it loads (inspect, ast, dis, tokenize)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "tetraposet.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(loaded)
