@@ -32,7 +32,7 @@ from .budget import enumeration_budget, guard
 from .colors import STEP, Color, require_admissible
 from .counting import Row, _walk_rows, count_ideals, rank_gf
 from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field
-from .poset import build, json_int
+from .poset import Value, build, json_int
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
 TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
@@ -49,8 +49,8 @@ INEQUALITIES = {
 }
 
 
-class Rows:
-    """Immutable object stored as a tuple of integer rows.
+class Rows(Value):
+    """Immutable value stored as a tuple of integer rows.
 
     Subclasses check the rows in _check, which raises ValueError.
     """
@@ -62,12 +62,8 @@ class Rows:
         self._check(rows)
         object.__setattr__(self, "rows", rows)
 
-    @staticmethod
-    def _check(rows: tuple[tuple[int, ...], ...]) -> None:
-        raise NotImplementedError
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _key(self) -> tuple[tuple[int, ...], ...]:
+        return self.rows
 
     @property
     def n(self) -> int:
@@ -79,12 +75,6 @@ class Rows:
     @classmethod
     def from_json_obj(cls, obj):
         return cls(tuple(json_int(v) for v in row) for row in obj)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json_obj()!r})"
@@ -230,6 +220,8 @@ def _row_transfer(
     state. Nothing lies above row 1, so all of its fillings go to the single
     state (), which holds the result as {key: coefficient}.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     budget = enumeration_budget()
     states: dict[Row, dict[int, int]] = {(): {0: 1}}
     live = 1

@@ -177,9 +177,7 @@ class Tournament(Rows):
             raise ValueError("n must be at least 1")
         wmap = dict(winners)
         # counted first, so a huge n with few games never builds games(n)
-        if len(wmap) != n * (n - 1) // 2:
-            raise ValueError("winners must cover exactly the games of 1..n")
-        if set(wmap) != set(games(n)):
+        if len(wmap) != n * (n - 1) // 2 or set(wmap) != set(games(n)):
             raise ValueError("winners must cover exactly the games of 1..n")
         for game, w in wmap.items():
             i, j = (json_int(c) for c in game)
@@ -280,28 +278,26 @@ def array_to_asm(x: StaircaseArray) -> Asm:
 
 
 def tournament_to_array(t: Tournament) -> StaircaseArray:
-    """Walk each diagonal northeast from its pinned start x_{d,0} = d; the
-    entry repeats its southwest neighbor exactly when the larger player won."""
-    n = t.n
-    rows = [[0] * (n - i + 1) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        rows[i - 1][0] = i
-    for d in range(2, n + 1):
-        for i in range(d - 1, 0, -1):
-            j = d - i
-            sw = rows[i][j - 1]
-            rows[i - 1][j] = sw if t.is_upset(i, d) else sw - 1
-    return StaircaseArray(tuple(tuple(r) for r in rows))
+    """Build the array from its bottom row up. Row i starts at x_{i,0} = i,
+    and x_{i,j} repeats its southwest neighbor x_{i+1,j-1} exactly when the
+    larger player won game (i, i+j), read off row i of t, else is one less."""
+    rows = []
+    below: tuple[int, ...] = ()
+    for i in range(t.n, 0, -1):
+        cells = enumerate(zip(below, t.rows[i - 1]), 1)  # j, (x_{i+1,j-1}, winner)
+        below = (i, *(sw if w == i + j else sw - 1 for j, (sw, w) in cells))
+        rows.append(below)
+    return StaircaseArray(reversed(rows))
 
 
 def array_to_tournament(x: StaircaseArray) -> Tournament:
+    """Game (i, i+j) is an upset exactly when x_{i,j} = x_{i+1,j-1}."""
     require_family(x, TOURNAMENT_COLORS)
-    n = x.n
     winners = {}
-    for i, j, v in x.cells():
-        if j >= 1:
-            winners[(i, i + j)] = (i + j) if v == x.entry(i + 1, j - 1) else i
-    return Tournament(n, winners)
+    for i, (row, below) in enumerate(zip(x.rows, x.rows[1:]), start=1):
+        for j, (v, sw) in enumerate(zip(row[1:], below), start=1):
+            winners[i, i + j] = i + j if v == sw else i
+    return Tournament(x.n, winners)
 
 
 def _wedge_heights(x: StaircaseArray) -> list[list[int]]:

@@ -1,12 +1,13 @@
 """Resource guard for explicit enumeration and expansion.
 
 Counting is exact and cheap (dynamic programming); enumeration is not. The
-budget bounds four things: the C(n+1, 3) vertices of build(n), counted before
+budget bounds five things: the C(n+1, 3) vertices of build(n), counted before
 any is made; the objects an enumeration would stream, counted before
-streaming starts; the live terms of a row transfer, checked after every state
-it consumes; and the terms of a polynomial product, checked after every
-factor. The default budget is 10**8 and can be overridden with the
-TETRAPOSET_BUDGET environment variable.
+streaming starts; the live states of the counting DP, checked after every
+step; the live terms of a row transfer, checked after every state it
+consumes; and the terms of a polynomial product, checked after every factor.
+The default budget is 10**8 and can be overridden with the TETRAPOSET_BUDGET
+environment variable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ ENV_VAR = "TETRAPOSET_BUDGET"
 
 
 class BudgetError(RuntimeError):
-    """A poset, enumeration, transfer or product would exceed the configured budget."""
+    """A poset, enumeration, DP, transfer or product would exceed the configured budget."""
 
 
 def enumeration_budget() -> int:

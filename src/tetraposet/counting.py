@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Iterable, Iterator
 
-from .budget import guard
+from .budget import enumeration_budget, guard
 from .polynomials import QPoly
 from .poset import OrderIdeal, Subposet, Vertex
 
@@ -88,8 +88,10 @@ def _component_rank_coeffs(p: Subposet) -> list[int]:
     in bits [s*width, (s+1)*width), so putting u into the ideal is a shift by
     width and merging two states is one int add. A coefficient counts distinct
     s-element sets of the |V| vertices, so it is at most C(|V|, s) < 2^width
-    with width = |V| + 1, and no field ever carries into the next.
+    with width = |V| + 1, and no field ever carries into the next. The live
+    states are checked against the budget after every step.
     """
+    budget = enumeration_budget()
     width = len(p.vertices) + 1
     states = {0: 1}
     for need, u_bit, keep in _steps(p)[1]:
@@ -101,6 +103,8 @@ def _component_rank_coeffs(p: Subposet) -> list[int]:
                 base |= u_bit
                 new_states[base] = new_states.get(base, 0) + (packed << width)
         states = new_states
+        if len(states) > budget:
+            guard(len(states), "DP states")
     # every slot is released after the last step, so one state is left
     packed = states[0]
     field = (1 << width) - 1

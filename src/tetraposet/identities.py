@@ -154,8 +154,6 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
     |{l in S_{i-1} : l > j'}| and the -1 loses |{l in S_{i-1} : l > j}|, a
     net gain of |{l in S_{i-1} : j' < l <= j}| >= 1 since j is in S_{i-1}.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     sums = _row_transfer(
         n, lambda i, prev: _mt_rows(n, prev), lambda row, prev: (_mt_rows(n, prev)[row], 1)
     )
@@ -184,8 +182,6 @@ def tsscpp_expansion_rhs(n: int) -> SparsePoly:
     adds alpha's E_i to lambda, n-i-E_i to x_i, and x_{i+j} for each
     southwest equality beta_{i,j} = beta_{i+1,j-1}.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
 
     def step(row: Row, below: Row) -> tuple[int, int]:
         i = n - len(below)
@@ -207,8 +203,6 @@ def tsscpp_lambda_count(n: int) -> SparsePoly:
     of both (arrays._row_fiber) depends only on rows i and i+1; lambda is
     field 0, so E is already a SparsePoly key.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     sums = _row_transfer(
         n, lambda i, below: _row_assignments(i, SORTED_COLORS, below), _row_fiber
     )

@@ -113,30 +113,29 @@ class Subposet:
         return Subposet(self.n, self.colors, self.vertices, flipped, not self.is_dual)
 
     def components(self) -> tuple[Subposet, ...]:
-        """Connected components, each as a Subposet on its own vertex set."""
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
+        """Connected components, each as a Subposet on its own vertex set, in
+        order of least vertex. One union-find pass over the covers relabels
+        the smaller of two joined components; vertices and covers keep their
+        order."""
+        label = {v: v for v in self.vertices}
+        members = {v: [v] for v in self.vertices}
         for v, w in self._covers:
-            adj[v].add(w)
-            adj[w].add(v)
-        seen: set[Vertex] = set()
-        comps: list[Subposet] = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v] - comp)
-            seen |= comp
-            comp_covers = tuple(p for p in self._covers if p[0] in comp)
-            comps.append(
-                Subposet(self.n, self.colors, tuple(sorted(comp)), comp_covers, self.is_dual)
-            )
-        return tuple(comps)
+            a, b = label[v], label[w]
+            if a != b:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for u in members[b]:
+                    label[u] = a
+                members[a] += members.pop(b)
+        groups: dict[Vertex, tuple[list[Vertex], list[tuple[Vertex, Vertex]]]] = {}
+        for v in self.vertices:
+            groups.setdefault(label[v], ([], []))[0].append(v)
+        for pair in self._covers:
+            groups[label[pair[0]]][1].append(pair)
+        return tuple(
+            Subposet(self.n, self.colors, tuple(vs), tuple(cs), self.is_dual)
+            for vs, cs in groups.values()
+        )
 
     def is_ideal(self, members) -> bool:
         """True iff every member is a vertex and its lower covers are members.
@@ -194,14 +193,12 @@ def json_int(value) -> int:
     return value
 
 
-class OrderIdeal:
-    """A downward closed vertex set of some T_n(S), tagged with its n."""
+class Value:
+    """An immutable value, compared and hashed by its class and _key(). Copies
+    and pickles are rebuilt through the class's checked from_json_obj, since
+    restoring the slots would go through the __setattr__ that refuses them."""
 
-    __slots__ = ("n", "members")
-
-    def __init__(self, n: int, members: frozenset[Vertex]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -212,14 +209,26 @@ class OrderIdeal:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.n == other.n and self.members == other.members
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.members))
+        return hash(self._key())
 
     def __reduce__(self):
-        # pickle and copy would restore the slots through __setattr__
-        return type(self), (self.n, self.members)
+        return type(self).from_json_obj, (self.to_json_obj(),)
+
+
+class OrderIdeal(Value):
+    """A downward closed vertex set of some T_n(S), tagged with its n."""
+
+    __slots__ = ("n", "members")
+
+    def __init__(self, n: int, members: frozenset[Vertex]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+
+    def _key(self) -> tuple[int, frozenset[Vertex]]:
+        return self.n, self.members
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n!r}, members={self.members!r})"

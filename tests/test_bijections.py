@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from itertools import permutations, product
@@ -12,6 +14,7 @@ from tetraposet import (
     Asm,
     FamilyMismatch,
     MonotoneTriangle,
+    OrderIdeal,
     StaircaseArray,
     Tournament,
     Tsscpp,
@@ -35,7 +38,13 @@ from tetraposet import (
     validate,
 )
 
-from conftest import TOURNAMENT_ARRAYS_3, member_tsscpp_rows
+from conftest import (
+    ARRAY4_ROWS,
+    ASM4_ROWS,
+    MT4_ROWS,
+    TOURNAMENT_ARRAYS_3,
+    member_tsscpp_rows,
+)
 
 
 def test_worked_example_asm_chain(asm4_rows, mt4_rows, array4_rows):
@@ -280,6 +289,9 @@ def test_tournament_round_trip_exhaustive():
             arrays.add(x)
         assert len(arrays) == 2 ** comb(n, 2)
         assert arrays == set(enumerate_arrays(n, TOURNAMENT_COLORS))
+    # from the array side: every {b,r,g} array at n = 5
+    for x in enumerate_arrays(5, TOURNAMENT_COLORS):
+        assert tournament_to_array(array_to_tournament(x)) == x
 
 
 def test_order_three_tournament_arrays_table():
@@ -339,3 +351,36 @@ def test_asm_json_round_trip(asm4_rows):
     assert MonotoneTriangle.from_json_obj(mt.to_json_obj()) == mt
     t = Tsscpp([[2, 1], [1, 0]])
     assert Tsscpp.from_json_obj(t.to_json_obj()) == t
+
+
+@pytest.mark.parametrize(
+    "make, shown",
+    [
+        (lambda: StaircaseArray(ARRAY4_ROWS), f"StaircaseArray({ARRAY4_ROWS!r})"),
+        (lambda: Asm(ASM4_ROWS), f"Asm({ASM4_ROWS!r})"),
+        (lambda: MonotoneTriangle(MT4_ROWS), f"MonotoneTriangle({MT4_ROWS!r})"),
+        (lambda: Tsscpp([[2, 1], [1, 0]]), "Tsscpp([[2, 1], [1, 0]])"),
+        (
+            lambda: Tournament(3, {(1, 2): 2, (1, 3): 1, (2, 3): 3}),
+            "Tournament.from_json_obj({'n': 3, 'games': [[1, 2, 2], [1, 3, 1], [2, 3, 3]]})",
+        ),
+        (
+            lambda: OrderIdeal(2, frozenset({(0, 0, 0)})),
+            "OrderIdeal(n=2, members=frozenset({(0, 0, 0)}))",
+        ),
+    ],
+    ids=["array", "asm", "mt", "tsscpp", "tournament", "ideal"],
+)
+def test_records_are_immutable_values(make, shown):
+    """Copies and pickles of every record type compare equal to it, and no
+    attribute can be set or deleted."""
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+    for name in ("rows", "n", "members", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == shown

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -249,6 +250,21 @@ def test_oversized_poset_is_refused_before_it_is_built(args):
     assert float(elapsed) < 1.0
     vertices = comb(int(args[2]) + 1, 3)
     assert len(err) == 1 and err[0].startswith(f"error: refusing to enumerate {vertices} vertices ")
+
+
+def test_counting_dp_is_refused_past_the_budget():
+    """The frontier DP checks its live states after every step; unchecked,
+    this count fills the 1 GiB cap with states."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "count", "--n", "14", "--colors", "rgs"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "TETRAPOSET_BUDGET": "1000"},
+    )
+    *err, elapsed = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert float(elapsed) < 10.0
+    assert len(err) == 1 and re.fullmatch(r"error: refusing to enumerate \d+ DP states .*", err[0])
 
 
 def test_convert_tournament_rejects_repeated_game(capsys, tmp_path):

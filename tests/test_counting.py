@@ -202,6 +202,23 @@ def test_budget_env_var(monkeypatch):
         list(enumerate_ideals(p))
 
 
+def test_rank_gf_refuses_more_live_states_than_the_budget(monkeypatch):
+    p = build(5).subposet("rgs")
+    gf = rank_gf(p)
+    peak = 1
+    while True:  # the least budget that lets the DP through is its peak
+        monkeypatch.setenv("TETRAPOSET_BUDGET", str(peak))
+        try:
+            assert rank_gf(p) == gf
+            break
+        except BudgetError:
+            peak += 1
+    assert peak > 5
+    monkeypatch.setenv("TETRAPOSET_BUDGET", str(peak - 1))
+    with pytest.raises(BudgetError, match=f"^refusing to enumerate {peak} DP states "):
+        count_ideals(p)
+
+
 def test_dual_on_frontier_only_path():
     # silver-only has no green, forcing the frontier engine on both sides
     p = build(4).subposet("s")

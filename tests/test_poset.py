@@ -128,6 +128,32 @@ def test_single_color_is_disjoint_chains():
     assert sizes == [1, 1, 1, 2, 2, 3]
 
 
+def test_components_partition_in_order_of_least_vertex():
+    for n in range(1, 6):
+        for colorset in all_admissible_sets():
+            p = build(n).subposet(colorset)
+            for q in (p, p.dual()):
+                comps = q.components()
+                assert sorted(v for c in comps for v in c.vertices) == list(q.vertices)
+                assert [c.vertices[0] for c in comps] == sorted(c.vertices[0] for c in comps)
+                for c in comps:
+                    assert list(c.vertices) == sorted(c.vertices)
+                    assert (c.n, c.colors, c.is_dual) == (q.n, q.colors, q.is_dual)
+                    inside = set(c.vertices)
+                    assert c.covers() == tuple(pair for pair in q.covers() if pair[0] in inside)
+                    assert all(w in inside for _, w in c.covers())
+                    # connected: a walk over its covers from its least vertex reaches all
+                    reached, todo = {c.vertices[0]}, [c.vertices[0]]
+                    while todo:
+                        u = todo.pop()
+                        for v, w in c.covers():
+                            for a, b in ((v, w), (w, v)):
+                                if a == u and b not in reached:
+                                    reached.add(b)
+                                    todo.append(b)
+                    assert reached == inside
+
+
 def test_dual_swaps_covers():
     p = build(4).subposet("bgy")
     d = p.dual()
