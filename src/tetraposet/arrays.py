@@ -266,9 +266,10 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     its -1 entries. Each cell's weight lies in its own row and the row below.
 
     Weights are SparsePoly keys, with N in the extra field n+1 until
-    expand_binomial_field multiplies out (1+lambda)^N. No field fills up:
-    each is at most the n(n-1)/2 non-pinned cells, below 2^16 for every n up
-    to 362, far beyond the n the transfer can reach.
+    expand_binomial_field multiplies out (1+lambda)^N; without equalities the
+    sums are the result. No field fills up: each is at most the n(n-1)/2
+    non-pinned cells, below 2^16 for every n up to 362, far beyond the n the
+    transfer can reach.
     """
     colorset = _require_green(n, colors)
     n_shift = (n + 1) * FIELD
@@ -282,7 +283,7 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
         return shift, 1
 
     sums = _row_transfer(n, lambda i, below: _row_assignments(i, colorset, below), step)
-    return expand_binomial_field(sums, n + 1)
+    return expand_binomial_field(sums, n + 1) if equalities else SparsePoly._make(sums)
 
 
 def array_rank_gf(n: int, colors) -> QPoly:

@@ -1,11 +1,13 @@
 """Resource guard for explicit enumeration and expansion.
 
 Counting is exact and cheap (dynamic programming); enumeration is not. The
-budget bounds five things: the C(n+1, 3) vertices of build(n), counted before
+budget bounds six things: the C(n+1, 3) vertices of build(n), counted before
 any is made; the objects an enumeration would stream, counted before
 streaming starts; the live states of the counting DP, checked after every
 step; the live terms of a row transfer, checked after every state it
-consumes; and the terms of a polynomial product, checked after every factor.
+consumes; the terms of a polynomial product, checked after every factor; and
+the characters of convert's input, of which at most one past the budget is
+read before it is parsed.
 The default budget is 10**8 and can be overridden with the TETRAPOSET_BUDGET
 environment variable.
 """
@@ -19,7 +21,7 @@ ENV_VAR = "TETRAPOSET_BUDGET"
 
 
 class BudgetError(RuntimeError):
-    """A poset, enumeration, DP, transfer or product would exceed the configured budget."""
+    """A poset, enumeration, DP, transfer, product or input would exceed the configured budget."""
 
 
 def enumeration_budget() -> int:

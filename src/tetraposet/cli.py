@@ -18,7 +18,7 @@ import json
 import sys
 
 from .arrays import StaircaseArray
-from .budget import BudgetError
+from .budget import BudgetError, enumeration_budget, guard
 from .bijections import (
     Asm,
     FamilyMismatch,
@@ -36,7 +36,7 @@ from .bijections import (
     tsscpp_to_array,
 )
 from .colors import Color, format_colors, require_admissible
-from .counting import enumerate_ideals, rank_gf
+from .counting import count_ideals, enumerate_ideals, rank_gf
 from .formulas import formula_count, formula_rank_gf
 from .identities import IDENTITY_NAMES, verify_formulas, verify_identity
 from .polynomials import QPoly
@@ -109,11 +109,11 @@ def _cmd_count(args) -> int:
             sizes[len(ideal)] = sizes.get(len(ideal), 0) + 1
         count = sum(sizes.values())
         gf = QPoly(sizes) if args.q else None
-    else:
+    elif args.q:
         gf = rank_gf(build(n).subposet(colorset))
         count = gf(1)
-        if not args.q:
-            gf = None
+    else:
+        count = count_ideals(build(n).subposet(colorset))
 
     if args.q:
         payload = {
@@ -137,12 +137,24 @@ def _ideal_colors(colors: str | None, missing: str) -> frozenset[Color]:
     return colorset
 
 
-def _cmd_convert(args) -> int:
-    if args.input == "-":
-        payload = json.load(sys.stdin)
+def _read_json(path: str):
+    """The JSON document at path, or on stdin for -. At most budget + 1
+    characters are read, and a longer input is refused before parsing."""
+    limit = max(enumeration_budget(), 0) + 1
+    if path == "-":
+        text = sys.stdin.read(limit)
     else:
-        with open(args.input, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read(limit)
+    guard(len(text), "input characters")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
+
+
+def _cmd_convert(args) -> int:
+    payload = _read_json(args.input)
     family, to_array, _ = FAMILIES[args.src]
     obj = family.from_json_obj(payload)
     if args.src == "ideal":

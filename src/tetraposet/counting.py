@@ -3,11 +3,11 @@
 One engine gives the rank generating function sum q^|I| over the order ideals
 I of any subposet, dualized or not: the product over connected components of
 a frontier dynamic program along a linear extension (the transfer-matrix
-method, Stanley EC1 4.7). Counts are the evaluation at q = 1. For sets with
-green, the staircase arrays are the same ideals in other coordinates
-(poset.ideal_to_array), so the array counts and rank gf in arrays.py run this
-engine too. The independent cross-check, the row value-count transfer
-specialized at x_k = q^(k-1), lives in the tests.
+method, Stanley EC1 4.7). Counts are the same DP at field width 0, not the
+rank gf at q = 1. For sets with green, the staircase arrays are the same
+ideals in other coordinates (poset.ideal_to_array), so the array counts and
+rank gf in arrays.py run this engine too. The independent cross-check, the
+row value-count transfer specialized at x_k = q^(k-1), lives in the tests.
 
 One depth-first walk, _walk_rows, lists every path of rows that a successor
 function allows. enumerate_ideals walks the DP's own steps with it, one row
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable, Iterator
+from math import prod
 
 from .budget import enumeration_budget, guard
 from .polynomials import QPoly
@@ -81,18 +82,18 @@ def _steps(p: Subposet) -> tuple[list[Vertex], list[tuple[int, int, int]]]:
     return order, steps
 
 
-def _component_rank_coeffs(p: Subposet) -> list[int]:
-    """Rank gf coefficients of a subposet, lowest degree first, by frontier DP.
+def _packed_rank_gf(p: Subposet, width: int) -> int:
+    """The rank gf of a subposet by frontier DP, packed into one int with the
+    coefficient of q^s in bits [s*width, (s+1)*width).
 
-    Each state's size polynomial is packed into one int, coefficient of q^s
-    in bits [s*width, (s+1)*width), so putting u into the ideal is a shift by
-    width and merging two states is one int add. A coefficient counts distinct
-    s-element sets of the |V| vertices, so it is at most C(|V|, s) < 2^width
-    with width = |V| + 1, and no field ever carries into the next. The live
-    states are checked against the budget after every step.
+    Each state's size polynomial is packed alike, so putting u into the
+    ideal is a shift by width and merging two states is one int add. A
+    coefficient counts s-element sets of the |V| vertices, at most C(|V|, s)
+    < 2^width for width = |V| + 1, so no field carries into the next; at
+    width 0 the int is the number of ideals. The live states are checked
+    against the budget after every step.
     """
     budget = enumeration_budget()
-    width = len(p.vertices) + 1
     states = {0: 1}
     for need, u_bit, keep in _steps(p)[1]:
         new_states: dict[int, int] = {}
@@ -106,22 +107,23 @@ def _component_rank_coeffs(p: Subposet) -> list[int]:
         if len(states) > budget:
             guard(len(states), "DP states")
     # every slot is released after the last step, so one state is left
-    packed = states[0]
-    field = (1 << width) - 1
-    return [packed >> (s * width) & field for s in range(width)]
+    return states[0]
 
 
 def rank_gf(p: Subposet) -> QPoly:
     """Rank generating function sum over ideals I of q^|I|."""
     gf = QPoly({0: 1})
     for comp in p.components():
-        gf = gf * QPoly.from_coeff_list(_component_rank_coeffs(comp))
+        width = len(comp.vertices) + 1
+        packed = _packed_rank_gf(comp, width)
+        field = (1 << width) - 1
+        gf = gf * QPoly.from_coeff_list(packed >> (s * width) & field for s in range(width))
     return gf
 
 
 def count_ideals(p: Subposet) -> int:
-    """Number of order ideals."""
-    return rank_gf(p)(1)
+    """Number of order ideals, the product of the components' counts."""
+    return prod(_packed_rank_gf(comp, 0) for comp in p.components())
 
 
 def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Iterator[list[Row]]:

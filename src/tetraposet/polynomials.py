@@ -387,19 +387,16 @@ def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:
     an exponent N that stands for (1+lambda)^N: each term c * m *
     (1+lambda)^N becomes the terms c * binomial(N, k) * lambda^k * m. The
     coefficients must be positive, as a transfer's counts are, so no
-    expanded term cancels. A key with N = 0 stands for itself, and no two of
-    them are equal, so those keys are copied in one pass before the terms
-    with N > 0 are expanded and merged."""
+    expanded term cancels."""
     shift = field * FIELD
     low = (1 << shift) - 1
-    terms = {key: c for key, c in sums.items() if key <= low}
+    terms: dict[int, int] = {}
     get = terms.get
     for key, c in sums.items():
-        if key > low:
-            spread = key >> shift
-            key &= low
-            for m in range(spread + 1):
-                terms[key + m] = get(key + m, 0) + c * comb(spread, m)
+        spread = key >> shift
+        key &= low
+        for m in range(spread + 1):
+            terms[key + m] = get(key + m, 0) + c * comb(spread, m)
     return SparsePoly._make(terms)
 
 

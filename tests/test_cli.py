@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import functools
 import io
 import json
 import os
@@ -5,10 +8,20 @@ import re
 import subprocess
 import sys
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tetraposet import OrderIdeal, StaircaseArray, build, cli, validate
+from tetraposet import (
+    OrderIdeal,
+    StaircaseArray,
+    array_to_ideal,
+    build,
+    cli,
+    enumerate_arrays,
+    validate,
+)
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +278,117 @@ def test_counting_dp_is_refused_past_the_budget():
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert float(elapsed) < 10.0
     assert len(err) == 1 and re.fullmatch(r"error: refusing to enumerate \d+ DP states .*", err[0])
+
+
+def test_convert_refuses_deeply_nested_input():
+    """json.loads recurses once per nesting level, so past the interpreter's
+    limit the input is refused instead of ending in a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN,
+         "convert", "--from", "asm", "--to", "array", "--input", "-"],
+        input="[" * 100000 + "]" * 100000,
+        capture_output=True,
+        text=True,
+    )
+    *err, elapsed = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert err == ["error: input JSON is nested too deeply"]
+    assert float(elapsed) < 1.0
+
+
+def test_convert_refuses_input_longer_than_the_budget(tmp_path):
+    """convert reads budget + 1 characters at most and refuses a longer
+    input before parsing it, even one that holds a valid object."""
+    path = tmp_path / "a.json"
+    path.write_text("[[0,1],[1,0]]" + " " * 10**6)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN,
+         "convert", "--from", "asm", "--to", "array", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "TETRAPOSET_BUDGET": "50"},
+    )
+    *err, elapsed = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert err == [
+        "error: refusing to enumerate 51 input characters "
+        "(budget 50; set TETRAPOSET_BUDGET to raise it)"
+    ]
+
+
+@functools.cache
+def valid_objects() -> dict[str, list]:
+    """family -> the JSON of its valid objects of order <= 4, by the array
+    enumerators; ideals carry their colors."""
+    out: dict[str, list] = {family: [] for family in cli.FAMILIES}
+    for colors, family in (
+        ("bgoy", "asm"), ("bgoy", "mt"), ("rgoy", "tsscpp"), ("rbg", "tournament"), ("rbgy", "array"),
+    ):
+        for n in range(1, 5):
+            for x in enumerate_arrays(n, colors):
+                out[family].append(cli.FAMILIES[family][2](x).to_json_obj())
+                out["ideal"].append({**array_to_ideal(x).to_json_obj(), "colors": colors})
+    return out
+
+
+def leaf_paths(obj, path=()):
+    if isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from leaf_paths(v, path + (i,))
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from leaf_paths(v, path + (k,))
+    else:
+        yield path
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "vertices", "games", "colors"]) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def mutated_object(draw, family: str):
+    """A valid object of the family with one entry changed."""
+    obj = copy.deepcopy(draw(st.sampled_from(valid_objects()[family])))
+    *head, last = draw(st.sampled_from(list(leaf_paths(obj))))
+    parent = obj
+    for key in head:
+        parent = parent[key]
+    parent[last] = draw(st.integers(-2, 6) | json_values)
+    return obj
+
+
+@pytest.mark.parametrize("src", cli.FAMILIES)
+def test_convert_fuzz_exits_cleanly(tmp_path_factory, src):
+    """Any input to convert, to every family, ends in exit 0, 2 or 4 with no
+    traceback. The budget is lowered so that an ideal's n builds a T_n of
+    at most 10^4 vertices."""
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+
+    @settings(max_examples=40, deadline=1000)
+    @given(
+        text=st.text(max_size=20) | json_values.map(json.dumps) | mutated_object(src).map(json.dumps),
+        colors=st.sampled_from([None, "g", "bgoy", "rgoy", "rbg", "rbgy", "rb"]),
+    )
+    def run(text, colors):
+        path.write_text(text, encoding="utf-8")
+        for to in cli.FAMILIES:
+            argv = ["convert", "--from", src, "--to", to, "--input", str(path)]
+            if colors is not None:
+                argv += ["--colors", colors]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2, 4), (to, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+    with mock.patch.dict(os.environ, {"TETRAPOSET_BUDGET": "10000"}):
+        run()
 
 
 def test_convert_tournament_rejects_repeated_game(capsys, tmp_path):

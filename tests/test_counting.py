@@ -10,7 +10,10 @@ from tetraposet import (
     all_admissible_sets,
     array_rank_gf,
     build,
+    cli,
+    count_arrays,
     count_ideals,
+    counting,
     enumerate_ideals,
     rank_gf,
 )
@@ -54,8 +57,30 @@ def test_frontier_agrees_with_array_transfer():
 
 
 def test_count_is_gf_at_one():
+    """count_ideals runs the DP at field width 0: it must equal the rank gf
+    at q = 1 on every set and its dual, and the number of listed ideals."""
+    for n in range(1, 8):
+        p = build(n)
+        for colorset in all_admissible_sets():
+            for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
+                count = count_ideals(sub)
+                assert count == rank_gf(sub)(1)
+                if n <= 4:
+                    assert count == sum(1 for _ in enumerate_ideals(sub))
     p = build(4).subposet("bgy")
-    assert count_ideals(p) == rank_gf(p)(1) == 2 ** comb(4, 2)
+    assert count_ideals(p) == 2 ** comb(4, 2)
+
+
+def test_counts_build_no_polynomial(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a count built a polynomial")
+
+    monkeypatch.setattr(counting, "rank_gf", refuse)
+    monkeypatch.setattr(QPoly, "__mul__", refuse)
+    assert count_ideals(build(6).subposet("rs")) == 162000  # five components
+    assert count_arrays(6, "bgoy") == 7436
+    assert cli.main(["count", "--n", "6", "--colors", "rgy"]) == 0
+    assert capsys.readouterr().out == "161422\n"
 
 
 def test_empty_color_set_counts_antichain():
@@ -105,12 +130,18 @@ def test_unformula_pair_is_dual():
 
 
 def test_unformula_pair_regression_n9():
-    # README records n = 10 and 11, checked the same way but too slow here
+    # the gfs at n = 10 and up take too long here; the counts are pinned below
     p = build(9)
     rgy = rank_gf(p.subposet("rgy"))
     bgs = rank_gf(p.subposet("bgs"))
     assert rgy(1) == bgs(1) == 11337432232915
     assert bgs == rgy.reversed_poly(comb(10, 3))
+
+
+def test_unformula_pair_counts_past_the_gf():
+    """The count-only DP pins the README values the gf is too slow for."""
+    assert count_ideals(build(11).subposet("rgy")) == 211454683487501523010
+    assert count_ideals(build(10).subposet("bgs")) == 30523827764041406
 
 
 def test_formula_free_five_color_sets():
