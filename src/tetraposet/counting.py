@@ -1,9 +1,10 @@
 """Order ideal counting and enumeration for colored subposets.
 
 One engine gives the rank generating function sum q^|I| over the order ideals
-I of any subposet, dualized or not: the product over connected components of
-a frontier dynamic program along a linear extension (the transfer-matrix
-method, Stanley EC1 4.7). Counts are the same DP at field width 0, not the
+I of any subposet, dualized or not: a frontier dynamic program (the transfer-
+matrix method, Stanley EC1 4.7) over one step table per subposet, taking the
+connected components one at a time; each starts where the frontier is empty,
+and the gf is their product. Counts are the same DP at field width 0, not the
 rank gf at q = 1. For sets with green, the staircase arrays are the same
 ideals in other coordinates (poset.ideal_to_array), so the array counts and
 rank gf in arrays.py run this engine too. The independent cross-check, the
@@ -18,7 +19,7 @@ rank_gf sums over; arrays.py walks staircase rows with it.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from math import prod
 
 from .budget import enumeration_budget, guard
@@ -26,49 +27,66 @@ from .polynomials import QPoly
 from .poset import OrderIdeal, Subposet, Vertex
 
 Row = tuple[int, ...]
+Covers = dict[Vertex, Sequence[Vertex]]  # vertex -> its lower or its upper covers
 
 
 def _linear_extension(
-    p: Subposet,
-    pred: dict[Vertex, tuple[Vertex, ...]],
-    succ: dict[Vertex, tuple[Vertex, ...]],
+    p: Subposet, pred: Covers, succ: Covers, label: dict[Vertex, int] | None = None
 ) -> list[Vertex]:
-    """Kahn's algorithm with a heap, so the order is deterministic."""
+    """Kahn's algorithm with a heap, so the order is deterministic. With a
+    label per vertex the heap pops (label, vertex), so the vertices of one
+    label come out in one run, in the order their own heap gives."""
     indeg = {v: len(ws) for v, ws in pred.items()}
-    ready = [v for v in p.vertices if indeg[v] == 0]
+    label = label or dict.fromkeys(p.vertices, 0)
+    ready = [(label[v], v) for v in p.vertices if indeg[v] == 0]
     heapq.heapify(ready)
     order: list[Vertex] = []
     while ready:
-        v = heapq.heappop(ready)
+        v = heapq.heappop(ready)[1]
         order.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, w)
+                heapq.heappush(ready, (label[w], w))
     if len(order) != len(p.vertices):
         raise ValueError("cover relation contains a cycle")
     return order
 
 
-def _steps(p: Subposet) -> tuple[list[Vertex], list[tuple[int, int, int]]]:
+def _steps(p: Subposet, by_component=False) -> tuple[list[Vertex], list[tuple[int, int, int]]]:
     """The linear extension, and one (need_mask, u_bit, keep_mask) triple per
     vertex u of it. A vertex holds the lowest free bit slot from its own step
     until its last upper cover is visited. need_mask has the slots of u's
     lower covers, keep_mask the slots still held after u's step (u aside), and
     u_bit is u's slot, or 0 when nothing covers u. So u may join an ideal
     whose frontier mask before the step is mask exactly when
-    mask & need_mask == need_mask."""
-    pred = p.predecessors()
-    succ = p.successors()
-    order = _linear_extension(p, pred, succ)
+    mask & need_mask == need_mask.
+
+    by_component takes the connected components one at a time, in order of
+    least vertex, so one starts exactly where need_mask = keep_mask = 0: the
+    frontier is empty there and nowhere else. The cover lists stay unsorted,
+    since the heap fixes the order and the masks are ORs."""
+    lower: dict[Vertex, list[Vertex]] = {v: [] for v in p.vertices}
+    upper: dict[Vertex, list[Vertex]] = {v: [] for v in p.vertices}
+    for v, w in p.covers():
+        upper[v].append(w)
+        lower[w].append(v)
+    label: dict[Vertex, int] = {}
+    for c, root in enumerate(p.vertices if by_component else ()):
+        todo = [root]  # depth first over the covers, labelled by the least vertex's index
+        while todo:
+            if (v := todo.pop()) not in label:
+                label[v] = c
+                todo += lower[v] + upper[v]
+    order = _linear_extension(p, lower, upper, label)
     pos = {v: t for t, v in enumerate(order)}
-    last_use = {v: max((pos[w] for w in succ[v]), default=pos[v]) for v in order}
+    last_use = {v: max((pos[w] for w in upper[v]), default=pos[v]) for v in order}
     bit: dict[Vertex, int] = {}
     held = 0
     steps = []
     for t, u in enumerate(order):
         need = 0
-        for v in pred[u]:
+        for v in lower[u]:
             need |= bit[v]
             if last_use[v] == t:
                 held &= ~bit.pop(v)
@@ -82,48 +100,53 @@ def _steps(p: Subposet) -> tuple[list[Vertex], list[tuple[int, int, int]]]:
     return order, steps
 
 
-def _packed_rank_gf(p: Subposet, width: int) -> int:
-    """The rank gf of a subposet by frontier DP, packed into one int with the
-    coefficient of q^s in bits [s*width, (s+1)*width).
+def _packed_rank_gfs(p: Subposet, wide: bool) -> Iterator[tuple[int, int]]:
+    """Each component's rank gf by frontier DP over its slice of one step
+    table, in order of least vertex: (width, packed), with the coefficient
+    of q^s in bits [s*width, (s+1)*width) of packed.
 
     Each state's size polynomial is packed alike, so putting u into the
     ideal is a shift by width and merging two states is one int add. A
-    coefficient counts s-element sets of the |V| vertices, at most C(|V|, s)
-    < 2^width for width = |V| + 1, so no field carries into the next; at
-    width 0 the int is the number of ideals. The live states are checked
-    against the budget after every step.
+    coefficient counts s-element sets of the component's vertices, at most
+    C(size, s) < 2^width for width = size + 1 (wide), so no field carries
+    into the next; at width 0 the int is the number of ideals. The live
+    states are checked against the budget after every step.
     """
     budget = enumeration_budget()
-    states = {0: 1}
-    for need, u_bit, keep in _steps(p)[1]:
-        new_states: dict[int, int] = {}
-        for mask, packed in states.items():
-            base = mask & keep
-            new_states[base] = new_states.get(base, 0) + packed
-            if mask & need == need:
-                base |= u_bit
-                new_states[base] = new_states.get(base, 0) + (packed << width)
-        states = new_states
-        if len(states) > budget:
-            guard(len(states), "DP states")
-    # every slot is released after the last step, so one state is left
-    return states[0]
+    steps = _steps(p, by_component=True)[1]
+    starts = [t for t, (need, _, keep) in enumerate(steps) if not need | keep]
+    for a, b in zip(starts, starts[1:] + [len(steps)]):
+        width = b - a + 1 if wide else 0
+        states = {0: 1}
+        for need, u_bit, keep in steps[a:b]:
+            new_states: dict[int, int] = {}
+            for mask, packed in states.items():
+                base = mask & keep
+                new_states[base] = new_states.get(base, 0) + packed
+                if mask & need == need:
+                    base |= u_bit
+                    new_states[base] = new_states.get(base, 0) + (packed << width)
+            states = new_states
+            if len(states) > budget:
+                guard(len(states), "DP states")
+        # every slot is released after the last step, so one state is left
+        yield width, states[0]
 
 
 def rank_gf(p: Subposet) -> QPoly:
     """Rank generating function sum over ideals I of q^|I|."""
-    gf = QPoly({0: 1})
-    for comp in p.components():
-        width = len(comp.vertices) + 1
-        packed = _packed_rank_gf(comp, width)
+    gf = None
+    for width, packed in _packed_rank_gfs(p, wide=True):
         field = (1 << width) - 1
-        gf = gf * QPoly.from_coeff_list(packed >> (s * width) & field for s in range(width))
-    return gf
+        # a poset has ideals of every size up to its own, so no term is 0
+        factor = QPoly._make({s: packed >> (s * width) & field for s in range(width)})
+        gf = factor if gf is None else gf * factor
+    return QPoly({0: 1}) if gf is None else gf
 
 
 def count_ideals(p: Subposet) -> int:
     """Number of order ideals, the product of the components' counts."""
-    return prod(_packed_rank_gf(comp, 0) for comp in p.components())
+    return prod(packed for _, packed in _packed_rank_gfs(p, wide=False))
 
 
 def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Iterator[list[Row]]:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from functools import lru_cache
 from math import comb
 
 from .arrays import (
@@ -101,7 +100,6 @@ def asm_stats(a: Asm) -> AsmStats:
     return AsmStats(inversions=inv, neg_count=neg)
 
 
-@lru_cache(maxsize=None)
 def _mt_rows(n: int, prev: Row) -> dict[Row, int]:
     """Every row S_i an order-n monotone triangle can have after its row
     S_{i-1} = prev (S_0 = ()), mapped to the weight of row i of the
@@ -154,8 +152,11 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
     |{l in S_{i-1} : l > j'}| and the -1 loses |{l in S_{i-1} : l > j}|, a
     net gain of |{l in S_{i-1} : j' < l <= j}| >= 1 since j is in S_{i-1}.
     """
+    memo: dict[Row, dict[Row, int]] = {}  # each state's rows, kept for this call only
     sums = _row_transfer(
-        n, lambda i, prev: _mt_rows(n, prev), lambda row, prev: (_mt_rows(n, prev)[row], 1)
+        n,
+        lambda i, prev: memo.setdefault(prev, _mt_rows(n, prev)),
+        lambda row, prev: (memo[prev][row], 1),
     )
     return expand_binomial_field(sums, n + 1)
 

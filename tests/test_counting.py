@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -10,14 +11,16 @@ from tetraposet import (
     all_admissible_sets,
     array_rank_gf,
     build,
+    Subposet,
     cli,
     count_arrays,
     count_ideals,
     counting,
     enumerate_ideals,
+    format_colors,
     rank_gf,
 )
-from tetraposet.counting import _linear_extension
+from tetraposet.counting import _linear_extension, _steps
 
 from conftest import array_transfer_rank_gf, brute_force_ideal_sizes
 
@@ -81,6 +84,61 @@ def test_counts_build_no_polynomial(monkeypatch, capsys):
     assert count_arrays(6, "bgoy") == 7436
     assert cli.main(["count", "--n", "6", "--colors", "rgy"]) == 0
     assert capsys.readouterr().out == "161422\n"
+
+
+# count_ideals of every admissible set at n = 5, and the sha256 of
+# "colors:[coefficients]" over all 40 rank gfs joined by ";"
+N5_COUNTS = {
+    "": 1048576, "b": 34560, "g": 34560, "o": 34560, "r": 34560, "s": 34560, "y": 34560,
+    "bg": 5880, "bo": 5880, "bs": 5880, "by": 2500, "go": 2500, "gs": 5880, "gy": 5880,
+    "oy": 5880, "rg": 5880, "rs": 2500, "ry": 5880, "bgo": 1024, "bgs": 2498, "bgy": 1024,
+    "bos": 1024, "boy": 1024, "goy": 1024, "gys": 1024, "rbg": 1024, "rgs": 1024,
+    "rgy": 2498, "roy": 1024, "bgos": 429, "bgoy": 429, "bgys": 429, "rbgs": 429,
+    "rbgy": 429, "rgoy": 429, "rgys": 429, "bgoys": 162, "rbgoy": 162, "rbgys": 202,
+    "rbgoys": 66,
+}
+N5_GF_SHA256 = "5a61be8015643b7c9a32f3d182c9633ce059701dccfd32dad01ef69245e9aaa2"
+
+
+def test_counts_build_no_subposet_maps(monkeypatch):
+    """rank_gf and count_ideals read the covers once: no component
+    subposets, no dual and no sorted adjacency maps."""
+    def refuse(*args):
+        raise AssertionError("a count built a per-component structure")
+
+    for name in ("components", "predecessors", "successors", "dual"):
+        monkeypatch.setattr(Subposet, name, refuse)
+    p = build(5)
+    counts, gfs = {}, []
+    for colorset in all_admissible_sets():
+        sub = p.subposet(colorset)
+        gf = rank_gf(sub)
+        counts[format_colors(colorset)] = count_ideals(sub)
+        gfs.append(f"{format_colors(colorset)}:{gf.to_coeff_list()}")
+    assert counts == N5_COUNTS
+    assert hashlib.sha256(";".join(gfs).encode()).hexdigest() == N5_GF_SHA256
+
+
+def test_counting_steps_run_component_by_component():
+    """The counting table takes each component in one run, in order of least
+    vertex, in the order and with the masks its own table gives, and the
+    frontier is empty (need = keep = 0) exactly at the start of each."""
+    for n in range(1, 7):
+        p = build(n)
+        for colorset in all_admissible_sets():
+            for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
+                order, steps = _steps(sub, by_component=True)
+                comps = sub.components()
+                assert [min(c.vertices) for c in comps] == sorted(min(c.vertices) for c in comps)
+                starts, t = [], 0
+                for comp in comps:
+                    own = _linear_extension(comp, comp.predecessors(), comp.successors())
+                    assert order[t : t + len(own)] == own
+                    assert steps[t : t + len(own)] == _steps(comp)[1]
+                    starts.append(t)
+                    t += len(own)
+                assert t == len(order)
+                assert [t for t, (need, _, keep) in enumerate(steps) if not need | keep] == starts
 
 
 def test_empty_color_set_counts_antichain():

@@ -1,5 +1,7 @@
+import gc
 import re
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -152,6 +154,22 @@ def test_rr_mt_rows_follow_the_monotone_triangles():
         assert follow.keys() == subsets
         for prev, nxt in follow.items():
             assert _mt_rows(n, prev).keys() == nxt
+
+
+def test_rr_keeps_nothing_after_it_returns():
+    """The interlacing rows are memoized for one call only, so nothing it
+    allocated outlives it (a process-lifetime cache kept 186 KB at n = 7)."""
+    robbins_rumsey_rhs(2)  # first-call imports and tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        robbins_rumsey_rhs(7)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 32 * 1024
 
 
 def test_rr_transfer_matches_enumeration():

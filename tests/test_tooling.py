@@ -1,5 +1,6 @@
-"""Checks on the code itself: the benchmark tracer's hooks still resolve, every
-module imports cleanly when it is loaded first, importing the package loads no
+"""Checks on the code itself: the benchmark tracer's hooks still resolve, one
+small pass of each benchmark workload runs clean, every module imports
+cleanly when it is loaded first, importing the package loads no
 code generators, src/ keeps its invariants as exceptions rather than asserts,
 and the sources parse as Python 3.10."""
 
@@ -7,11 +8,14 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import tetraposet
 from tetraposet import IDENTITY_NAMES, QPoly, SparsePoly, verify_identity
@@ -77,6 +81,25 @@ def test_tracer_sees_every_verify_layer():
         "identities.pairwise_product",
     }
     assert expected <= seen, sorted(expected - seen)
+
+
+@pytest.mark.parametrize("workload", ["count-table", "count-deep", "verify", "roundtrip"])
+def test_benchmark_small_pass_is_clean(workload):
+    """One --small pass of each benchmark workload, in its own worker process,
+    exits 0 with no failed op and every output checked correct."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    worker = str(ROOT / "bench" / "worker.py")
+    proc = subprocess.run(
+        [sys.executable, worker, "--workload", workload, "--seed", "1", "--small"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, result["errors"]
+    assert result["problems"] == []
 
 
 def test_no_assert_in_src():
