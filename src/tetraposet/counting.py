@@ -2,13 +2,24 @@
 
 One engine gives the rank generating function sum q^|I| over the order ideals
 I of any subposet, dualized or not: a frontier dynamic program (the transfer-
-matrix method, Stanley EC1 4.7) over one step table per subposet, taking the
-connected components one at a time; each starts where the frontier is empty,
-and the gf is their product. Counts are the same DP at field width 0, not the
-rank gf at q = 1. For sets with green, the staircase arrays are the same
-ideals in other coordinates (poset.ideal_to_array), so the array counts and
-rank gf in arrays.py run this engine too. The independent cross-check, the
-row value-count transfer specialized at x_k = q^(k-1), lives in the tests.
+matrix method, Stanley EC1 4.7) over step tables built from one heap order
+per subposet, taking the connected components one at a time; each starts
+where the frontier is empty, and the gf is their product. Counts are the same
+DP at field width 0, not the rank gf at q = 1. For sets with green, the
+staircase arrays are the same ideals in other coordinates
+(poset.ideal_to_array), so the array counts and rank gf in arrays.py run this
+engine too. The independent cross-check, the row value-count transfer
+specialized at x_k = q^(k-1), lives in the tests.
+
+Each component is counted on one of two sides. The ideals of P are the
+complements of the ideals of P^dual, so side A, P in the heap order, and side
+B, P^dual in the reverse of that order, give the same count, and B's gf is
+A's reversed. The reverse of a linear extension of P is a linear extension of
+P^dual, so B needs no second order: P's upper covers serve as its lower ones.
+The DP holds one frontier slot per vertex from its step to its last use, and
+a side's width sum, the sum of those spans, stands in for the states its DP
+goes through: a component runs on B only when B's width sum is strictly the
+smaller, and ties go to A.
 
 One depth-first walk, _walk_rows, lists every path of rows that a successor
 function allows. enumerate_ideals walks the DP's own steps with it, one row
@@ -20,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, pairwise
 from math import prod
 
 from .budget import enumeration_budget, guard
@@ -28,6 +40,7 @@ from .poset import OrderIdeal, Subposet, Vertex
 
 Row = tuple[int, ...]
 Covers = dict[Vertex, Sequence[Vertex]]  # vertex -> its lower or its upper covers
+Step = tuple[int, int, int]  # (need_mask, u_bit, keep_mask), see _table
 
 
 def _linear_extension(
@@ -53,38 +66,59 @@ def _linear_extension(
     return order
 
 
-def _steps(p: Subposet, by_component=False) -> tuple[list[Vertex], list[tuple[int, int, int]]]:
-    """The linear extension, and one (need_mask, u_bit, keep_mask) triple per
-    vertex u of it. A vertex holds the lowest free bit slot from its own step
-    until its last upper cover is visited. need_mask has the slots of u's
-    lower covers, keep_mask the slots still held after u's step (u aside), and
-    u_bit is u's slot, or 0 when nothing covers u. So u may join an ideal
-    whose frontier mask before the step is mask exactly when
-    mask & need_mask == need_mask.
+def _extension(p: Subposet, by_component: bool) -> tuple[list[Vertex], Covers, Covers, list[int]]:
+    """The heap's linear extension, the lower and the upper covers, and the
+    component sizes.
 
     by_component takes the connected components one at a time, in order of
-    least vertex, so one starts exactly where need_mask = keep_mask = 0: the
-    frontier is empty there and nowhere else. The cover lists stay unsorted,
-    since the heap fixes the order and the masks are ORs."""
+    least vertex, and lists their sizes in that order; without it the list
+    is empty. The cover lists stay unsorted, since the heap fixes the order
+    and the masks are ORs."""
     lower: dict[Vertex, list[Vertex]] = {v: [] for v in p.vertices}
     upper: dict[Vertex, list[Vertex]] = {v: [] for v in p.vertices}
     for v, w in p.covers():
         upper[v].append(w)
         lower[w].append(v)
     label: dict[Vertex, int] = {}
+    sizes = []
     for c, root in enumerate(p.vertices if by_component else ()):
-        todo = [root]  # depth first over the covers, labelled by the least vertex's index
-        while todo:
-            if (v := todo.pop()) not in label:
-                label[v] = c
-                todo += lower[v] + upper[v]
-    order = _linear_extension(p, lower, upper, label)
-    pos = {v: t for t, v in enumerate(order)}
-    last_use = {v: max((pos[w] for w in upper[v]), default=pos[v]) for v in order}
+        if root not in label:  # breadth first over the covers, labelled by the least vertex's index
+            label[root] = c
+            todo = [root]
+            for v in todo:
+                for w in lower[v] + upper[v]:
+                    if w not in label:
+                        label[w] = c
+                        todo.append(w)
+            sizes.append(len(todo))
+    return _linear_extension(p, lower, upper, label), lower, upper, sizes
+
+
+def _last_use(order: Sequence[Vertex], lower: Covers) -> dict[Vertex, int]:
+    """Each vertex's last step in the frontier: its last upper cover's, or
+    its own when nothing covers it."""
+    last_use: dict[Vertex, int] = {}
+    for t, u in enumerate(order):
+        last_use[u] = t
+        for v in lower[u]:
+            last_use[v] = t
+    return last_use
+
+
+def _table(
+    order: Sequence[Vertex], lower: Covers, last_use: dict[Vertex, int], start=0
+) -> list[Step]:
+    """One (need_mask, u_bit, keep_mask) triple per vertex u of a linear
+    extension, whose steps are numbered from start as in last_use. A vertex
+    holds the lowest free bit slot from its own step until its last use.
+    need_mask has the slots of u's lower covers, keep_mask the slots still
+    held after u's step (u aside), and u_bit is u's slot, or 0 when nothing
+    covers u. So u may join an ideal whose frontier mask before the step is
+    mask exactly when mask & need_mask == need_mask."""
     bit: dict[Vertex, int] = {}
     held = 0
     steps = []
-    for t, u in enumerate(order):
+    for t, u in enumerate(order, start):
         need = 0
         for v in lower[u]:
             need |= bit[v]
@@ -97,56 +131,96 @@ def _steps(p: Subposet, by_component=False) -> tuple[list[Vertex], list[tuple[in
             held |= u_bit
             bit[u] = u_bit
         steps.append((need, u_bit, keep))
-    return order, steps
+    return steps
 
 
-def _packed_rank_gfs(p: Subposet, wide: bool) -> Iterator[tuple[int, int]]:
-    """Each component's rank gf by frontier DP over its slice of one step
-    table, in order of least vertex: (width, packed), with the coefficient
-    of q^s in bits [s*width, (s+1)*width) of packed.
+def _steps(p: Subposet, by_component=False) -> tuple[list[Vertex], list[Step]]:
+    """The heap's linear extension of p and its step table. With
+    by_component, each component starts exactly where need_mask = keep_mask
+    = 0: the frontier is empty there and nowhere else."""
+    order, lower, _, _ = _extension(p, by_component)
+    return order, _table(order, lower, _last_use(order, lower))
+
+
+def _component_tables(p: Subposet) -> Iterator[tuple[list[Step], bool]]:
+    """Each component's step table on its narrower side, in order of least
+    vertex, and whether that side is p^dual. A side's width sum is the sum
+    over v of last_use(v) - pos(v) in its own order; a component of one or
+    two vertices is a chain, as wide on both sides."""
+    order, lower, upper, sizes = _extension(p, by_component=True)
+    last_a = _last_use(order, lower)
+    reverse = order[::-1]
+    last_b = _last_use(reverse, upper)
+    end = len(order)
+    sides = []
+    for a, b in pairwise(accumulate(sizes, initial=0)):
+        dual = False
+        if b - a > 2:
+            comp = order[a:b]
+            pos_a = sum(range(a, b))
+            width_a = sum(map(last_a.__getitem__, comp)) - pos_a
+            # B numbers order[t] as end - 1 - t
+            width_b = sum(map(last_b.__getitem__, comp)) - ((end - 1) * (b - a) - pos_a)
+            dual = width_b < width_a
+        sides.append((a, b, dual))
+    # the frontier is empty between components, so one pass from the first
+    # side-A component to the last gives each of them its own table
+    spans = [(a, b) for a, b, dual in sides if not dual] or [(0, 0)]
+    lo = spans[0][0]
+    steps = _table(order[lo : spans[-1][1]], lower, last_a, lo)
+    for a, b, dual in sides:
+        if dual:
+            yield _table(reverse[end - b : end - a], upper, last_b, end - b), True
+        else:
+            yield steps[a - lo : b - lo], False
+
+
+def _run(steps: list[Step], width: int, budget: int) -> int:
+    """The frontier DP over one component's step table: its rank gf packed
+    with the coefficient of q^s in bits [s*width, (s+1)*width).
 
     Each state's size polynomial is packed alike, so putting u into the
-    ideal is a shift by width and merging two states is one int add. A
-    coefficient counts s-element sets of the component's vertices, at most
-    C(size, s) < 2^width for width = size + 1 (wide), so no field carries
-    into the next; at width 0 the int is the number of ideals. The live
-    states are checked against the budget after every step.
-    """
-    budget = enumeration_budget()
-    steps = _steps(p, by_component=True)[1]
-    starts = [t for t, (need, _, keep) in enumerate(steps) if not need | keep]
-    for a, b in zip(starts, starts[1:] + [len(steps)]):
-        width = b - a + 1 if wide else 0
-        states = {0: 1}
-        for need, u_bit, keep in steps[a:b]:
-            new_states: dict[int, int] = {}
-            for mask, packed in states.items():
-                base = mask & keep
-                new_states[base] = new_states.get(base, 0) + packed
-                if mask & need == need:
-                    base |= u_bit
-                    new_states[base] = new_states.get(base, 0) + (packed << width)
-            states = new_states
-            if len(states) > budget:
-                guard(len(states), "DP states")
-        # every slot is released after the last step, so one state is left
-        yield width, states[0]
+    ideal is a shift by width and merging two states is one int add. At
+    width 0 the int is the number of ideals. The live states are checked
+    against the budget after every step."""
+    states = {0: 1}
+    for need, u_bit, keep in steps:
+        new_states: dict[int, int] = {}
+        for mask, packed in states.items():
+            base = mask & keep
+            new_states[base] = new_states.get(base, 0) + packed
+            if mask & need == need:
+                base |= u_bit
+                new_states[base] = new_states.get(base, 0) + (packed << width)
+        states = new_states
+        if len(states) > budget:
+            guard(len(states), "DP states")
+    # every slot is released after the last step, so one state is left
+    return states[0]
 
 
 def rank_gf(p: Subposet) -> QPoly:
-    """Rank generating function sum over ideals I of q^|I|."""
+    """Rank generating function sum over ideals I of q^|I|, the product of
+    the components' gfs. A coefficient counts s-element sets of a
+    component's vertices, at most C(size, s) < 2^width for width = size + 1,
+    so no field carries into the next. A dual side's gf is read reversed."""
+    budget = enumeration_budget()
     gf = None
-    for width, packed in _packed_rank_gfs(p, wide=True):
+    for steps, dual in _component_tables(p):
+        width = len(steps) + 1
+        packed = _run(steps, width, budget)
         field = (1 << width) - 1
+        coeffs = [packed >> (s * width) & field for s in range(width)]
         # a poset has ideals of every size up to its own, so no term is 0
-        factor = QPoly._make({s: packed >> (s * width) & field for s in range(width)})
+        factor = QPoly._make(dict(enumerate(coeffs[::-1] if dual else coeffs)))
         gf = factor if gf is None else gf * factor
     return QPoly({0: 1}) if gf is None else gf
 
 
 def count_ideals(p: Subposet) -> int:
     """Number of order ideals, the product of the components' counts."""
-    return prod(packed for _, packed in _packed_rank_gfs(p, wide=False))
+    budget = enumeration_budget()
+    return prod(_run(steps, 0, budget) for steps, _ in _component_tables(p))
 
 
 def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Iterator[list[Row]]:

@@ -16,20 +16,17 @@ public constructor rejects an exponent above 2^16 - 1, and a product raises
 OverflowError when a factor has a field at or above 2^15, so every sum of
 two fields fits. Outside this module a monomial is the tuple (lambda
 exponent, ((variable index, exponent), ...)) with the x-part sorted by
-variable index and zero exponents left out; SparsePoly serialization orders
-monomials by total degree, then lambda exponent, then the x exponent tuple
-(graded lexicographic), so output is deterministic.
+variable index and zero exponents left out; SparsePoly lists monomials
+(repr, monomials(), first_difference) by total degree, then lambda exponent,
+then the x exponent tuple (graded lexicographic), so output is deterministic.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Mapping
 from functools import reduce
 from math import comb
 from operator import or_
-
-from .poset import json_int
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -285,13 +282,6 @@ def _unpack(key: int) -> Monomial:
     return (key & _MASK, tuple((k, e) for k in fields if (e := key >> k * FIELD & _MASK)))
 
 
-def _json_index(key) -> int:
-    """An x index as to_json_obj writes it: a string of decimal digits."""
-    if type(key) is not str or not re.fullmatch("[0-9]+", key):
-        raise ValueError(f"expected an integer, got {key!r}")
-    return int(key)
-
-
 class SparsePoly(_Poly):
     """Sparse polynomial in lambda and the variables x_1, x_2, ..."""
 
@@ -356,30 +346,6 @@ class SparsePoly(_Poly):
 
     def term_count(self) -> int:
         return len(self._terms)
-
-    def to_json_obj(self) -> list[dict]:
-        """Monomial list in graded-lex order; coefficients as decimal strings."""
-        return [
-            {**self._key_json(key), "coeff": str(self._terms[key])}
-            for key in self._sorted_keys()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> SparsePoly:
-        """Read to_json_obj's format; exponents must be JSON integers, an x
-        index a string of decimal digits, and a coefficient a decimal string
-        or a JSON integer."""
-        terms: dict[Monomial, int] = {}
-        for item in obj:
-            mono = (
-                json_int(item.get("lambda", 0)),
-                tuple(sorted((_json_index(k), json_int(e)) for k, e in item.get("x", {}).items())),
-            )
-            c = item["coeff"]
-            if type(c) is str and re.fullmatch(r"-?[0-9]+", c):
-                c = int(c)
-            terms[mono] = terms.get(mono, 0) + json_int(c)
-        return cls(terms)
 
 
 def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:

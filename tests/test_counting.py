@@ -20,7 +20,7 @@ from tetraposet import (
     format_colors,
     rank_gf,
 )
-from tetraposet.counting import _linear_extension, _steps
+from tetraposet.counting import _extension, _last_use, _linear_extension, _run, _steps, _table
 
 from conftest import array_transfer_rank_gf, brute_force_ideal_sizes
 
@@ -141,6 +141,72 @@ def test_counting_steps_run_component_by_component():
                 assert [t for t, (need, _, keep) in enumerate(steps) if not need | keep] == starts
 
 
+def _sides(comp):
+    """A component's step tables on side A (its heap order) and side B (the
+    dual, in the reverse order), built apart from the engine's choice."""
+    order, lower, upper, _ = _extension(comp, by_component=False)
+    reverse = order[::-1]
+    side_a = _table(order, lower, _last_use(order, lower))
+    return side_a, _table(reverse, upper, _last_use(reverse, upper))
+
+
+def _width(steps):
+    """The slots held after each step, summed over the steps."""
+    return sum((keep | u_bit).bit_count() for _, u_bit, keep in steps)
+
+
+def test_both_sides_give_the_reversed_gf():
+    """Each component's gf from side A equals its side-B gf reversed at its
+    size, and the engine takes B exactly when B's width sum is the smaller."""
+    budget = 10**8
+    for n in range(1, 6):
+        p = build(n)
+        for colorset in all_admissible_sets():
+            for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
+                comps = sub.components()
+                chosen = list(counting._component_tables(sub))
+                assert len(chosen) == len(comps)
+                for comp, (steps, dual) in zip(comps, chosen):
+                    side_a, side_b = _sides(comp)
+                    width = len(comp.vertices) + 1
+                    field = (1 << width) - 1
+                    gf_a, gf_b = (
+                        [_run(side, width, budget) >> (s * width) & field for s in range(width)]
+                        for side in (side_a, side_b)
+                    )
+                    assert gf_a == gf_b[::-1]
+                    assert _run(side_a, 0, budget) == _run(side_b, 0, budget) == sum(gf_a)
+                    assert dual == (_width(side_b) < _width(side_a))
+                    assert steps == (side_b if dual else side_a)
+
+
+def _dp_states(steps):
+    """The live states after each step of the DP over a table, summed."""
+    states, total = {0}, 0
+    for need, u_bit, keep in steps:
+        states = {mask & keep for mask in states} | {
+            mask & keep | u_bit for mask in states if mask & need == need
+        }
+        total += len(states)
+    return total
+
+
+def test_narrower_side_dp_states_n7():
+    """The DP states summed over the chosen tables at n = 7. On side A alone
+    the same sums are 131,914 and 48,772, and bgs takes 15,453."""
+    deep = {"rgy", "bgs", "bgoy", "rgoy", "rbg", "rbgoys", "rs", "ry", "roy", "boy", "r"}
+    p = build(7)
+    states = {
+        format_colors(colorset): sum(
+            _dp_states(steps) for steps, _ in counting._component_tables(p.subposet(colorset))
+        )
+        for colorset in all_admissible_sets()
+    }
+    assert states["bgs"] == 4165
+    assert sum(states.values()) == 105097
+    assert sum(states[colors] for colors in deep) == 34690
+
+
 def test_empty_color_set_counts_antichain():
     p = build(3).subposet(frozenset())
     assert count_ideals(p) == 2 ** comb(4, 3)
@@ -200,6 +266,7 @@ def test_unformula_pair_counts_past_the_gf():
     """The count-only DP pins the README values the gf is too slow for."""
     assert count_ideals(build(11).subposet("rgy")) == 211454683487501523010
     assert count_ideals(build(10).subposet("bgs")) == 30523827764041406
+    assert count_ideals(build(11).subposet("bgs")) == 211454683487501523010
 
 
 def test_formula_free_five_color_sets():

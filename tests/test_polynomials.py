@@ -298,38 +298,6 @@ def test_expand_binomial_field_matches_power_on_colliding_keys(terms):
     assert expand_binomial_field(sums, field) == expected
 
 
-def test_sparse_json_round_trip():
-    p = SparsePoly.lam(2) * SparsePoly.x(1) + 3 * SparsePoly.x(2, 4) - SparsePoly.constant(7)
-    assert SparsePoly.from_json_obj(p.to_json_obj()) == p
-    blob = p.to_json_obj()
-    assert all(isinstance(item["coeff"], str) for item in blob)
-
-
-def test_sparse_json_rejects_non_integers():
-    assert SparsePoly.from_json_obj([{"lambda": 1, "x": {"2": 3}, "coeff": 5}]) == 5 * (
-        SparsePoly.lam() * SparsePoly.x(2, 3)
-    )
-    assert SparsePoly.from_json_obj([{"x": {"02": 1}, "coeff": "3"}]) == 3 * SparsePoly.x(2)
-    bad = [
-        {"lambda": 1.7, "coeff": "1"},
-        {"lambda": True, "coeff": "1"},
-        {"x": {"2": True}, "coeff": "1"},
-        {"x": {"2": 1.0}, "coeff": "1"},
-        {"coeff": 2.9},
-        {"coeff": False},
-        {"coeff": "2.9"},
-        {"coeff": " 2"},
-        {"lambda": 1.7, "x": {"2": True}, "coeff": 2.9},
-    ]
-    bad += [
-        {"x": {key: 1}, "coeff": "3"}
-        for key in [" +2", "+2", "2 ", "-2", "2.0", "", "\u00b2", 2, True]
-    ]
-    for item in bad:
-        with pytest.raises(ValueError, match="expected an integer"):
-            SparsePoly.from_json_obj([item])
-
-
 def test_monomial_order_is_graded():
     p = SparsePoly.x(2) + SparsePoly.lam() * SparsePoly.x(1, 2) + SparsePoly.constant(5)
     degrees = [lam + sum(e for _, e in xs) for lam, xs in p.monomials()]
@@ -443,8 +411,8 @@ def test_high_variable_index_round_trips():
     assert p.coeff(mono) == 3
     assert p.coeff((0, ((40, 5),))) == 0
     assert p.monomials() == [(0, ((1, 1),)), mono]
-    assert SparsePoly.from_json_obj(p.to_json_obj()) == p
-    assert p.to_json_obj()[1] == {"lambda": 2, "x": {"40": 5}, "coeff": "3"}
+    diff = first_difference(p, -SparsePoly.x(1))
+    assert diff == {"monomial": {"lambda": 2, "x": {"40": 5}}, "lhs": "3", "rhs": "0"}
 
 
 RING_METHODS = (
