@@ -4,7 +4,11 @@ One engine gives the rank generating function sum q^|I| over the order ideals
 I of any subposet, dualized or not: a frontier dynamic program (the transfer-
 matrix method, Stanley EC1 4.7) over step tables built from one heap order
 per subposet, taking the connected components one at a time; each starts
-where the frontier is empty, and the gf is their product. Counts are the same
+where the frontier is empty, and the gf is their product. The engine reads
+the subposet's index covers and works on vertex indices throughout: lists
+for covers, last uses and slots, and a heap of ints. The vertices are in
+lexicographic order, so the heap pops the order the vertex tuples would
+give, and enumerate_ideals maps it back to vertices once. Counts are the same
 DP at field width 0, not the rank gf at q = 1. For sets with green, the
 staircase arrays are the same ideals in other coordinates
 (poset.ideal_to_array), so the array counts and rank gf in arrays.py run this
@@ -36,68 +40,69 @@ from math import prod
 
 from .budget import enumeration_budget, guard
 from .polynomials import QPoly
-from .poset import OrderIdeal, Subposet, Vertex
+from .poset import OrderIdeal, Subposet
 
 Row = tuple[int, ...]
-Covers = dict[Vertex, Sequence[Vertex]]  # vertex -> its lower or its upper covers
+Covers = list[list[int]]  # vertex index -> the indices of its lower or its upper covers
 Step = tuple[int, int, int]  # (need_mask, u_bit, keep_mask), see _table
 
 
-def _linear_extension(
-    p: Subposet, pred: Covers, succ: Covers, label: dict[Vertex, int] | None = None
-) -> list[Vertex]:
-    """Kahn's algorithm with a heap, so the order is deterministic. With a
-    label per vertex the heap pops (label, vertex), so the vertices of one
-    label come out in one run, in the order their own heap gives."""
-    indeg = {v: len(ws) for v, ws in pred.items()}
-    label = label or dict.fromkeys(p.vertices, 0)
-    ready = [(label[v], v) for v in p.vertices if indeg[v] == 0]
+def _linear_extension(lower: Covers, upper: Covers, label: list[int] | None = None) -> list[int]:
+    """Kahn's algorithm with a heap of vertex indices, so the order is
+    deterministic. With a label per vertex the heap pops label * size + i,
+    so the vertices of one label come out in one run, in the order their
+    own heap gives."""
+    size = len(lower)
+    indeg = list(map(len, lower))
+    label = label or [0] * size
+    ready = [label[i] * size + i for i in range(size) if not indeg[i]]
     heapq.heapify(ready)
-    order: list[Vertex] = []
+    order: list[int] = []
     while ready:
-        v = heapq.heappop(ready)[1]
+        v = heapq.heappop(ready) % size
         order.append(v)
-        for w in succ[v]:
+        for w in upper[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, (label[w], w))
-    if len(order) != len(p.vertices):
+            if not indeg[w]:
+                heapq.heappush(ready, label[w] * size + w)
+    if len(order) != size:
         raise ValueError("cover relation contains a cycle")
     return order
 
 
-def _extension(p: Subposet, by_component: bool) -> tuple[list[Vertex], Covers, Covers, list[int]]:
+def _extension(p: Subposet, by_component: bool) -> tuple[list[int], Covers, Covers, list[int]]:
     """The heap's linear extension, the lower and the upper covers, and the
-    component sizes.
+    component sizes, all on the indices of p.vertices.
 
     by_component takes the connected components one at a time, in order of
     least vertex, and lists their sizes in that order; without it the list
     is empty. The cover lists stay unsorted, since the heap fixes the order
     and the masks are ORs."""
-    lower: dict[Vertex, list[Vertex]] = {v: [] for v in p.vertices}
-    upper: dict[Vertex, list[Vertex]] = {v: [] for v in p.vertices}
-    for v, w in p.covers():
+    size = len(p.vertices)
+    lower: Covers = [[] for _ in range(size)]
+    upper: Covers = [[] for _ in range(size)]
+    for v, w in p.index_covers:
         upper[v].append(w)
         lower[w].append(v)
-    label: dict[Vertex, int] = {}
+    label = [-1 if by_component else 0] * size
     sizes = []
-    for c, root in enumerate(p.vertices if by_component else ()):
-        if root not in label:  # breadth first over the covers, labelled by the least vertex's index
-            label[root] = c
+    for root in range(size):
+        if label[root] < 0:  # breadth first over the covers, labelled by the least vertex
+            label[root] = root
             todo = [root]
             for v in todo:
                 for w in lower[v] + upper[v]:
-                    if w not in label:
-                        label[w] = c
+                    if label[w] < 0:
+                        label[w] = root
                         todo.append(w)
             sizes.append(len(todo))
-    return _linear_extension(p, lower, upper, label), lower, upper, sizes
+    return _linear_extension(lower, upper, label), lower, upper, sizes
 
 
-def _last_use(order: Sequence[Vertex], lower: Covers) -> dict[Vertex, int]:
+def _last_use(order: Sequence[int], lower: Covers) -> list[int]:
     """Each vertex's last step in the frontier: its last upper cover's, or
     its own when nothing covers it."""
-    last_use: dict[Vertex, int] = {}
+    last_use = [0] * len(lower)
     for t, u in enumerate(order):
         last_use[u] = t
         for v in lower[u]:
@@ -105,9 +110,7 @@ def _last_use(order: Sequence[Vertex], lower: Covers) -> dict[Vertex, int]:
     return last_use
 
 
-def _table(
-    order: Sequence[Vertex], lower: Covers, last_use: dict[Vertex, int], start=0
-) -> list[Step]:
+def _table(order: Sequence[int], lower: Covers, last_use: list[int], start=0) -> list[Step]:
     """One (need_mask, u_bit, keep_mask) triple per vertex u of a linear
     extension, whose steps are numbered from start as in last_use. A vertex
     holds the lowest free bit slot from its own step until its last use.
@@ -115,7 +118,7 @@ def _table(
     held after u's step (u aside), and u_bit is u's slot, or 0 when nothing
     covers u. So u may join an ideal whose frontier mask before the step is
     mask exactly when mask & need_mask == need_mask."""
-    bit: dict[Vertex, int] = {}
+    bit = [0] * len(last_use)  # a freed slot stays listed: no later step reads it
     held = 0
     steps = []
     for t, u in enumerate(order, start):
@@ -123,7 +126,7 @@ def _table(
         for v in lower[u]:
             need |= bit[v]
             if last_use[v] == t:
-                held &= ~bit.pop(v)
+                held &= ~bit[v]
         keep = held
         u_bit = 0
         if last_use[u] > t:
@@ -134,10 +137,10 @@ def _table(
     return steps
 
 
-def _steps(p: Subposet, by_component=False) -> tuple[list[Vertex], list[Step]]:
-    """The heap's linear extension of p and its step table. With
-    by_component, each component starts exactly where need_mask = keep_mask
-    = 0: the frontier is empty there and nowhere else."""
+def _steps(p: Subposet, by_component=False) -> tuple[list[int], list[Step]]:
+    """The heap's linear extension of p, as indices of p.vertices, and its
+    step table. With by_component, each component starts exactly where
+    need_mask = keep_mask = 0: the frontier is empty there and nowhere else."""
     order, lower, _, _ = _extension(p, by_component)
     return order, _table(order, lower, _last_use(order, lower))
 
@@ -257,6 +260,7 @@ def enumerate_ideals(p: Subposet) -> Iterator[OrderIdeal]:
     """
     guard(count_ideals(p), "order ideals")
     order, steps = _steps(p)
+    order = [p.vertices[i] for i in order]
     size = len(order)
 
     def successors(i: int, below: Row) -> tuple[Row, ...]:

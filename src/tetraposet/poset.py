@@ -12,6 +12,10 @@ A color set S keeps only the edges of those colors. Order ideals of the
 resulting poset are the central objects: their counts and rank generating
 functions specialize to many classical product formulas.
 
+The edges are kept once per n as (lower, upper) index pairs into the sorted
+vertex tuple, the form the counting engine reads; a subposet makes its
+vertex pairs and adjacency maps only when asked for them.
+
 When green is in S, an ideal is read as a staircase array: vertex
 (c1, c2, c3) is level c2 of the green chain of array cell (c1+1, n-1-c1-c3).
 array_to_ideal takes each cell's chain from a per-n table, so the ideals it
@@ -59,47 +63,55 @@ def _green_chains(n: int) -> tuple[tuple[tuple[Vertex, ...], ...], ...]:
     return tuple(tuple(map(tuple, row)) for row in chains)
 
 
-def _edges_for(n: int) -> dict[Color, tuple[tuple[Vertex, Vertex], ...]]:
-    """The edges of every color in T_n, as (lower, upper) pairs."""
-    vset = set(_vertices(n))
+def _edges_for(n: int) -> dict[Color, tuple[tuple[int, int], ...]]:
+    """The edges of every color in T_n, as (lower, upper) index pairs into
+    _vertices(n). The pairs share the index dict's ints, so a pair costs no
+    more than a pair of vertex tuples."""
+    index = dict(zip(_vertices(n), range(comb(n + 1, 3))))
     edges = {}
     for color, (a, b, c) in STEP.items():
-        ups = ((v, (v[0] + a, v[1] + b, v[2] + c)) for v in _vertices(n))
-        edges[color] = tuple((v, w) for v, w in ups if w in vset)
+        ups = ((i, index.get((v[0] + a, v[1] + b, v[2] + c))) for v, i in index.items())
+        edges[color] = tuple(pair for pair in ups if pair[1] is not None)
     return edges
 
 
 class Subposet:
     """T_n(S): the vertices of T_n with only the edges colored by S.
 
-    The covers are one tuple of (lower, upper) pairs, grouped by color in
-    canonical order. A dual subposet (see dual()) stores each pair reversed.
+    vertices is in lexicographic order, so index order is vertex order. The
+    covers are one tuple of (lower, upper) index pairs into vertices, grouped
+    by color in canonical order; a dual subposet (see dual()) stores each pair
+    reversed. covers() gives them as vertex pairs, made on the first call.
     """
 
-    __slots__ = ("n", "colors", "vertices", "_covers", "is_dual", "_lower")
+    __slots__ = ("n", "colors", "vertices", "index_covers", "is_dual", "_covers", "_lower")
 
     def __init__(
         self,
         n: int,
         colors: frozenset[Color],
         vertices: tuple[Vertex, ...],
-        covers: tuple[tuple[Vertex, Vertex], ...],
+        index_covers: tuple[tuple[int, int], ...],
         is_dual: bool = False,
     ):
         self.n = n
         self.colors = colors
         self.vertices = vertices
-        self._covers = covers
+        self.index_covers = index_covers
         self.is_dual = is_dual
+        self._covers: tuple[tuple[Vertex, Vertex], ...] | None = None
         self._lower: dict[Vertex, tuple[Vertex, ...]] | None = None
 
     def covers(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """The (lower, upper) cover pairs in canonical color order."""
+        if self._covers is None:
+            vs = self.vertices
+            self._covers = tuple([(vs[i], vs[j]) for i, j in self.index_covers])
         return self._covers
 
     def successors(self) -> dict[Vertex, tuple[Vertex, ...]]:
         succ: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for v, w in self._covers:
+        for v, w in self.covers():
             succ[v].append(w)
         return {v: tuple(sorted(ws)) for v, ws in succ.items()}
 
@@ -107,29 +119,33 @@ class Subposet:
         return self.dual().successors()
 
     def dual(self) -> Subposet:
-        flipped = tuple((w, v) for v, w in self._covers)
+        flipped = tuple([(j, i) for i, j in self.index_covers])
         return Subposet(self.n, self.colors, self.vertices, flipped, not self.is_dual)
 
     def components(self) -> tuple[Subposet, ...]:
         """Connected components, each as a Subposet on its own vertex set, in
         order of least vertex. One union-find pass over the covers relabels
         the smaller of two joined components; vertices and covers keep their
-        order."""
-        label = {v: v for v in self.vertices}
-        members = {v: [v] for v in self.vertices}
-        for v, w in self._covers:
-            a, b = label[v], label[w]
+        order, and each cover is re-indexed into its component's vertices."""
+        size = len(self.vertices)
+        label = list(range(size))
+        members = {i: [i] for i in range(size)}
+        for i, j in self.index_covers:
+            a, b = label[i], label[j]
             if a != b:
                 if len(members[a]) < len(members[b]):
                     a, b = b, a
                 for u in members[b]:
                     label[u] = a
                 members[a] += members.pop(b)
-        groups: dict[Vertex, tuple[list[Vertex], list[tuple[Vertex, Vertex]]]] = {}
-        for v in self.vertices:
-            groups.setdefault(label[v], ([], []))[0].append(v)
-        for pair in self._covers:
-            groups[label[pair[0]]][1].append(pair)
+        local = [0] * size  # each vertex's index in its component
+        groups: dict[int, tuple[list[Vertex], list[tuple[int, int]]]] = {}
+        for i, v in enumerate(self.vertices):
+            vs = groups.setdefault(label[i], ([], []))[0]
+            local[i] = len(vs)
+            vs.append(v)
+        for i, j in self.index_covers:
+            groups[label[i]][1].append((local[i], local[j]))
         return tuple(
             Subposet(self.n, self.colors, tuple(vs), tuple(cs), self.is_dual)
             for vs, cs in groups.values()

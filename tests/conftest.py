@@ -7,6 +7,8 @@ closure, so it shares no code or idea with the production engines.
 
 from __future__ import annotations
 
+import heapq
+from itertools import accumulate, pairwise
 from math import comb
 
 import pytest
@@ -43,6 +45,90 @@ def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:
             k = bin(mask).count("1")
             sizes[k] = sizes.get(k, 0) + 1
     return sizes
+
+
+def vertex_steps(p: Subposet, by_component=False):
+    """Oracle for counting._steps on vertex keys: dicts of the vertex pairs
+    of p.covers() and a heap over (label, vertex), with none of the engine's
+    index arithmetic. Returns the order as vertices, the step table, and for the side choice
+    the lower and upper covers, the order's last uses and the component
+    sizes."""
+    lower = {v: [] for v in p.vertices}
+    upper = {v: [] for v in p.vertices}
+    for v, w in p.covers():
+        upper[v].append(w)
+        lower[w].append(v)
+    label, sizes = dict.fromkeys(p.vertices, 0), []
+    if by_component:
+        label = {}
+        for c, root in enumerate(p.vertices):
+            if root not in label:
+                label[root], todo = c, [root]
+                for v in todo:
+                    for w in lower[v] + upper[v]:
+                        if w not in label:
+                            label[w] = c
+                            todo.append(w)
+                sizes.append(len(todo))
+    indeg = {v: len(ws) for v, ws in lower.items()}
+    ready = [(label[v], v) for v in p.vertices if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)[1]
+        order.append(v)
+        for w in upper[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, (label[w], w))
+    last_use = vertex_last_use(order, lower)
+    return order, vertex_table(order, lower, last_use), (lower, upper, last_use, sizes)
+
+
+def vertex_last_use(order, lower):
+    last_use = {}
+    for t, u in enumerate(order):
+        last_use[u] = t
+        for v in lower[u]:
+            last_use[v] = t
+    return last_use
+
+
+def vertex_table(order, lower, last_use, start=0):
+    """Oracle for counting._table on vertex-keyed dicts."""
+    bit, held, steps = {}, 0, []
+    for t, u in enumerate(order, start):
+        need = 0
+        for v in lower[u]:
+            need |= bit[v]
+            if last_use[v] == t:
+                held &= ~bit.pop(v)
+        keep, u_bit = held, 0
+        if last_use[u] > t:
+            u_bit = ~held & (held + 1)
+            held |= u_bit
+            bit[u] = u_bit
+        steps.append((need, u_bit, keep))
+    return steps
+
+
+def vertex_component_tables(p: Subposet):
+    """Oracle for counting._component_tables: each component's table on side
+    A (p, heap order) or side B (p^dual, reversed order), B only when its
+    width sum is strictly smaller, as a list of (steps, is side B)."""
+    order, _, (lower, upper, last_a, sizes) = vertex_steps(p, by_component=True)
+    reverse = order[::-1]
+    last_b = vertex_last_use(reverse, upper)
+    end, tables = len(order), []
+    for a, b in pairwise(accumulate(sizes, initial=0)):
+        comp = order[a:b]
+        width_a = sum(last_a[v] - t for t, v in enumerate(comp, a))
+        width_b = sum(last_b[v] - (end - 1 - t) for t, v in enumerate(comp, a))
+        if width_b < width_a:
+            tables.append((vertex_table(reverse[end - b : end - a], upper, last_b, end - b), True))
+        else:
+            tables.append((vertex_table(comp, lower, last_a, a), False))
+    return tables
 
 
 def evaluate(poly: SparsePoly, lam_value: int, x_values) -> int:

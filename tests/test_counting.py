@@ -22,7 +22,12 @@ from tetraposet import (
 )
 from tetraposet.counting import _extension, _last_use, _linear_extension, _run, _steps, _table
 
-from conftest import array_transfer_rank_gf, brute_force_ideal_sizes
+from conftest import (
+    array_transfer_rank_gf,
+    brute_force_ideal_sizes,
+    vertex_component_tables,
+    vertex_steps,
+)
 
 
 def test_brute_force_oracle_all_sets_small_n():
@@ -100,13 +105,19 @@ N5_COUNTS = {
 N5_GF_SHA256 = "5a61be8015643b7c9a32f3d182c9633ce059701dccfd32dad01ef69245e9aaa2"
 
 
-def test_counts_build_no_subposet_maps(monkeypatch):
-    """rank_gf and count_ideals read the covers once: no component
-    subposets, no dual and no sorted adjacency maps."""
-    def refuse(*args):
-        raise AssertionError("a count built a per-component structure")
+# the sha256 of every ideal enumerate_ideals lists for the 40 sets at n = 4,
+# each as repr(sorted(members)), joined by "," per set and ";" between sets
+N4_IDEALS_SHA256 = "3939f808e4fb25d203447b3e8584803c346caedbff70e915c00270ea29d98d25"
 
-    for name in ("components", "predecessors", "successors", "dual"):
+
+def test_counts_build_no_subposet_maps(monkeypatch):
+    """rank_gf, count_ideals and enumerate_ideals read the index covers
+    once: no vertex pairs, no component subposets, no dual and no
+    adjacency maps."""
+    def refuse(*args):
+        raise AssertionError("a count built a per-component structure or vertex pairs")
+
+    for name in ("covers", "components", "predecessors", "successors", "dual", "is_ideal"):
         monkeypatch.setattr(Subposet, name, refuse)
     p = build(5)
     counts, gfs = {}, []
@@ -117,6 +128,40 @@ def test_counts_build_no_subposet_maps(monkeypatch):
         gfs.append(f"{format_colors(colorset)}:{gf.to_coeff_list()}")
     assert counts == N5_COUNTS
     assert hashlib.sha256(";".join(gfs).encode()).hexdigest() == N5_GF_SHA256
+    p = build(4)
+    listed = ";".join(
+        ",".join(repr(sorted(ideal.members)) for ideal in enumerate_ideals(p.subposet(colorset)))
+        for colorset in all_admissible_sets()
+    )
+    assert hashlib.sha256(listed.encode()).hexdigest() == N4_IDEALS_SHA256
+
+
+def test_tables_match_vertex_keyed_oracle():
+    """The index engine's orders and step tables equal those of the vertex-
+    keyed builder in conftest, on every set and its dual, so every mask, DP
+    state and gf is the one the vertex tuples give."""
+    for n in range(1, 7):
+        p = build(n)
+        for colorset in all_admissible_sets():
+            for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
+                for by_component in (False, True):
+                    order, steps = _steps(sub, by_component)
+                    oracle_order, oracle_steps, _ = vertex_steps(sub, by_component)
+                    assert [sub.vertices[i] for i in order] == oracle_order
+                    assert steps == oracle_steps
+                assert list(counting._component_tables(sub)) == vertex_component_tables(sub)
+
+
+def index_covers(p):
+    """p's lower and upper covers as lists over the indices of p.vertices,
+    read from its vertex pairs."""
+    index = {v: i for i, v in enumerate(p.vertices)}
+    lower = [[] for _ in p.vertices]
+    upper = [[] for _ in p.vertices]
+    for v, w in p.covers():
+        upper[index[v]].append(index[w])
+        lower[index[w]].append(index[v])
+    return lower, upper
 
 
 def test_counting_steps_run_component_by_component():
@@ -128,11 +173,12 @@ def test_counting_steps_run_component_by_component():
         for colorset in all_admissible_sets():
             for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
                 order, steps = _steps(sub, by_component=True)
+                order = [sub.vertices[i] for i in order]
                 comps = sub.components()
                 assert [min(c.vertices) for c in comps] == sorted(min(c.vertices) for c in comps)
                 starts, t = [], 0
                 for comp in comps:
-                    own = _linear_extension(comp, comp.predecessors(), comp.successors())
+                    own = [comp.vertices[i] for i in _linear_extension(*index_covers(comp))]
                     assert order[t : t + len(own)] == own
                     assert steps[t : t + len(own)] == _steps(comp)[1]
                     starts.append(t)
@@ -301,18 +347,18 @@ def test_enumerate_ideals_matches_count_and_is_deterministic():
 def walked_ideals(p):
     """Every order ideal by recursion along the linear extension, leaving a
     vertex out before putting it in: the order enumerate_ideals must keep."""
-    pred = p.predecessors()
-    order = _linear_extension(p, pred, p.successors())
+    lower, upper = index_covers(p)
+    order = _linear_extension(lower, upper)
     member = {}
 
     def walk(t):
         if t == len(order):
-            yield OrderIdeal(p.n, frozenset(v for v, b in member.items() if b))
+            yield OrderIdeal(p.n, frozenset(p.vertices[i] for i, b in member.items() if b))
             return
         u = order[t]
         member[u] = False
         yield from walk(t + 1)
-        if all(member[v] for v in pred[u]):
+        if all(member[v] for v in lower[u]):
             member[u] = True
             yield from walk(t + 1)
         del member[u]

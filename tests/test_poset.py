@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import re
 from math import comb
@@ -152,6 +153,27 @@ def test_components_partition_in_order_of_least_vertex():
                                     reached.add(b)
                                     todo.append(b)
                     assert reached == inside
+
+
+# the sha256 of "colors:" + repr(covers()) for the 40 sets at n = 5, each
+# followed by its dual, joined by ";"
+N5_COVERS_SHA256 = "22c5c7425a94c15873fa91be5d4b3d8f790a741631e30b529c1847df2868d7c6"
+
+
+def test_vertex_covers_pinned_and_vertices_sorted():
+    """covers() makes the vertex pairs of the index covers in their order,
+    and every subposet lists its vertices in lexicographic order, which
+    makes index order vertex order for the counting heap."""
+    p = build(5)
+    listed = []
+    for colorset in all_admissible_sets():
+        for q in (p.subposet(colorset), p.subposet(colorset).dual()):
+            listed.append(f"{format_colors(colorset)}:{q.covers()!r}")
+            assert q.covers() is q.covers()
+            for c in (q, *q.components()):
+                assert list(c.vertices) == sorted(c.vertices)
+                assert c.covers() == tuple((c.vertices[i], c.vertices[j]) for i, j in c.index_covers)
+    assert hashlib.sha256(";".join(listed).encode()).hexdigest() == N5_COVERS_SHA256
 
 
 def test_dual_swaps_covers():
