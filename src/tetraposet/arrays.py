@@ -267,18 +267,21 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
 
     Weights are SparsePoly keys, with N in the extra field n+1 until
     expand_binomial_field multiplies out (1+lambda)^N; without equalities the
-    sums are the result. No field fills up: each is at most the n(n-1)/2
-    non-pinned cells, below 2^16 for every n up to 362, far beyond the n the
-    transfer can reach.
+    sums are the result. Each row's x-part is computed once and kept for
+    this call only, so an edge adds only its E and N. No field fills up:
+    each is at most the n(n-1)/2 non-pinned cells, below 2^16 for every n
+    up to 362, far beyond the n the transfer can reach.
     """
     colorset = _require_green(n, colors)
     n_shift = (n + 1) * FIELD
+    xparts: dict[Row, int] = {}
 
     def step(row: Row, below: Row) -> tuple[int, int]:
-        shift = 0
-        for west, v, sw in zip(row, row[1:], below):
-            shift += 1 << v * FIELD
-            if equalities:
+        shift = xparts.get(row)
+        if shift is None:
+            shift = xparts[row] = sum(1 << v * FIELD for v in row[1:])
+        if equalities:
+            for west, v, sw in zip(row, row[1:], below):
                 shift += (v == sw) + ((west < v < sw) << n_shift)
         return shift, 1
 

@@ -175,6 +175,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ValueError("n must be at least 1")
     if args.identity == "formulas":
         reports = verify_formulas(args.n)
     else:

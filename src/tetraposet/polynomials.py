@@ -353,16 +353,23 @@ def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:
     an exponent N that stands for (1+lambda)^N: each term c * m *
     (1+lambda)^N becomes the terms c * binomial(N, k) * lambda^k * m. The
     coefficients must be positive, as a transfer's counts are, so no
-    expanded term cancels."""
+    expanded term cancels. The row binomial(N, 0..N) is computed once per
+    distinct N, kept for this call only, and each term steps lambda (field
+    0) by adding 1 to its key."""
     shift = field * FIELD
     low = (1 << shift) - 1
     terms: dict[int, int] = {}
     get = terms.get
+    rows: dict[int, list[int]] = {}
     for key, c in sums.items():
         spread = key >> shift
         key &= low
-        for m in range(spread + 1):
-            terms[key + m] = get(key + m, 0) + c * comb(spread, m)
+        row = rows.get(spread)
+        if row is None:
+            row = rows[spread] = [comb(spread, m) for m in range(spread + 1)]
+        for b in row:
+            terms[key] = get(key, 0) + c * b
+            key += 1
     return SparsePoly._make(terms)
 
 

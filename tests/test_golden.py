@@ -54,6 +54,9 @@ ERROR_CASES = (
     (["count", "--n", "4", "--colors", "rbgos"], None),
     (["count", "--n", "0", "--colors", "g"], None),
     (["count", "--n", "3", "--colors", "gybo", "--q", "--method", "formula"], None),
+    (["verify", "--identity", "tsscpp-count", "--n", "-1"], None),
+    (["verify", "--identity", "formulas", "--n", "0"], None),
+    (["verify", "--identity", "rr", "--n", "0"], None),
 )
 
 

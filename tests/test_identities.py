@@ -113,6 +113,11 @@ def test_tsscpp_identity_at_n7():
     assert verify_identity("tsscpp", 7)["status"] == "ok"
 
 
+@pytest.mark.parametrize("name", ["asm", "schur"])
+def test_value_count_identities_at_n7(name):
+    assert verify_identity(name, 7)["status"] == "ok"
+
+
 def test_tsscpp_transfer_matches_enumeration():
     for n in range(1, 6):
         assert tsscpp_expansion_rhs(n) == enumerated_tsscpp_expansion_rhs(n)
@@ -170,6 +175,27 @@ def test_rr_keeps_nothing_after_it_returns():
     finally:
         tracemalloc.stop()
     assert kept < 32 * 1024
+
+
+def test_value_count_keeps_nothing_after_it_returns():
+    """Each row's x-part is kept for one call only, so nothing value_count_gf
+    allocated outlives it. The warm-up runs the same row successors with a
+    null weight, filling the cell-value tables (bounded by n and the colors)
+    but nothing the weights compute."""
+    arrays._row_transfer(
+        7, lambda i, below: arrays._row_assignments(i, ASM_COLORS, below), lambda row, below: (0, 1)
+    )
+    for equalities in (True, False):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            value_count_gf(7, ASM_COLORS, equalities=equalities)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 32 * 1024
 
 
 def test_rr_transfer_matches_enumeration():
