@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb, inf
 
 from .budget import enumeration_budget, guard
-from .colors import STEP, Color, require_admissible
+from .colors import STEP, Color, parse_colors, require_admissible
 from .counting import Row, _walk_rows, count_ideals, rank_gf
 from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field
 from .poset import Value, build, json_int
@@ -93,11 +93,13 @@ class StaircaseArray(Rows):
         for i, row in enumerate(rows, start=1):
             if len(row) != n - i + 1:
                 raise ValueError(f"row {i} must have {n - i + 1} entries")
-            for j, v in enumerate(row):
-                if not i <= v <= i + j:
+            hi = i  # i + j, the upper bound of x_{i,j}
+            for v in row:
+                if not i <= v <= hi:
                     raise ValueError(
-                        f"entry x_{{{i},{j}}}={v} outside bounds [{i}, {i + j}]"
+                        f"entry x_{{{i},{hi - i}}}={v} outside bounds [{i}, {hi}]"
                     )
+                hi += 1
 
     def entry(self, i: int, j: int) -> int:
         """x_{i,j} with 1-based row i and 0-based column j."""
@@ -149,7 +151,9 @@ def _neighbour_deltas(colors: frozenset[Color]) -> tuple[tuple[float, float], ..
 @lru_cache(maxsize=None)
 def _checks(n: int, colors: frozenset[Color]) -> tuple[tuple[int, int, int, int, int], ...]:
     """Every inequality of Y_n(S) as (i, j, i', j', slack) over 0-based rows:
-    rows[i][j] <= rows[i'][j'] + slack."""
+    rows[i][j] <= rows[i'][j'] + slack. S is checked here, so a refused S
+    is never cached and raises on every call."""
+    colors = _require_green(n, colors)
     return tuple(
         (i, j, i + di, j + dj, slack)
         for color, (di, dj, slack) in INEQUALITIES.items()
@@ -161,9 +165,12 @@ def _checks(n: int, colors: frozenset[Color]) -> tuple[tuple[int, int, int, int,
 
 
 def validate(x: StaircaseArray, colors) -> bool:
-    """True iff x satisfies every color inequality of an admissible set containing green."""
+    """True iff x satisfies every color inequality of an admissible set containing green.
+    The color set is resolved once per (n, colors); a non-frozenset is parsed first."""
     rows = x.rows
-    for i, j, ii, jj, slack in _checks(x.n, _require_green(x.n, colors)):
+    if not isinstance(colors, frozenset):
+        colors = parse_colors(colors)
+    for i, j, ii, jj, slack in _checks(x.n, colors):
         if rows[i][j] > rows[ii][jj] + slack:
             return False
     return True

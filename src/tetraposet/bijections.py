@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import accumulate, chain, compress, product, zip_longest
 from operator import sub
 
@@ -69,9 +70,10 @@ class Asm(Rows):
                 if v not in (-1, 0, 1):
                     raise ValueError(f"entry {v} at row {i} not in -1, 0, 1")
                 row_sum += v
-                col_sums[j] += v
-                if row_sum not in (0, 1) or col_sums[j] not in (0, 1):
-                    raise ValueError("partial sums must stay in 0, 1")
+                if v:  # a zero entry moves neither partial sum
+                    col_sums[j] += v
+                    if row_sum not in (0, 1) or col_sums[j] not in (0, 1):
+                        raise ValueError("partial sums must stay in 0, 1")
             if row_sum != 1:
                 raise ValueError(f"row {i} sums to {row_sum}, expected 1")
         if any(s != 1 for s in col_sums):
@@ -92,11 +94,13 @@ class MonotoneTriangle(Rows):
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries")
-            for j, v in enumerate(row):
+            prev = 0  # below every entry that passes the range check
+            for v in row:
                 if not 1 <= v <= n:
                     raise ValueError(f"entry {v} outside 1..{n}")
-                if j and row[j - 1] >= v:
+                if prev >= v:
                     raise ValueError(f"row {i} is not strictly increasing")
+                prev = v
             if i < n:
                 # A short next row ends the interlace reads with the length
                 # message that row would get; a failed interlace before the
@@ -163,6 +167,11 @@ def games(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+@lru_cache(maxsize=None)  # asked for only by n(n-1)/2 winners, so no larger than them
+def _game_set(n: int) -> frozenset[tuple[int, int]]:
+    return frozenset(games(n))
+
+
 class Tournament(Rows):
     """Outcome of one game between every pair of players 1..n.
 
@@ -177,7 +186,7 @@ class Tournament(Rows):
             raise ValueError("n must be at least 1")
         wmap = dict(winners)
         # counted first, so a huge n with few games never builds games(n)
-        if len(wmap) != n * (n - 1) // 2 or set(wmap) != set(games(n)):
+        if len(wmap) != n * (n - 1) // 2 or wmap.keys() != _game_set(n):
             raise ValueError("winners must cover exactly the games of 1..n")
         for game, w in wmap.items():
             i, j = (json_int(c) for c in game)

@@ -100,7 +100,7 @@ class Subposet:
         self.index_covers = index_covers
         self.is_dual = is_dual
         self._covers: tuple[tuple[Vertex, Vertex], ...] | None = None
-        self._lower: dict[Vertex, tuple[Vertex, ...]] | None = None
+        self._lower: dict[Vertex, frozenset[Vertex]] | None = None
 
     def covers(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """The (lower, upper) cover pairs in canonical color order."""
@@ -154,20 +154,18 @@ class Subposet:
     def is_ideal(self, members) -> bool:
         """True iff every member is a vertex and its lower covers are members.
 
-        The map vertex -> lower covers is built on the first call and kept;
-        dual() and components() return new subposets with their own.
+        The map vertex -> frozenset of lower covers is built on the first call
+        and kept, so each member costs one subset test; dual() and
+        components() return new subposets with their own.
         """
         if self._lower is None:
-            self._lower = self.predecessors()
+            self._lower = {v: frozenset(ws) for v, ws in self.predecessors().items()}
         lower = self._lower
         mset = members if isinstance(members, (set, frozenset)) else set(members)
         for w in mset:
             below = lower.get(w)
-            if below is None:
+            if below is None or not below <= mset:
                 return False
-            for v in below:
-                if v not in mset:
-                    return False
         return True
 
     def __repr__(self) -> str:
@@ -258,10 +256,13 @@ class OrderIdeal(Value):
 
     @classmethod
     def from_json_obj(cls, obj) -> OrderIdeal:
-        return cls(
-            json_int(obj["n"]),
-            frozenset(tuple(json_int(c) for c in v) for v in obj["vertices"]),
-        )
+        return cls(json_int(obj["n"]), frozenset(map(_json_vertex, obj["vertices"])))
+
+
+def _json_vertex(v) -> Vertex:
+    if isinstance(v, (list, tuple)) and len(v) == 3:
+        return json_int(v[0]), json_int(v[1]), json_int(v[2])
+    raise ValueError(f"expected a vertex of three integers, got {v!r}")
 
 
 def ideal_to_array(ideal: OrderIdeal):
@@ -272,18 +273,21 @@ def ideal_to_array(ideal: OrderIdeal):
     (c1+1, n-1-c1-c3) and x_{i,j} = i + the number of members in cell (i, j).
     Correct whenever the ideal is downward closed for green edges; the other
     colors of S then turn into the matching array inequalities. Raises
-    ValueError for a member that is not a vertex of T_n.
+    ValueError for a member that is not a vertex of T_n, a 3-tuple or not.
     """
     from .arrays import StaircaseArray
 
     n = ideal.n
     rows = [[i] * (n - i + 1) for i in range(1, n + 1)]
-    for v in ideal.members:
-        c1, c2, c3 = v
-        j = n - 1 - c1 - c3  # c1 + c2 + c3 <= n - 2 is c2 < j
-        if c1 < 0 or c3 < 0 or not 0 <= c2 < j:
-            raise ValueError(f"{v} is not a vertex of T_{n}")
-        rows[c1][j] += 1
+    try:  # free until a member fails; a member that is no triple fails to unpack
+        for v in ideal.members:
+            c1, c2, c3 = v
+            j = n - 1 - c1 - c3  # c1 + c2 + c3 <= n - 2 is c2 < j
+            if c1 < 0 or c3 < 0 or not 0 <= c2 < j:
+                raise ValueError
+            rows[c1][j] += 1
+    except (TypeError, ValueError):
+        raise ValueError(f"{v} is not a vertex of T_{n}") from None
     return StaircaseArray(rows)
 
 

@@ -19,6 +19,8 @@ from tetraposet import (
     enumerate_ideals,
     ideal_to_array,
     enumerate_row_shuffles,
+    format_colors,
+    parse_colors,
     row_shuffle_count,
     sort_to_tsscpp,
     validate,
@@ -52,6 +54,33 @@ def test_constructor_rejects_bad_input():
         StaircaseArray([])
 
 
+#: (malformed rows, exact message): one input per raise site of the
+#: StaircaseArray check, then the cases that fix which check speaks first.
+ARRAY_MESSAGES = [
+    ([], "empty array"),
+    ([[1, 1], [2], [3]], "row 1 must have 3 entries"),
+    ([[1, 1], [2, 2]], "row 2 must have 1 entries"),
+    ([[1, 3], [2]], "entry x_{1,1}=3 outside bounds [1, 2]"),
+    ([[1, 0], [2]], "entry x_{1,1}=0 outside bounds [1, 2]"),
+    ([[2, 2], [2]], "entry x_{1,0}=2 outside bounds [1, 1]"),
+    ([[1, 2, 3], [2, 2], [4]], "entry x_{3,0}=4 outside bounds [3, 3]"),
+    ([[1, 1, 1, 5], [2, 2, 2], [3, 3], [4]], "entry x_{1,3}=5 outside bounds [1, 4]"),
+    # the first failing cell wins, and a row's length comes before its cells
+    ([[1, 5], [9]], "entry x_{1,1}=5 outside bounds [1, 2]"),
+    ([[1, 1, 4], [2, 2], [0]], "entry x_{1,2}=4 outside bounds [1, 3]"),
+    ([[1, 2, 3], [2, 4], [0]], "entry x_{2,1}=4 outside bounds [2, 3]"),
+    ([[1, 2, 3], [2, 2, 2], [0]], "row 2 must have 2 entries"),
+    ([[1, 2, 9], [2], [3]], "entry x_{1,2}=9 outside bounds [1, 3]"),
+]
+
+
+@pytest.mark.parametrize("rows, message", ARRAY_MESSAGES)
+def test_constructor_messages(rows, message):
+    with pytest.raises(ValueError) as info:
+        StaircaseArray(rows)
+    assert str(info.value) == message
+
+
 def test_minimal_and_maximal():
     lo = StaircaseArray.minimal(4)
     hi = StaircaseArray.maximal(4)
@@ -71,6 +100,43 @@ def test_validate_requires_green():
         validate(x, "br")
     with pytest.raises(ValueError):
         validate(x, "rb ")
+
+
+def test_validate_agrees_across_color_forms():
+    """A letter string, a list and a frozenset of one color set give the same
+    verdict on every array of order 4, in any letter order."""
+    green_sets = [s for s in all_admissible_sets() if Color.GREEN in s]
+    arrays = list(_bounded_arrays(4))
+    for colorset in green_sets:
+        letters = format_colors(colorset)
+        forms = (letters, letters[::-1], sorted(colorset, key=lambda c: c.value), colorset)
+        for x in arrays:
+            verdicts = {validate(x, form) for form in forms}
+            assert len(verdicts) == 1, (letters, x)
+
+
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ("gos", "color set {gos} is not admissible: {os} requires b"),
+        ("rgo", "color set {rgo} is not admissible: {ro} requires y"),
+        ("rb", "color set {rb} is not admissible: {rb} requires g"),
+        ("ry", "the array model needs green in the color set"),
+        ("", "the array model needs green in the color set"),
+    ],
+)
+def test_validate_refuses_every_call(colors, message):
+    """A refused color set is refused again on the next call, whether it
+    comes as letters or as a frozenset."""
+    x = StaircaseArray.minimal(3)
+    for form in (colors, parse_colors(colors)):
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                validate(x, form)
+            assert str(info.value) == message
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a Color: 'g'"):
+            validate(x, frozenset({Color.GREEN, "g"}))
 
 
 def test_validate_known_array():

@@ -93,6 +93,81 @@ def test_mt_rejects_invalid():
         MonotoneTriangle([[1], [2]])
 
 
+#: (constructor, malformed rows, exact message): one input per raise site of
+#: the Asm and MonotoneTriangle checks, then the cases that fix which check
+#: speaks first. Asm's "every column must sum to 1" has no input: once every
+#: row sums to 1 and every partial column sum lies in 0, 1, the n column sums
+#: add up to n and each is 1. In a triangle, an entry that breaks strictness
+#: equals the one before it, and the row above interlaces it only when that
+#: entry is in range, so its range check has no order check to precede.
+CHECK_MESSAGES = [
+    (Asm, [], "matrix must be square and nonempty"),
+    (Asm, [[1], [1, 0]], "matrix must be square and nonempty"),
+    (Asm, [[0, 1], [1, 0], [0, 0]], "matrix must be square and nonempty"),
+    (Asm, [[1, 0], [0, 3]], "entry 3 at row 2 not in -1, 0, 1"),
+    (Asm, [[1, 0], [1, 0]], "partial sums must stay in 0, 1"),  # a column
+    (Asm, [[-1, 1], [1, 0]], "partial sums must stay in 0, 1"),  # a row
+    (Asm, [[1, 0], [0, 0]], "row 2 sums to 0, expected 1"),
+    (Asm, [[0, 1], [1, -1]], "row 2 sums to 0, expected 1"),
+    # an entry of 2 reports the entry, not the partial sum it would make
+    (Asm, [[2, -1], [-1, 2]], "entry 2 at row 1 not in -1, 0, 1"),
+    (Asm, [[0, 2], [1, 0]], "entry 2 at row 1 not in -1, 0, 1"),
+    # the first failing cell wins
+    (Asm, [[1, 1], [2, 0]], "partial sums must stay in 0, 1"),
+    (Asm, [[0, 0], [5, 0]], "row 1 sums to 0, expected 1"),
+    # zero entries still add to the row sum, so a float row keeps its type
+    (Asm, [[0.0, 0.0], [1, 0]], "row 1 sums to 0.0, expected 1"),
+    (Asm, [[0, 0.0, 0], [1, 0, 0], [0, 1, 0]], "row 1 sums to 0.0, expected 1"),
+    (MonotoneTriangle, [], "empty triangle"),
+    (MonotoneTriangle, [[1, 2]], "row 1 must have 1 entries"),
+    (MonotoneTriangle, [[2], [1, 5], [1, 2, 3]], "entry 5 outside 1..3"),
+    (MonotoneTriangle, [[1], [0, 2]], "entry 0 outside 1..2"),
+    (MonotoneTriangle, [[2], [2, 2], [1, 2, 3]], "row 2 is not strictly increasing"),
+    (MonotoneTriangle, [[3], [1, 2], [1, 2, 3]], "row 1 does not interlace row 2"),
+    (MonotoneTriangle, [[1], [1]], "row 2 must have 2 entries"),
+    (MonotoneTriangle, [[1], [1, 1.5]], "bottom row must be 1..n"),
+    # the range check comes before the interlace check on the same entry
+    (MonotoneTriangle, [[5], [1, 2]], "entry 5 outside 1..2"),
+    (MonotoneTriangle, [[0], [1, 2]], "entry 0 outside 1..2"),
+    # the first failing cell wins
+    (MonotoneTriangle, [[2], [2, 2], [1, 2, 9]], "row 2 is not strictly increasing"),
+    (MonotoneTriangle, [[2], [1, 3], [1, 3, 3]], "row 3 is not strictly increasing"),
+    (MonotoneTriangle, [[2], [1, 3], [1, 2, 2]], "row 2 does not interlace row 3"),
+    (MonotoneTriangle, [[2], [1, 3], [1]], "row 3 must have 3 entries"),
+]
+
+
+@pytest.mark.parametrize("make, rows, message", CHECK_MESSAGES)
+def test_checked_constructor_messages(make, rows, message):
+    with pytest.raises(ValueError) as info:
+        make(rows)
+    assert str(info.value) == message
+
+
+#: (n, winners, exact message) for every raise site of Tournament.__init__.
+TOURNAMENT_MESSAGES = [
+    ("3", {}, "expected an integer, got '3'"),
+    (0, {}, "n must be at least 1"),
+    (-2, {}, "n must be at least 1"),
+    (3, {(1, 2): 2, (1, 3): 1}, "winners must cover exactly the games of 1..n"),
+    (3, {(1, 2): 1, (1, 3): 1, (2, 4): 2}, "winners must cover exactly the games of 1..n"),
+    (2, {(1, 2): 1, (2, 1): 1}, "winners must cover exactly the games of 1..n"),
+    (10**9, {(1, 2): 1}, "winners must cover exactly the games of 1..n"),
+    (2, {(1.0, 2): 1}, "expected an integer, got 1.0"),
+    (2, {(1, 2.0): 2}, "expected an integer, got 2.0"),
+    (2, {(1, 2): 2.0}, "expected an integer, got 2.0"),
+    (3, {(1, 2): 2, (1, 3): 2, (2, 3): 3}, "winner of game 1 vs 3 must be one of them"),
+    (2, {(1, 2): 3}, "winner of game 1 vs 2 must be one of them"),
+]
+
+
+@pytest.mark.parametrize("n, winners, message", TOURNAMENT_MESSAGES)
+def test_tournament_messages(n, winners, message):
+    with pytest.raises(ValueError) as info:
+        Tournament(n, winners)
+    assert str(info.value) == message
+
+
 def test_tsscpp_rejects_invalid():
     rows = [[2, 1], [1, 1]]
     with pytest.raises(ValueError):

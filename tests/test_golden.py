@@ -57,6 +57,10 @@ ERROR_CASES = (
     (["verify", "--identity", "tsscpp-count", "--n", "-1"], None),
     (["verify", "--identity", "formulas", "--n", "0"], None),
     (["verify", "--identity", "rr", "--n", "0"], None),
+    (["convert", "--from", "ideal", "--to", "array", "--input", "-"],
+     '{"n":3,"vertices":[5],"colors":"g"}'),
+    (["convert", "--from", "ideal", "--to", "array", "--input", "-"],
+     '{"n":3,"vertices":[[0,0]],"colors":"g"}'),
 )
 
 

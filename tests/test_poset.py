@@ -204,11 +204,54 @@ def test_is_ideal():
     assert not p.is_ideal({(9, 9, 9)})
 
 
+def test_is_ideal_matches_the_covers_on_every_subset():
+    """Over every vertex subset of T_3, as a set, frozenset, list or tuple,
+    plus one non-vertex: a member's lower covers must all be members."""
+    for colorset in all_admissible_sets():
+        p = build(3).subposet(colorset)
+        dual = p.dual()
+        vs = p.vertices
+        for mask in range(1 << len(vs)):
+            members = {v for k, v in enumerate(vs) if mask >> k & 1}
+            expected = all(v in members for v, w in p.covers() if w in members)
+            for form in (members, frozenset(members), sorted(members), tuple(members)):
+                assert p.is_ideal(form) == expected
+            up_closed = all(w in members for v, w in p.covers() if v in members)
+            assert dual.is_ideal(members) == up_closed
+            assert not p.is_ideal(members | {(0, 0, 5)})
+
+
 def test_order_ideal_json_round_trip():
     ideal = OrderIdeal(3, frozenset({(0, 0, 0), (0, 0, 1)}))
     obj = ideal.to_json_obj()
     assert obj == {"n": 3, "vertices": [[0, 0, 0], [0, 0, 1]]}
     assert OrderIdeal.from_json_obj(obj) == ideal
+    assert OrderIdeal.from_json_obj({"n": 3, "vertices": [(0, 0, 1)]}).members == {(0, 0, 1)}
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got '0'")):
+        OrderIdeal.from_json_obj({"n": 3, "vertices": [[0, "0", 0]]})
+
+
+@pytest.mark.parametrize(
+    "vertex, shown",
+    [(5, "5"), ([0, 0], "[0, 0]"), ([0, 0, 0, 0], "[0, 0, 0, 0]"), ("abc", "'abc'"),
+     ({"c1": 0}, "{'c1': 0}"), (None, "None")],
+)
+def test_order_ideal_refuses_a_vertex_that_is_not_three_integers(vertex, shown):
+    obj = {"n": 3, "vertices": [[0, 0, 0], vertex]}
+    with pytest.raises(ValueError) as info:
+        OrderIdeal.from_json_obj(obj)
+    assert str(info.value) == f"expected a vertex of three integers, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "member",
+    [(0, 0), (0, 0, 0, 0), 5, "abc", (0, 0, "x"), (-1, 0, 0), (0, 0, -1), (0, 2, 0), (2, 0, 0)],
+)
+def test_ideal_to_array_refuses_a_member_that_is_not_a_vertex(member):
+    ideal = OrderIdeal(3, frozenset({(0, 0, 0), member}))
+    with pytest.raises(ValueError) as info:
+        ideal_to_array(ideal)
+    assert str(info.value) == f"{member} is not a vertex of T_3"
 
 
 def test_order_ideal_is_an_immutable_value():
