@@ -158,9 +158,11 @@ def _cmd_convert(args) -> int:
     family, to_array, _ = FAMILIES[args.src]
     obj = family.from_json_obj(payload)
     if args.src == "ideal":
+        colors = payload.get("colors", args.colors)
+        if colors is not None and not isinstance(colors, str):
+            raise ValueError(f'field "colors" must be a string of color letters, got {colors!r}')
         colorset = _ideal_colors(
-            payload.get("colors", args.colors),
-            "converting from an ideal needs a colors field or --colors",
+            colors, "converting from an ideal needs a colors field or --colors"
         )
         if not build(obj.n).subposet(colorset).is_ideal(obj.members):
             raise ValueError("vertex set is not an order ideal of that subposet")

@@ -185,16 +185,26 @@ def _run(steps: list[Step], width: int, budget: int) -> int:
     Each state's size polynomial is packed alike, so putting u into the
     ideal is a shift by width and merging two states is one int add. At
     width 0 the int is the number of ideals. The live states are checked
-    against the budget after every step."""
+    against the budget after every step.
+
+    A base new to this step stores the int itself, as 0 + packed would copy
+    a multi-digit int: the generations share every int no merge touched, and
+    only a real merge adds, into a new int, so no shared int ever changes."""
     states = {0: 1}
     for need, u_bit, keep in steps:
         new_states: dict[int, int] = {}
         for mask, packed in states.items():
             base = mask & keep
-            new_states[base] = new_states.get(base, 0) + packed
+            if base in new_states:
+                new_states[base] += packed
+            else:
+                new_states[base] = packed
             if mask & need == need:
                 base |= u_bit
-                new_states[base] = new_states.get(base, 0) + (packed << width)
+                if base in new_states:
+                    new_states[base] += packed << width
+                else:
+                    new_states[base] = packed << width
         states = new_states
         if len(states) > budget:
             guard(len(states), "DP states")

@@ -256,7 +256,15 @@ class OrderIdeal(Value):
 
     @classmethod
     def from_json_obj(cls, obj) -> OrderIdeal:
-        return cls(json_int(obj["n"]), frozenset(map(_json_vertex, obj["vertices"])))
+        if not isinstance(obj, dict):
+            raise ValueError('expected an ideal: an object with "n" and "vertices" fields')
+        for field in ("n", "vertices"):
+            if field not in obj:
+                raise ValueError(f'the ideal has no "{field}" field')
+        vertices = obj["vertices"]
+        if not isinstance(vertices, (list, tuple)):
+            raise ValueError(f'field "vertices" must be a list of vertices, got {vertices!r}')
+        return cls(json_int(obj["n"]), frozenset(map(_json_vertex, vertices)))
 
 
 def _json_vertex(v) -> Vertex:

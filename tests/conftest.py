@@ -131,6 +131,23 @@ def vertex_component_tables(p: Subposet):
     return tables
 
 
+def get_merge_run(steps, width):
+    """Oracle for counting._run without the budget: the frontier DP whose
+    every store adds to new_states.get(base, 0), so a new base holds a copy
+    of its int rather than the int itself."""
+    states = {0: 1}
+    for need, u_bit, keep in steps:
+        new_states = {}
+        for mask, packed in states.items():
+            base = mask & keep
+            new_states[base] = new_states.get(base, 0) + packed
+            if mask & need == need:
+                base |= u_bit
+                new_states[base] = new_states.get(base, 0) + (packed << width)
+        states = new_states
+    return states[0]
+
+
 def evaluate(poly: SparsePoly, lam_value: int, x_values) -> int:
     """Evaluate with integer lambda and x values; x_values is a dict
     {index: value}, a callable index -> value, or one int for every x."""

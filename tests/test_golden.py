@@ -61,6 +61,15 @@ ERROR_CASES = (
      '{"n":3,"vertices":[5],"colors":"g"}'),
     (["convert", "--from", "ideal", "--to", "array", "--input", "-"],
      '{"n":3,"vertices":[[0,0]],"colors":"g"}'),
+) + tuple(
+    (["convert", "--from", "ideal", "--to", "array", "--input", "-"], payload)
+    for payload in (
+        '{"n":3,"vertices":5,"colors":"g"}',
+        '{"n":3,"colors":"g"}',
+        "[1,2]",
+        '{"n":3,"vertices":[],"colors":5}',
+        '{"vertices":[],"colors":"g"}',
+    )
 )
 
 

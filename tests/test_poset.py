@@ -244,6 +244,22 @@ def test_order_ideal_refuses_a_vertex_that_is_not_three_integers(vertex, shown):
 
 
 @pytest.mark.parametrize(
+    "obj, message",
+    [([1, 2], 'expected an ideal: an object with "n" and "vertices" fields'),
+     ({"vertices": []}, 'the ideal has no "n" field'),
+     ({"n": 3}, 'the ideal has no "vertices" field'),
+     ({"n": 3, "vertices": 5}, 'field "vertices" must be a list of vertices, got 5'),
+     ({"n": 3, "vertices": "abc"}, 'field "vertices" must be a list of vertices, got \'abc\''),
+     ({"n": 3, "vertices": {"c1": 0}},
+      'field "vertices" must be a list of vertices, got {\'c1\': 0}')],
+)
+def test_order_ideal_refuses_a_payload_without_its_fields(obj, message):
+    with pytest.raises(ValueError) as info:
+        OrderIdeal.from_json_obj(obj)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "member",
     [(0, 0), (0, 0, 0, 0), 5, "abc", (0, 0, "x"), (-1, 0, 0), (0, 0, -1), (0, 2, 0), (2, 0, 0)],
 )
