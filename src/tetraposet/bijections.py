@@ -76,8 +76,8 @@ class Asm(Rows):
                         raise ValueError("partial sums must stay in 0, 1")
             if row_sum != 1:
                 raise ValueError(f"row {i} sums to {row_sum}, expected 1")
-        if any(s != 1 for s in col_sums):
-            raise ValueError("every column must sum to 1")
+        # each column sum is its last partial sum, 0 or 1, and the n of them
+        # add up to the n row sums of 1, so every column sums to 1
 
 
 class MonotoneTriangle(Rows):

@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 
-from .arrays import StaircaseArray
+from .arrays import StaircaseArray, _require_green
 from .budget import BudgetError, enumeration_budget, guard
 from .bijections import (
     Asm,
@@ -128,13 +128,10 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _ideal_colors(colors: str | None, missing: str) -> frozenset[Color]:
+def _ideal_colors(colors: str | None, n: int, missing: str) -> frozenset[Color]:
     if colors is None:
         raise ValueError(missing)
-    colorset = require_admissible(colors)
-    if Color.GREEN not in colorset:
-        raise ValueError("ideal conversion needs green in the color set")
-    return colorset
+    return _require_green(n, colors)
 
 
 def _read_json(path: str):
@@ -158,18 +155,20 @@ def _cmd_convert(args) -> int:
     family, to_array, _ = FAMILIES[args.src]
     obj = family.from_json_obj(payload)
     if args.src == "ideal":
-        colors = payload.get("colors", args.colors)
-        if colors is not None and not isinstance(colors, str):
+        colors = payload.get("colors")  # a null field is no field
+        if colors is None:
+            colors = args.colors
+        elif not isinstance(colors, str):
             raise ValueError(f'field "colors" must be a string of color letters, got {colors!r}')
         colorset = _ideal_colors(
-            colors, "converting from an ideal needs a colors field or --colors"
+            colors, obj.n, "converting from an ideal needs a colors field or --colors"
         )
         if not build(obj.n).subposet(colorset).is_ideal(obj.members):
             raise ValueError("vertex set is not an order ideal of that subposet")
     x = to_array(obj)
     out = FAMILIES[args.to][2](x).to_json_obj()
     if args.to == "ideal":
-        colorset = _ideal_colors(args.colors, "converting to an ideal needs --colors")
+        colorset = _ideal_colors(args.colors, x.n, "converting to an ideal needs --colors")
         require_family(x, colorset)
         out["colors"] = format_colors(colorset)
     sys.stdout.write(_dump(out) + "\n")

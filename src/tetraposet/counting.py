@@ -6,13 +6,15 @@ matrix method, Stanley EC1 4.7) over step tables built from one heap order
 per subposet, taking the connected components one at a time; each starts
 where the frontier is empty, and the gf is their product. The engine reads
 the subposet's index covers and works on vertex indices throughout: lists
-for covers, last uses and slots, and a heap of ints. The vertices are in
-lexicographic order, so the heap pops the order the vertex tuples would
-give, and enumerate_ideals maps it back to vertices once. Counts are the same
-DP at field width 0, not the rank gf at q = 1. For sets with green, the
-staircase arrays are the same ideals in other coordinates
-(poset.ideal_to_array), so the array counts and rank gf in arrays.py run this
-engine too. The independent cross-check, the row value-count transfer
+for covers and last uses, and a heap of ints. The cover lists and the
+component labels come from poset._adjacency and poset._label_components,
+which Subposet's own adjacency maps and components() read too. The vertices
+are in lexicographic order, so the heap pops the order the vertex tuples
+would give, and enumerate_ideals maps it back to vertices once. Counts are
+the same DP at field width 0, not the rank gf at q = 1. For sets with green,
+the staircase arrays are the same ideals in other coordinates
+(poset.ideal_to_array), so the array counts and rank gf in arrays.py run
+this engine too. The independent cross-check, the row value-count transfer
 specialized at x_k = q^(k-1), lives in the tests.
 
 Each component is counted on one of two sides. The ideals of P are the
@@ -40,10 +42,9 @@ from math import prod
 
 from .budget import enumeration_budget, guard
 from .polynomials import QPoly
-from .poset import OrderIdeal, Subposet
+from .poset import Covers, OrderIdeal, Subposet, _adjacency, _label_components
 
 Row = tuple[int, ...]
-Covers = list[list[int]]  # vertex index -> the indices of its lower or its upper covers
 Step = tuple[int, int, int]  # (need_mask, u_bit, keep_mask), see _table
 
 
@@ -78,24 +79,8 @@ def _extension(p: Subposet, by_component: bool) -> tuple[list[int], Covers, Cove
     least vertex, and lists their sizes in that order; without it the list
     is empty. The cover lists stay unsorted, since the heap fixes the order
     and the masks are ORs."""
-    size = len(p.vertices)
-    lower: Covers = [[] for _ in range(size)]
-    upper: Covers = [[] for _ in range(size)]
-    for v, w in p.index_covers:
-        upper[v].append(w)
-        lower[w].append(v)
-    label = [-1 if by_component else 0] * size
-    sizes = []
-    for root in range(size):
-        if label[root] < 0:  # breadth first over the covers, labelled by the least vertex
-            label[root] = root
-            todo = [root]
-            for v in todo:
-                for w in lower[v] + upper[v]:
-                    if label[w] < 0:
-                        label[w] = root
-                        todo.append(w)
-            sizes.append(len(todo))
+    lower, upper = _adjacency(len(p.vertices), p.index_covers)
+    label, sizes = _label_components(lower, upper) if by_component else (None, [])
     return _linear_extension(lower, upper, label), lower, upper, sizes
 
 
@@ -118,7 +103,7 @@ def _table(order: Sequence[int], lower: Covers, last_use: list[int], start=0) ->
     held after u's step (u aside), and u_bit is u's slot, or 0 when nothing
     covers u. So u may join an ideal whose frontier mask before the step is
     mask exactly when mask & need_mask == need_mask."""
-    bit = [0] * len(last_use)  # a freed slot stays listed: no later step reads it
+    bit: dict[int, int] = {}  # this table's own vertices; a freed slot stays, never read again
     held = 0
     steps = []
     for t, u in enumerate(order, start):
@@ -137,45 +122,27 @@ def _table(order: Sequence[int], lower: Covers, last_use: list[int], start=0) ->
     return steps
 
 
-def _steps(p: Subposet, by_component=False) -> tuple[list[int], list[Step]]:
-    """The heap's linear extension of p, as indices of p.vertices, and its
-    step table. With by_component, each component starts exactly where
-    need_mask = keep_mask = 0: the frontier is empty there and nowhere else."""
-    order, lower, _, _ = _extension(p, by_component)
-    return order, _table(order, lower, _last_use(order, lower))
-
-
 def _component_tables(p: Subposet) -> Iterator[tuple[list[Step], bool]]:
     """Each component's step table on its narrower side, in order of least
     vertex, and whether that side is p^dual. A side's width sum is the sum
-    over v of last_use(v) - pos(v) in its own order; a component of one or
-    two vertices is a chain, as wide on both sides."""
+    over v of last_use(v) - pos(v) in its own order. The frontier is empty
+    where each component starts, so a table built from there on either side
+    is the one the component alone would give."""
     order, lower, upper, sizes = _extension(p, by_component=True)
     last_a = _last_use(order, lower)
     reverse = order[::-1]
     last_b = _last_use(reverse, upper)
     end = len(order)
-    sides = []
     for a, b in pairwise(accumulate(sizes, initial=0)):
-        dual = False
-        if b - a > 2:
-            comp = order[a:b]
-            pos_a = sum(range(a, b))
-            width_a = sum(map(last_a.__getitem__, comp)) - pos_a
-            # B numbers order[t] as end - 1 - t
-            width_b = sum(map(last_b.__getitem__, comp)) - ((end - 1) * (b - a) - pos_a)
-            dual = width_b < width_a
-        sides.append((a, b, dual))
-    # the frontier is empty between components, so one pass from the first
-    # side-A component to the last gives each of them its own table
-    spans = [(a, b) for a, b, dual in sides if not dual] or [(0, 0)]
-    lo = spans[0][0]
-    steps = _table(order[lo : spans[-1][1]], lower, last_a, lo)
-    for a, b, dual in sides:
-        if dual:
+        comp = order[a:b]
+        pos_a = sum(range(a, b))
+        width_a = sum(map(last_a.__getitem__, comp)) - pos_a
+        # B numbers order[t] as end - 1 - t
+        width_b = sum(map(last_b.__getitem__, comp)) - ((end - 1) * (b - a) - pos_a)
+        if width_b < width_a:
             yield _table(reverse[end - b : end - a], upper, last_b, end - b), True
         else:
-            yield steps[a - lo : b - lo], False
+            yield _table(comp, lower, last_a, a), False
 
 
 def _run(steps: list[Step], width: int, budget: int) -> int:
@@ -269,7 +236,8 @@ def enumerate_ideals(p: Subposet) -> Iterator[OrderIdeal]:
     the yield budget before any work is done.
     """
     guard(count_ideals(p), "order ideals")
-    order, steps = _steps(p)
+    order, lower, _, _ = _extension(p, by_component=False)
+    steps = _table(order, lower, _last_use(order, lower))
     order = [p.vertices[i] for i in order]
     size = len(order)
 

@@ -38,6 +38,7 @@ from .colors import (
 )
 
 Vertex = tuple[int, int, int]
+Covers = list[list[int]]  # vertex index -> the indices of its lower or its upper covers
 
 
 @lru_cache(maxsize=None)
@@ -75,16 +76,47 @@ def _edges_for(n: int) -> dict[Color, tuple[tuple[int, int], ...]]:
     return edges
 
 
+def _adjacency(size: int, index_covers) -> tuple[Covers, Covers]:
+    """The lower and the upper covers of each vertex index, listed in the
+    order of index_covers."""
+    lower: Covers = [[] for _ in range(size)]
+    upper: Covers = [[] for _ in range(size)]
+    for v, w in index_covers:
+        upper[v].append(w)
+        lower[w].append(v)
+    return lower, upper
+
+
+def _label_components(lower: Covers, upper: Covers) -> tuple[list[int], list[int]]:
+    """Each vertex's component, labelled by its least index, found breadth
+    first over the covers, and the component sizes in order of least vertex."""
+    label = [-1] * len(lower)
+    sizes = []
+    for root in range(len(lower)):
+        if label[root] < 0:
+            label[root] = root
+            todo = [root]
+            for v in todo:
+                for w in lower[v] + upper[v]:
+                    if label[w] < 0:
+                        label[w] = root
+                        todo.append(w)
+            sizes.append(len(todo))
+    return label, sizes
+
+
 class Subposet:
     """T_n(S): the vertices of T_n with only the edges colored by S.
 
     vertices is in lexicographic order, so index order is vertex order. The
     covers are one tuple of (lower, upper) index pairs into vertices, grouped
     by color in canonical order; a dual subposet (see dual()) stores each pair
-    reversed. covers() gives them as vertex pairs, made on the first call.
+    reversed. The adjacency maps and the components are read from the index
+    lists of _adjacency, the same ones the counting engine reads, and
+    covers() makes the vertex pairs on each call.
     """
 
-    __slots__ = ("n", "colors", "vertices", "index_covers", "is_dual", "_covers", "_lower")
+    __slots__ = ("n", "colors", "vertices", "index_covers", "is_dual", "_lower")
 
     def __init__(
         self,
@@ -99,24 +131,24 @@ class Subposet:
         self.vertices = vertices
         self.index_covers = index_covers
         self.is_dual = is_dual
-        self._covers: tuple[tuple[Vertex, Vertex], ...] | None = None
         self._lower: dict[Vertex, frozenset[Vertex]] | None = None
 
     def covers(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """The (lower, upper) cover pairs in canonical color order."""
-        if self._covers is None:
-            vs = self.vertices
-            self._covers = tuple([(vs[i], vs[j]) for i, j in self.index_covers])
-        return self._covers
+        vs = self.vertices
+        return tuple([(vs[i], vs[j]) for i, j in self.index_covers])
+
+    def _cover_map(self, side: int) -> dict[Vertex, tuple[Vertex, ...]]:
+        """vertex -> its sorted lower (side 0) or upper (side 1) covers."""
+        vs = self.vertices
+        lists = _adjacency(len(vs), self.index_covers)[side]
+        return {v: tuple([vs[j] for j in sorted(ws)]) for v, ws in zip(vs, lists)}
 
     def successors(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        succ: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for v, w in self.covers():
-            succ[v].append(w)
-        return {v: tuple(sorted(ws)) for v, ws in succ.items()}
+        return self._cover_map(1)
 
     def predecessors(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        return self.dual().successors()
+        return self._cover_map(0)
 
     def dual(self) -> Subposet:
         flipped = tuple([(j, i) for i, j in self.index_covers])
@@ -124,20 +156,10 @@ class Subposet:
 
     def components(self) -> tuple[Subposet, ...]:
         """Connected components, each as a Subposet on its own vertex set, in
-        order of least vertex. One union-find pass over the covers relabels
-        the smaller of two joined components; vertices and covers keep their
-        order, and each cover is re-indexed into its component's vertices."""
+        order of least vertex. Vertices and covers keep their order, and each
+        cover is re-indexed into its component's vertices."""
         size = len(self.vertices)
-        label = list(range(size))
-        members = {i: [i] for i in range(size)}
-        for i, j in self.index_covers:
-            a, b = label[i], label[j]
-            if a != b:
-                if len(members[a]) < len(members[b]):
-                    a, b = b, a
-                for u in members[b]:
-                    label[u] = a
-                members[a] += members.pop(b)
+        label, _ = _label_components(*_adjacency(size, self.index_covers))
         local = [0] * size  # each vertex's index in its component
         groups: dict[int, tuple[list[Vertex], list[tuple[int, int]]]] = {}
         for i, v in enumerate(self.vertices):

@@ -48,7 +48,7 @@ def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:
 
 
 def vertex_steps(p: Subposet, by_component=False):
-    """Oracle for counting._steps on vertex keys: dicts of the vertex pairs
+    """Oracle for _steps in test_counting on vertex keys: dicts of the vertex pairs
     of p.covers() and a heap over (label, vertex), with none of the engine's
     index arithmetic. Returns the order as vertices, the step table, and for the side choice
     the lower and upper covers, the order's last uses and the component

@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 import time
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import comb
 
 import pytest
@@ -95,11 +95,12 @@ def test_mt_rejects_invalid():
 
 #: (constructor, malformed rows, exact message): one input per raise site of
 #: the Asm and MonotoneTriangle checks, then the cases that fix which check
-#: speaks first. Asm's "every column must sum to 1" has no input: once every
-#: row sums to 1 and every partial column sum lies in 0, 1, the n column sums
-#: add up to n and each is 1. In a triangle, an entry that breaks strictness
-#: equals the one before it, and the row above interlaces it only when that
-#: entry is in range, so its range check has no order check to precede.
+#: speaks first. Asm checks no full column sum: once every row sums to 1 and
+#: every partial column sum lies in 0, 1, the n column sums add up to n and
+#: each is 1 (test_asm_accepts_exactly_the_definition). In a triangle, an
+#: entry that breaks strictness equals the one before it, and the row above
+#: interlaces it only when that entry is in range, so its range check has no
+#: order check to precede.
 CHECK_MESSAGES = [
     (Asm, [], "matrix must be square and nonempty"),
     (Asm, [[1], [1, 0]], "matrix must be square and nonempty"),
@@ -142,6 +143,33 @@ def test_checked_constructor_messages(make, rows, message):
     with pytest.raises(ValueError) as info:
         make(rows)
     assert str(info.value) == message
+
+
+def is_asm(rows) -> bool:
+    """The full definition: every partial sum of every row and every column
+    lies in {0, 1}, and every full row and column sum is 1."""
+    n = len(rows)
+    lines = [list(row) for row in rows] + [[row[j] for row in rows] for j in range(n)]
+    return all(
+        set(accumulate(line)) <= {0, 1} and sum(line) == 1 for line in lines
+    )
+
+
+def test_asm_accepts_exactly_the_definition():
+    """Over every {-1, 0, 1} matrix of order 1 to 3, Asm accepts exactly the
+    matrices that the full definition accepts: 1, 2 and 7 of them."""
+    for n, expected in ((1, 1), (2, 2), (3, 7)):
+        accepted = 0
+        for entries in product((-1, 0, 1), repeat=n * n):
+            rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+            try:
+                Asm(rows)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == is_asm(rows), rows
+            accepted += ok
+        assert accepted == expected
 
 
 #: (n, winners, exact message) for every raise site of Tournament.__init__.

@@ -19,9 +19,11 @@ from tetraposet import (
     counting,
     enumerate_ideals,
     format_colors,
+    parse_colors,
     rank_gf,
 )
-from tetraposet.counting import _extension, _last_use, _linear_extension, _run, _steps, _table
+from tetraposet.arrays import _row_assignments, _row_transfer
+from tetraposet.counting import _extension, _last_use, _linear_extension, _run, _table
 
 from conftest import (
     array_transfer_rank_gf,
@@ -136,6 +138,15 @@ def test_counts_build_no_subposet_maps(monkeypatch):
         for colorset in all_admissible_sets()
     )
     assert hashlib.sha256(listed.encode()).hexdigest() == N4_IDEALS_SHA256
+
+
+def _steps(p, by_component=False):
+    """The heap's linear extension of p, as indices of p.vertices, and one
+    step table over all of it. With by_component, each component starts
+    exactly where need_mask = keep_mask = 0: the frontier is empty there and
+    nowhere else."""
+    order, lower, _, _ = _extension(p, by_component)
+    return order, _table(order, lower, _last_use(order, lower))
 
 
 def test_tables_match_vertex_keyed_oracle():
@@ -347,6 +358,24 @@ def test_unformula_pair_counts_past_the_gf():
     assert count_ideals(build(11).subposet("rgy")) == 211454683487501523010
     assert count_ideals(build(10).subposet("bgs")) == 30523827764041406
     assert count_ideals(build(11).subposet("bgs")) == 211454683487501523010
+
+
+def row_transfer_count(n, colors):
+    """|Y_n(S)| by the row transfer over the staircase rows of
+    arrays._row_assignments with a unit step: no subposet, no frontier DP."""
+    colorset = parse_colors(colors)
+    counts = _row_transfer(
+        n, lambda i, below: _row_assignments(i, colorset, below), lambda row, below: (0, 1)
+    )
+    return counts[0]
+
+
+def test_row_transfer_counts_the_formula_free_pair_n9():
+    """An independent route to the DP's counts of rgy and bgs at n = 9
+    (about 2 s each); CI runs the same check at n = 10."""
+    for colors in ("rgy", "bgs"):
+        count = count_ideals(build(9).subposet(colors))
+        assert row_transfer_count(9, colors) == count == 11337432232915
 
 
 def test_formula_free_five_color_sets():

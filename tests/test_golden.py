@@ -69,7 +69,19 @@ ERROR_CASES = (
         "[1,2]",
         '{"n":3,"vertices":[],"colors":5}',
         '{"vertices":[],"colors":"g"}',
+        '{"n":3,"vertices":[],"colors":"ry"}',
+        '{"n":0,"vertices":[],"colors":"g"}',
     )
+) + (
+    (["convert", "--from", "array", "--to", "ideal", "--input", "-", "--colors", "ry"],
+     json.dumps(TOURNAMENT_ARRAYS_3[0])),
+)
+
+#: convert inputs past the family objects: a null colors field is no field,
+#: so --colors applies
+PAYLOAD_CASES = (
+    (["convert", "--from", "ideal", "--to", "array", "--input", "-", "--colors", "g"],
+     '{"n":3,"vertices":[],"colors":null}'),
 )
 
 
@@ -124,6 +136,7 @@ def generate() -> list[dict]:
         for n in range(1, 6)
     ]
     records += [run("errors", argv, stdin) for argv, stdin in ERROR_CASES]
+    records += [run("convert", argv, stdin) for argv, stdin in PAYLOAD_CASES]
     return records
 
 

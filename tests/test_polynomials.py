@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetraposet import (
+    Color,
     QPoly,
     SparsePoly,
+    build,
     carlitz_riordan,
     catalan_number,
     catalan_product,
+    count_arrays,
+    enumerate_arrays,
     first_difference,
     formula_count,
     formulas,
@@ -17,6 +21,7 @@ from tetraposet import (
     q_binomial,
     q_bracket,
     q_factorial,
+    tournament_gf,
 )
 from tetraposet.formulas import (
     asm_number,
@@ -537,3 +542,39 @@ def test_known_sequences():
     assert [asm_number(n) for n in range(1, 7)] == [1, 2, 7, 42, 429, 7436]
     assert [tspp_number(n) for n in range(2, 6)] == [2, 5, 16, 66]
     assert [catalan_number(j) for j in range(6)] == [1, 1, 2, 5, 14, 42]
+
+
+#: (id, call, exact result or raised error): the boundary cases of the
+#: library functions that no other test reaches
+BOUNDARY_CASES = [
+    ("asm_number(0)", lambda: asm_number(0), ValueError("n must be at least 1")),
+    ("tspp_number(0)", lambda: tspp_number(0), ValueError("n must be at least 1")),
+    ("tournament_gf(0)", lambda: tournament_gf(0), ValueError("n must be at least 1")),
+    # count_arrays builds T_n before it reads the colors, so the poset speaks
+    ("count_arrays(0)", lambda: count_arrays(0, "g"), ValueError("the poset needs n >= 1")),
+    ("enumerate_arrays(0)", lambda: next(enumerate_arrays(0, "g")),
+     ValueError("n must be at least 1")),
+    ("formula_count(rbgos)", lambda: formula_count("rbgos", 4),
+     ValueError("color set is not admissible")),
+    ("q_binomial above", lambda: q_binomial(3, 4), QPoly()),
+    ("q_binomial below", lambda: q_binomial(3, -1), QPoly()),
+    ("negative power", lambda: QPoly({0: 1, 1: 1}) ** -1, ValueError("negative power")),
+    ("q_bracket(-1)", lambda: q_bracket(-1), ValueError("negative bracket")),
+    ("zero exponent", lambda: SparsePoly.monomial(2, {1: 0, 3: 4}),
+     SparsePoly.monomial(2, {3: 4})),
+    ("Subposet repr", lambda: repr(build(3).subposet("gbr")), "Subposet(n=3, colors=rbg)"),
+    ("dual Subposet repr", lambda: repr(build(3).subposet("g").dual()),
+     "Subposet(n=3, colors=g, dual)"),
+    ("Color repr", lambda: repr(Color.SILVER), "Color.SILVER"),
+]
+
+
+@pytest.mark.parametrize("call, expected", [case[1:] for case in BOUNDARY_CASES],
+                         ids=[case[0] for case in BOUNDARY_CASES])
+def test_boundary_cases(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            call()
+        assert str(info.value) == str(expected)
+    else:
+        assert call() == expected

