@@ -9,15 +9,15 @@ below derives them from the lattice steps in colors.STEP through the vertex
 to cell map, and validate reads them off it. Each inequality joins a cell to
 its west, southwest or south neighbour, or the reverse, so one table of
 neighbour deltas (_neighbour_deltas) bounds every cell of a row over the row
-below, and one row successor (_row_assignments) serves every job: every
-array sum whose weights are local to two rows runs as one transfer over the
-rows (_row_transfer), and enumerate_arrays and the sorting fibers
-(enumerate_row_shuffles) walk the same successors depth first with
-counting._walk_rows, the walk that also lists order ideals. The transfer
-and the walk take the successors as a function, so the transfer also runs
-over the sorting fibers' rows (_shuffle_successors) and over the rows of
-monotone triangles (identities._mt_rows), and every right side of the
-identities module uses it.
+below, and one row successor (_row_assignments) serves every job:
+enumerate_arrays and the sorting fibers (enumerate_row_shuffles) walk its
+rows depth first with counting._walk_rows, the walk that also lists order
+ideals, and every array sum whose weights are local to two rows runs as one
+transfer over the rows (_row_transfer). The transfer takes one edge
+function, which yields each row over the row below with its share of the
+weight, so every right side of the identities module states its rows and
+weights in one place, over these rows or over the rows of monotone
+triangles (identities._mt_rows).
 
 In code, rows are 0-indexed tuples: rows[i-1][j] = x_{i,j}.
 """
@@ -38,6 +38,9 @@ TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
 TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
 ASM_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.BLUE})
 SORTED_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN, Color.YELLOW})
+
+#: (row, key shift, factor): a row and its share of a transfer's weight
+Edge = tuple[Row, int, int]
 
 #: color -> (di, dj, slack): x_{i,j} <= x_{i+di,j+dj} + slack wherever both
 #: cells exist. Vertex (c1, c2, c3) is level c2 of cell (c1+1, n-1-c1-c3), so an
@@ -206,26 +209,23 @@ def _row_assignments(i: int, colors: frozenset[Color], below: Row) -> list[Row]:
     return rows
 
 
-def _row_transfer(
-    n: int,
-    successors: Callable[[int, Row], Iterable[Row]],
-    step: Callable[[Row, Row], tuple[int, int]],
-) -> dict[int, int]:
-    """Sum over the arrays whose row i is one of successors(i, row i+1), as
-    in _walk_rows, of a weight that is a product over rows, by transfer over
-    the rows from the bottom up (Stanley, EC1 section 4.7). A row is any
-    tuple, and the transfer starts from the empty row (), so the same loop
-    runs over other row sequences: the rows of a monotone triangle, from ()
-    to its last row, are the states of identities.robbins_rumsey_rhs.
+def _row_transfer(n: int, edges: Callable[[int, Row], Iterable[Edge]]) -> dict[int, int]:
+    """Sum over row sequences of a weight that is a product over rows, by
+    transfer over the rows from the bottom up (Stanley, EC1 section 4.7).
+    edges(i, below) yields (row, shift, factor) for each row i that may lie
+    over row i+1 = below, with its share of the weight: a sequence's
+    SparsePoly key is the sum of its rows' shifts and its weight the product
+    of their factors. Over _row_assignments the sequences are the arrays, as
+    in _walk_rows; a row is any tuple, and the transfer starts from the
+    empty row (), so it also runs over the rows of a monotone triangle
+    (identities.robbins_rumsey_rhs).
 
-    step(row, below) gives row i's share over row i+1 as (key shift, factor):
-    an array's SparsePoly key is the sum of its rows' shifts and its weight
-    the product of their factors. The state after row i is that row, mapped
-    to {key: summed weight of the partial arrays}. States are dropped as they
-    are consumed, and the live terms, of the states left and of the next
-    row's, are counted and checked against the budget after every consumed
-    state. Nothing lies above row 1, so all of its fillings go to the single
-    state (), which holds the result as {key: coefficient}.
+    The state after row i is that row, mapped to {key: summed weight of the
+    partial sequences}. States are dropped as they are consumed, and the live
+    terms, of the states left and of the next row's, are counted and checked
+    against the budget after every consumed state. Nothing lies above row 1,
+    so all of its rows go to the single state (), which holds the result as
+    {key: coefficient}.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -237,8 +237,7 @@ def _row_transfer(
         while states:
             below, weights = states.popitem()
             live -= len(weights)
-            for row in successors(i, below):
-                shift, factor = step(row, below)
+            for row, shift, factor in edges(i, below):
                 acc = nxt.setdefault(row if i > 1 else (), {})
                 live -= len(acc)
                 get = acc.get
@@ -283,28 +282,31 @@ def value_count_gf(n: int, colors, *, equalities: bool) -> SparsePoly:
     n_shift = (n + 1) * FIELD
     xparts: dict[Row, int] = {}
 
-    def step(row: Row, below: Row) -> tuple[int, int]:
-        shift = xparts.get(row)
-        if shift is None:
-            shift = xparts[row] = sum(1 << v * FIELD for v in row[1:])
-        if equalities:
-            for west, v, sw in zip(row, row[1:], below):
-                shift += (v == sw) + ((west < v < sw) << n_shift)
-        return shift, 1
+    def edges(i: int, below: Row) -> Iterator[Edge]:
+        for row in _row_assignments(i, colorset, below):
+            shift = xparts.get(row)
+            if shift is None:
+                shift = xparts[row] = sum(1 << v * FIELD for v in row[1:])
+            if equalities:
+                for west, v, sw in zip(row, row[1:], below):
+                    shift += (v == sw) + ((west < v < sw) << n_shift)
+            yield row, shift, 1
 
-    sums = _row_transfer(n, lambda i, below: _row_assignments(i, colorset, below), step)
+    sums = _row_transfer(n, edges)
     return expand_binomial_field(sums, n + 1) if equalities else SparsePoly._make(sums)
 
 
 def array_rank_gf(n: int, colors) -> QPoly:
     """sum q^weight over Y_n(S), the rank gf of T_n(S): its ideals are the
     arrays, with size as weight (the paper's bijection)."""
-    return rank_gf(build(n).subposet(_require_green(n, colors)))
+    colorset = _require_green(n, colors)
+    return rank_gf(build(n).subposet(colorset))
 
 
 def count_arrays(n: int, colors) -> int:
     """|Y_n(S)|, the number of order ideals of T_n(S) (the paper's bijection)."""
-    return count_ideals(build(n).subposet(_require_green(n, colors)))
+    colorset = _require_green(n, colors)
+    return count_ideals(build(n).subposet(colorset))
 
 
 def enumerate_arrays(n: int, colors) -> Iterator[StaircaseArray]:
@@ -356,17 +358,6 @@ def row_shuffle_count(alpha: StaircaseArray) -> int:
     for row, below in zip(alpha.rows, alpha.rows[1:]):
         total *= _row_fiber(row, below)[1]
     return total
-
-
-def _shuffle_successors(i: int, below: Row) -> list[Row]:
-    """The {b,r,g} fillings of row i over `below`. Each one's sorted row must
-    be a {b,r,g,y} filling over sorted(below), the claim of sort_to_tsscpp
-    row by row, or this raises RuntimeError."""
-    allowed = set(_row_assignments(i, SORTED_COLORS, tuple(sorted(below))))
-    rows = _row_assignments(i, TOURNAMENT_COLORS, below)
-    if any(tuple(sorted(row)) not in allowed for row in rows):
-        raise RuntimeError("sorting broke a red or blue inequality")
-    return rows
 
 
 def enumerate_row_shuffles(alpha: StaircaseArray) -> Iterator[StaircaseArray]:

@@ -247,6 +247,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # count and verify print exact answers whole; the int <-> str digit limit
+    # guards the parsing of untrusted input, so convert, which parses JSON, keeps it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.command in ("count", "verify"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except NoFormula as exc:
@@ -258,6 +263,9 @@ def main(argv=None) -> int:
     except (BudgetError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry_point() -> None:

@@ -14,37 +14,40 @@ pairwise product directly.
 
 Left sides are expanded products. Every right side is computed by one
 weighted transfer over rows (arrays._row_transfer), since every weight in
-them is local to a row and the row before it. The two value-count sums
-(`asm`, `schur`), the fiber-count sum (`tsscpp-count`) and the sorted-array
-expansion (`tsscpp`) run it over the rows of the staircase arrays: value
-counts, southwest equalities and cells that rise from the west and drop to
-the southwest for the first two, each row's equalities and its factor of the
-fiber size for the third, and for the fourth each sorted row's equalities
-and each shuffled row's equalities by diagonal, with the shuffled row as the
-state. The matrix sum (`rr`) runs it over the rows of the matrix, whose
-states are the rows of its monotone triangle, each followed by the rows
-that interlace with it (_mt_rows); every weight in it is local to one row
-given the column sums above it. `rr` shares the loop and the closing
-(1+lambda)^N expansion with `asm`, but its states, successors and weights
-are its own, so the two reach the same product by routes that share no row
-logic. No right side lists its objects, and no left side uses a transfer.
+them is local to a row and the row before it; each states its rows and their
+weights in one edge function. The two value-count sums (`asm`, `schur`), the
+fiber-count sum (`tsscpp-count`) and the sorted-array expansion (`tsscpp`)
+run it over the rows of the staircase arrays: value counts, southwest
+equalities and cells that rise from the west and drop to the southwest for
+the first two, each row's equalities and its factor of the fiber size for
+the third, and for the fourth each sorted row's equalities and each shuffled
+row's equalities by diagonal, with the shuffled row as the state. The matrix
+sum (`rr`) runs it over the rows of the matrix, whose states are the rows of
+its monotone triangle, each followed by the rows that interlace with it
+(_mt_rows); every weight in it is local to one row given the column sums
+above it. `rr` shares the loop and the closing (1+lambda)^N expansion with
+`asm`, but its states, successors and weights are its own, so the two reach
+the same product by routes that share no row logic. No right side lists its
+objects, and no left side uses a transfer.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
+from collections.abc import Iterator
 from math import comb
 
 from .arrays import (
     ASM_COLORS,
     SORTED_COLORS,
+    TOURNAMENT_COLORS,
+    Edge,
     Row,
     StaircaseArray,
     _row_assignments,
     _row_fiber,
     _row_transfer,
-    _shuffle_successors,
     value_count_gf,
 )
 from .bijections import Asm
@@ -152,11 +155,8 @@ def robbins_rumsey_rhs(n: int) -> SparsePoly:
     |{l in S_{i-1} : l > j'}| and the -1 loses |{l in S_{i-1} : l > j}|, a
     net gain of |{l in S_{i-1} : j' < l <= j}| >= 1 since j is in S_{i-1}.
     """
-    memo: dict[Row, dict[Row, int]] = {}  # each state's rows, kept for this call only
     sums = _row_transfer(
-        n,
-        lambda i, prev: memo.setdefault(prev, _mt_rows(n, prev)),
-        lambda row, prev: (memo[prev][row], 1),
+        n, lambda i, prev: ((row, shift, 1) for row, shift in _mt_rows(n, prev).items())
     )
     return expand_binomial_field(sums, n + 1)
 
@@ -177,23 +177,29 @@ def tsscpp_expansion_rhs(n: int) -> SparsePoly:
     the diagonal-v equalities of beta plus the row-v slack of alpha, which is
     how the tournament product re-emerges.
 
-    By row transfer whose state is beta's row (arrays._shuffle_successors):
-    checking each sorted row against the one below makes the pairs (alpha,
-    beta) exactly the fibers of sort_to_tsscpp over Y_n({b,r,g,y}). Row i
-    adds alpha's E_i to lambda, n-i-E_i to x_i, and x_{i+j} for each
-    southwest equality beta_{i,j} = beta_{i+1,j-1}.
+    By row transfer whose state is beta's row: each sorted row must be a
+    {b,r,g,y} filling over the sorted row below, the claim of sort_to_tsscpp
+    row by row, or this raises RuntimeError, so the pairs (alpha, beta) are
+    exactly its fibers over Y_n({b,r,g,y}). Row i adds alpha's E_i to
+    lambda, n-i-E_i to x_i, and x_{i+j} for each southwest equality
+    beta_{i,j} = beta_{i+1,j-1}.
     """
 
-    def step(row: Row, below: Row) -> tuple[int, int]:
-        i = n - len(below)
-        e = sum(v == sw for v, sw in zip(sorted(row)[1:], sorted(below)))
-        shift = e + (len(below) - e << i * FIELD)
-        for j, (v, sw) in enumerate(zip(row[1:], below), start=i + 1):
-            if v == sw:
-                shift += 1 << j * FIELD
-        return shift, 1
+    def edges(i: int, below: Row) -> Iterator[Edge]:
+        sorted_below = tuple(sorted(below))
+        allowed = set(_row_assignments(i, SORTED_COLORS, sorted_below))
+        for row in _row_assignments(i, TOURNAMENT_COLORS, below):
+            alpha = tuple(sorted(row))
+            if alpha not in allowed:
+                raise RuntimeError("sorting broke a red or blue inequality")
+            e = sum(v == sw for v, sw in zip(alpha[1:], sorted_below))
+            shift = e + (len(below) - e << i * FIELD)
+            for j, (v, sw) in enumerate(zip(row[1:], below), start=i + 1):
+                if v == sw:
+                    shift += 1 << j * FIELD
+            yield row, shift, 1
 
-    return SparsePoly._make(_row_transfer(n, _shuffle_successors, step))
+    return SparsePoly._make(_row_transfer(n, edges))
 
 
 def tsscpp_lambda_count(n: int) -> SparsePoly:
@@ -204,10 +210,11 @@ def tsscpp_lambda_count(n: int) -> SparsePoly:
     of both (arrays._row_fiber) depends only on rows i and i+1; lambda is
     field 0, so E is already a SparsePoly key.
     """
-    sums = _row_transfer(
-        n, lambda i, below: _row_assignments(i, SORTED_COLORS, below), _row_fiber
-    )
-    return SparsePoly._make(sums)
+    def edges(i: int, below: Row) -> Iterator[Edge]:
+        for row in _row_assignments(i, SORTED_COLORS, below):
+            yield (row, *_row_fiber(row, below))
+
+    return SparsePoly._make(_row_transfer(n, edges))
 
 
 def pairwise_product(n: int) -> SparsePoly:
@@ -239,7 +246,7 @@ _IDENTITIES = {
     "asm": lambda n: (tournament_gf(n), asm_expansion_rhs(n)),
     "tsscpp": lambda n: (tournament_gf(n), tsscpp_expansion_rhs(n)),
     "tsscpp-count": lambda n: (
-        (SparsePoly.constant(1) + SparsePoly.lam()) ** comb(n, 2),
+        expand_binomial_field({comb(n, 2) << FIELD: 1}, 1),
         tsscpp_lambda_count(n),
     ),
     "schur": lambda n: (pairwise_product(n), schur_expansion_rhs(n)),

@@ -26,6 +26,7 @@ from tetraposet import (
     validate,
     weight,
 )
+from tetraposet import arrays
 from tetraposet.arrays import _row_assignments
 
 from conftest import TOURNAMENT_ARRAYS_3
@@ -250,6 +251,36 @@ def test_sort_rejects_non_tournament_array():
     x = StaircaseArray([[1, 1, 1, 2], [2, 3, 4], [3, 4], [4]])
     with pytest.raises(ValueError):
         sort_to_tsscpp(x)
+
+
+def test_sort_to_tsscpp_checks_the_sorted_array(monkeypatch):
+    """A sorted array that breaks a {b,r,g,y} inequality stops the map. Valid
+    input never gives one, so a validate that refuses every sorted array
+    stands in for it."""
+    real = arrays.validate
+    monkeypatch.setattr(
+        arrays, "validate", lambda x, colors: colors != SORTED_COLORS and real(x, colors)
+    )
+    with pytest.raises(RuntimeError, match="sorting broke a red or blue inequality"):
+        sort_to_tsscpp(StaircaseArray([[1, 2, 1], [2, 2], [3]]))
+
+
+@pytest.mark.parametrize("call", [count_arrays, array_rank_gf])
+def test_array_counts_check_the_colors_before_building(call, monkeypatch):
+    """The color set and n are checked before T_n is built, so a set without
+    green is refused as such at any n, even where T_n is past the vertex
+    budget."""
+
+    def unbuilt(n):
+        raise AssertionError(f"built T_{n}")
+
+    monkeypatch.setattr(arrays, "build", unbuilt)
+    with pytest.raises(ValueError) as info:
+        call(3000, "ry")
+    assert str(info.value) == "the array model needs green in the color set"
+    with pytest.raises(ValueError) as info:
+        call(0, "g")
+    assert str(info.value) == "n must be at least 1"
 
 
 def test_row_shuffles_partition_tournament_arrays():

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from tetraposet import bijections
 from tetraposet import (
     SORTED_COLORS,
     TOURNAMENT_COLORS,
@@ -63,6 +64,16 @@ def test_worked_example_tsscpp_chain(tsscpp8_rows, tsscpp8_array_rows):
     x = tsscpp_to_array(t)
     assert x == StaircaseArray(tsscpp8_array_rows)
     assert array_to_tsscpp(x) == t
+
+
+def test_array_to_tsscpp_checks_the_read_back(monkeypatch, tsscpp8_array_rows):
+    """The rebuilt cube must read back to the array it came from; a read-back
+    that always gives the minimal array must stop the map."""
+    x = StaircaseArray(tsscpp8_array_rows)
+    assert x != StaircaseArray.minimal(x.n)
+    monkeypatch.setattr(bijections, "tsscpp_to_array", lambda t: StaircaseArray.minimal(t.n))
+    with pytest.raises(RuntimeError, match="wedge does not read back from the rebuilt cube"):
+        array_to_tsscpp(x)
 
 
 def test_asm_rejects_invalid():

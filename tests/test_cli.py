@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from math import comb
 from unittest import mock
 
@@ -15,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from tetraposet import (
     OrderIdeal,
+    SparsePoly,
     StaircaseArray,
     array_to_ideal,
     build,
     cli,
     enumerate_arrays,
+    identities,
     validate,
 )
 
@@ -584,6 +587,42 @@ def test_verify_mismatch_exit_5(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--identity", "rr", "--n", "3")
     assert code == 5
     assert json.loads(out)["status"] == "mismatch"
+
+
+def test_count_prints_past_the_int_digit_limit(capsys):
+    """An exact count past the interpreter's int-to-str digit limit (4,300
+    by default) is printed whole: T_60 of the empty set is an antichain of
+    C(61, 3) vertices, so it has 2^C(61, 3) ideals, 10,835 digits. The
+    limit is back in place once main returns."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "count", "--n", "60", "--colors", "")
+    assert (code, err, len(out)) == (0, "", 10_836)
+    assert Decimal(out) == 2 ** comb(61, 3)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_verify_prints_past_the_int_digit_limit(capsys, monkeypatch):
+    """A mismatch report prints each side's coefficient whole, however long."""
+    big = 10**5000
+    monkeypatch.setitem(
+        identities._IDENTITIES, "rr", lambda n: (SparsePoly.constant(big), SparsePoly.constant(1))
+    )
+    code, out, err = run_cli(capsys, "verify", "--identity", "rr", "--n", "2")
+    assert (code, err) == (5, "")
+    assert json.loads(out)["first_diff_monomial"]["lhs"] == "1" + "0" * 5000
+
+
+def test_convert_keeps_the_int_digit_limit(capsys, tmp_path):
+    """convert parses untrusted JSON, so it keeps the limit that guards
+    against quadratic int parsing, also after a count in the same process."""
+    run_cli(capsys, "count", "--n", "60", "--colors", "")
+    path = tmp_path / "big.json"
+    path.write_text("[[" + "1" * 5000 + "]]")
+    code, out, err = run_cli(
+        capsys, "convert", "--from", "asm", "--to", "array", "--input", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
 
 
 def test_export_dot_stdout(capsys):

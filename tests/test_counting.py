@@ -362,10 +362,11 @@ def test_unformula_pair_counts_past_the_gf():
 
 def row_transfer_count(n, colors):
     """|Y_n(S)| by the row transfer over the staircase rows of
-    arrays._row_assignments with a unit step: no subposet, no frontier DP."""
+    arrays._row_assignments, each with unit weight: no subposet, no frontier
+    DP."""
     colorset = parse_colors(colors)
     counts = _row_transfer(
-        n, lambda i, below: _row_assignments(i, colorset, below), lambda row, below: (0, 1)
+        n, lambda i, below: ((row, 0, 1) for row in _row_assignments(i, colorset, below))
     )
     return counts[0]
 
@@ -405,6 +406,17 @@ def test_enumerate_ideals_matches_count_and_is_deterministic():
     for i in ideals:
         sizes[len(i)] = sizes.get(len(i), 0) + 1
     assert QPoly(sizes) == rank_gf(p)
+
+
+def test_cyclic_covers_are_refused(monkeypatch):
+    """Covers with a cycle have no linear extension: the engine refuses them
+    rather than count over the vertices the heap reached."""
+    q = build(3).subposet("rbg")
+    v, w = q.index_covers[0]
+    monkeypatch.setattr(q, "index_covers", (*q.index_covers, (w, v)))
+    for call in (count_ideals, rank_gf):
+        with pytest.raises(ValueError, match="cover relation contains a cycle"):
+            call(q)
 
 
 def walked_ideals(p):

@@ -36,7 +36,7 @@ from tetraposet import (
     verify_identity,
     weight,
 )
-from tetraposet import arrays
+from tetraposet import arrays, identities
 from tetraposet.arrays import value_count_gf
 from tetraposet.identities import SCHUR_COLORS, _mt_rows
 from tetraposet.polynomials import FIELD
@@ -128,7 +128,7 @@ def test_tsscpp_transfer_matches_enumeration():
 def test_tsscpp_transfer_checks_every_sorted_row(monkeypatch):
     """A {b,r,g} row whose sort breaks a {b,r,g,y} inequality over the sorted
     row below must stop the transfer, as sort_to_tsscpp stops on an array."""
-    real = arrays._row_assignments
+    real = identities._row_assignments
 
     def with_unsorted_row(i, colors, below):
         rows = real(i, colors, below)
@@ -136,7 +136,7 @@ def test_tsscpp_transfer_checks_every_sorted_row(monkeypatch):
             rows.append((i,) * (len(below) + 1))  # breaks red once row i+1 rises
         return rows
 
-    monkeypatch.setattr(arrays, "_row_assignments", with_unsorted_row)
+    monkeypatch.setattr(identities, "_row_assignments", with_unsorted_row)
     with pytest.raises(RuntimeError, match="red or blue"):
         tsscpp_expansion_rhs(3)
 
@@ -162,8 +162,9 @@ def test_rr_mt_rows_follow_the_monotone_triangles():
 
 
 def test_rr_keeps_nothing_after_it_returns():
-    """The interlacing rows are memoized for one call only, so nothing it
-    allocated outlives it (a process-lifetime cache kept 186 KB at n = 7)."""
+    """Each state's interlacing rows are built as the transfer consumes the
+    state and are dropped with it, so nothing the call allocated outlives it
+    (a process-lifetime cache kept 186 KB at n = 7)."""
     robbins_rumsey_rhs(2)  # first-call imports and tables
     gc.collect()
     tracemalloc.start()
@@ -179,11 +180,11 @@ def test_rr_keeps_nothing_after_it_returns():
 
 def test_value_count_keeps_nothing_after_it_returns():
     """Each row's x-part is kept for one call only, so nothing value_count_gf
-    allocated outlives it. The warm-up runs the same row successors with a
-    null weight, filling the cell-value tables (bounded by n and the colors)
-    but nothing the weights compute."""
+    allocated outlives it. The warm-up runs the same rows with a null weight,
+    filling the cell-value tables (bounded by n and the colors) but nothing
+    the weights compute."""
     arrays._row_transfer(
-        7, lambda i, below: arrays._row_assignments(i, ASM_COLORS, below), lambda row, below: (0, 1)
+        7, lambda i, below: ((row, 0, 1) for row in arrays._row_assignments(i, ASM_COLORS, below))
     )
     for equalities in (True, False):
         gc.collect()

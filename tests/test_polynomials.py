@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,7 @@ from tetraposet import (
     q_factorial,
     tournament_gf,
 )
+from tetraposet import formulas
 from tetraposet.formulas import (
     asm_number,
     q_binomial_product,
@@ -538,6 +539,19 @@ def test_triple_index_forms_agree():
         assert tspp_number_triple(n) == tspp_number(n)
 
 
+@pytest.mark.parametrize("number, message", [
+    (asm_number, "factorial quotient not integral at n=3"),
+    (tspp_number, "product not integral at n=3"),
+])
+def test_product_formulas_check_the_division(number, message, monkeypatch):
+    """Each quotient is checked to be whole before it is divided; a product
+    one too large leaves a remainder at n = 3 for both."""
+    monkeypatch.setattr(formulas, "prod", lambda factors: prod(factors) + 1)
+    with pytest.raises(ArithmeticError) as info:
+        number(3)
+    assert str(info.value) == message
+
+
 def test_known_sequences():
     assert [asm_number(n) for n in range(1, 7)] == [1, 2, 7, 42, 429, 7436]
     assert [tspp_number(n) for n in range(2, 6)] == [2, 5, 16, 66]
@@ -550,8 +564,7 @@ BOUNDARY_CASES = [
     ("asm_number(0)", lambda: asm_number(0), ValueError("n must be at least 1")),
     ("tspp_number(0)", lambda: tspp_number(0), ValueError("n must be at least 1")),
     ("tournament_gf(0)", lambda: tournament_gf(0), ValueError("n must be at least 1")),
-    # count_arrays builds T_n before it reads the colors, so the poset speaks
-    ("count_arrays(0)", lambda: count_arrays(0, "g"), ValueError("the poset needs n >= 1")),
+    ("count_arrays(0)", lambda: count_arrays(0, "g"), ValueError("n must be at least 1")),
     ("enumerate_arrays(0)", lambda: next(enumerate_arrays(0, "g")),
      ValueError("n must be at least 1")),
     ("formula_count(rbgos)", lambda: formula_count("rbgos", 4),
