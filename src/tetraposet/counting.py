@@ -52,7 +52,8 @@ def _linear_extension(lower: Covers, upper: Covers, label: list[int] | None = No
     """Kahn's algorithm with a heap of vertex indices, so the order is
     deterministic. With a label per vertex the heap pops label * size + i,
     so the vertices of one label come out in one run, in the order their
-    own heap gives."""
+    own heap gives. The cover lists need no sorting, since the heap fixes
+    the order and the step masks are ORs."""
     size = len(lower)
     indeg = list(map(len, lower))
     label = label or [0] * size
@@ -69,19 +70,6 @@ def _linear_extension(lower: Covers, upper: Covers, label: list[int] | None = No
     if len(order) != size:
         raise ValueError("cover relation contains a cycle")
     return order
-
-
-def _extension(p: Subposet, by_component: bool) -> tuple[list[int], Covers, Covers, list[int]]:
-    """The heap's linear extension, the lower and the upper covers, and the
-    component sizes, all on the indices of p.vertices.
-
-    by_component takes the connected components one at a time, in order of
-    least vertex, and lists their sizes in that order; without it the list
-    is empty. The cover lists stay unsorted, since the heap fixes the order
-    and the masks are ORs."""
-    lower, upper = _adjacency(len(p.vertices), p.index_covers)
-    label, sizes = _label_components(lower, upper) if by_component else (None, [])
-    return _linear_extension(lower, upper, label), lower, upper, sizes
 
 
 def _last_use(order: Sequence[int], lower: Covers) -> list[int]:
@@ -128,7 +116,9 @@ def _component_tables(p: Subposet) -> Iterator[tuple[list[Step], bool]]:
     over v of last_use(v) - pos(v) in its own order. The frontier is empty
     where each component starts, so a table built from there on either side
     is the one the component alone would give."""
-    order, lower, upper, sizes = _extension(p, by_component=True)
+    lower, upper = _adjacency(len(p.vertices), p.index_covers)
+    label, sizes = _label_components(lower, upper)
+    order = _linear_extension(lower, upper, label)
     last_a = _last_use(order, lower)
     reverse = order[::-1]
     last_b = _last_use(reverse, upper)
@@ -179,22 +169,25 @@ def _run(steps: list[Step], width: int, budget: int) -> int:
     return states[0]
 
 
+def _component_gf(steps: list[Step], dual: bool, budget: int) -> QPoly:
+    """One component's rank gf, unpacked from _run. A coefficient counts
+    s-element sets of the component's vertices, at most C(size, s) < 2^width
+    for width = size + 1, so no field carries into the next. A dual side's
+    gf is read reversed."""
+    width = len(steps) + 1
+    packed = _run(steps, width, budget)
+    field = (1 << width) - 1
+    coeffs = [packed >> (s * width) & field for s in range(width)]
+    # a poset has ideals of every size up to its own, so no term is 0
+    return QPoly._make(dict(enumerate(coeffs[::-1] if dual else coeffs)))
+
+
 def rank_gf(p: Subposet) -> QPoly:
     """Rank generating function sum over ideals I of q^|I|, the product of
-    the components' gfs. A coefficient counts s-element sets of a
-    component's vertices, at most C(size, s) < 2^width for width = size + 1,
-    so no field carries into the next. A dual side's gf is read reversed."""
+    the components' gfs."""
     budget = enumeration_budget()
-    gf = None
-    for steps, dual in _component_tables(p):
-        width = len(steps) + 1
-        packed = _run(steps, width, budget)
-        field = (1 << width) - 1
-        coeffs = [packed >> (s * width) & field for s in range(width)]
-        # a poset has ideals of every size up to its own, so no term is 0
-        factor = QPoly._make(dict(enumerate(coeffs[::-1] if dual else coeffs)))
-        gf = factor if gf is None else gf * factor
-    return QPoly({0: 1}) if gf is None else gf
+    tables = _component_tables(p)
+    return QPoly.product(_component_gf(steps, dual, budget) for steps, dual in tables)
 
 
 def count_ideals(p: Subposet) -> int:
@@ -236,7 +229,8 @@ def enumerate_ideals(p: Subposet) -> Iterator[OrderIdeal]:
     the yield budget before any work is done.
     """
     guard(count_ideals(p), "order ideals")
-    order, lower, _, _ = _extension(p, by_component=False)
+    lower, upper = _adjacency(len(p.vertices), p.index_covers)
+    order = _linear_extension(lower, upper)
     steps = _table(order, lower, _last_use(order, lower))
     order = [p.vertices[i] for i in order]
     size = len(order)

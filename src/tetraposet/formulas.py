@@ -11,32 +11,23 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .budget import guard
-from .colors import is_admissible, parse_colors
-from .polynomials import QPoly, SparsePoly, q_binomial, q_factorial
+from .colors import parse_colors, require_admissible
+from .polynomials import QPoly, SparsePoly, _q_pascal_row, q_factorial
 
 
 def q_factorial_product(n: int) -> QPoly:
     """prod_{j=1..n} [j]_q! : the rank generating function for one color."""
-    out = QPoly({0: 1})
-    for j in range(1, n + 1):
-        out = out * q_factorial(j)
-    return out
+    return QPoly.product(map(q_factorial, range(1, n + 1)))
 
 
 def q_binomial_product(n: int) -> QPoly:
-    """prod_{j=1..n} [n choose j]_q : two opposite colors."""
-    out = QPoly({0: 1})
-    for j in range(1, n + 1):
-        out = out * q_binomial(n, j)
-    return out
+    """prod_{j=1..n} [n choose j]_q : two opposite colors, from one q-Pascal row."""
+    return QPoly.product(_q_pascal_row(n)[1:])
 
 
 def three_color_product(n: int) -> QPoly:
     """prod_{j=1..n-1} (1+q^j)^(n-j) : the nine formula-bearing 3-color sets."""
-    out = QPoly({0: 1})
-    for j in range(1, n):
-        out = out * (QPoly({0: 1, j: 1}) ** (n - j))
-    return out
+    return QPoly.product(QPoly({0: 1, j: 1}) ** (n - j) for j in range(1, n))
 
 
 def catalan_number(j: int) -> int:
@@ -56,14 +47,13 @@ def carlitz_riordan(j: int) -> QPoly:
     return poly
 
 
+def _catalan_count(n: int) -> int:
+    return prod(map(catalan_number, range(1, n + 1)))
+
+
 def catalan_product(n: int) -> tuple[int, QPoly]:
     """(prod_{j=1..n} C_j, prod_{j=1..n} C_j(q)) for the adjacent 2-color sets."""
-    count = 1
-    poly = QPoly({0: 1})
-    for j in range(1, n + 1):
-        count *= catalan_number(j)
-        poly = poly * carlitz_riordan(j)
-    return count, poly
+    return _catalan_count(n), QPoly.product(map(carlitz_riordan, range(1, n + 1)))
 
 
 def asm_number(n: int) -> int:
@@ -92,6 +82,8 @@ def tspp_number(n: int) -> int:
 def _pair_product(n: int, upset: int) -> SparsePoly:
     """prod_{1<=i<j<=n} (x_i + lambda^upset x_j), expanded; the term count is
     checked against the budget after every factor."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     out = SparsePoly.constant(1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -105,8 +97,6 @@ def tournament_gf(n: int) -> SparsePoly:
 
     The monomial of a tournament carries lambda^(upsets) and x_v^(wins of v).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return _pair_product(n, 1)
 
 
@@ -118,22 +108,21 @@ _TWO_ADJACENT_DUAL = tuple(map(parse_colors, ("ry", "rg", "gy", "bo")))
 _THREE_NO_FORMULA = tuple(map(parse_colors, ("rgy", "bgs")))
 
 
-def _catalan_count(n: int) -> int:
-    return prod(map(catalan_number, range(1, n + 1)))
-
-
-def _closed_forms(colors) -> tuple[Callable[[int], int], Callable[[int], QPoly] | None] | None:
+def _closed_forms(
+    colors, n: int
+) -> tuple[Callable[[int], int], Callable[[int], QPoly] | None] | None:
     """(count, rank gf or None) as functions of n for the closed forms of
-    J(T_n(S)), or None when S has none.
+    J(T_n(S)), or None when S has none. T_n exists for n >= 1 only, and S
+    must be admissible.
 
     Four of the adjacent 2-color sets carry the q-Catalan product directly;
     the other four are their duals, so their generating function is the
     degree-reversal of that product (complementation swaps ideals of a poset
     and its dual).
     """
-    colorset = parse_colors(colors)
-    if not is_admissible(colorset):
-        raise ValueError("color set is not admissible")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    colorset = require_admissible(colors)
     if len(colorset) == 1:
         return lambda n: prod(map(factorial, range(1, n + 1))), q_factorial_product
     if colorset in _TWO_OPPOSITE:
@@ -153,11 +142,11 @@ def _closed_forms(colors) -> tuple[Callable[[int], int], Callable[[int], QPoly] 
 
 def formula_count(colors, n: int) -> int | None:
     """Closed-form ideal count for T_n(S), or None when no formula is known."""
-    forms = _closed_forms(colors)
+    forms = _closed_forms(colors, n)
     return forms[0](n) if forms else None
 
 
 def formula_rank_gf(colors, n: int) -> QPoly | None:
     """Closed-form rank generating function for J(T_n(S)), or None."""
-    forms = _closed_forms(colors)
+    forms = _closed_forms(colors, n)
     return forms[1](n) if forms and forms[1] else None

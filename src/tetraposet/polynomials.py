@@ -19,6 +19,9 @@ exponent, ((variable index, exponent), ...)) with the x-part sorted by
 variable index and zero exponents left out; SparsePoly lists monomials
 (repr, monomials(), first_difference) by total degree, then lambda exponent,
 then the x exponent tuple (graded lexicographic), so output is deterministic.
+
+QPoly.product is the one fold of q-polynomials: the q-analogues of the
+product formulas and the counting engine's product over components call it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from functools import reduce
 from math import comb
-from operator import or_
+from operator import mul, or_
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -200,6 +203,14 @@ class QPoly(_Poly):
     def q(cls, exp: int = 1) -> QPoly:
         return cls({exp: 1})
 
+    @classmethod
+    def product(cls, factors: Iterable[QPoly]) -> QPoly:
+        """The factors multiplied left to right, starting from the first
+        one; 1 when there are none."""
+        factors = iter(factors)
+        first = next(factors, None)
+        return cls._make({0: 1}) if first is None else reduce(mul, factors, first)
+
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
@@ -235,16 +246,14 @@ def q_bracket(m: int) -> QPoly:
 
 
 def q_factorial(m: int) -> QPoly:
-    out = QPoly({0: 1})
-    for j in range(1, m + 1):
-        out = out * q_bracket(j)
-    return out
+    """[m]_q! = [1]_q [2]_q ... [m]_q."""
+    return QPoly.product(map(q_bracket, range(1, m + 1)))
 
 
-def q_binomial(m: int, k: int) -> QPoly:
-    """Gaussian binomial via the q-Pascal recurrence (no division needed)."""
-    if k < 0 or k > m:
-        return QPoly()
+def _q_pascal_row(m: int) -> list[QPoly]:
+    """[m choose k]_q for k = 0..m, by the q-Pascal recurrence
+    [i choose j]_q = [i-1 choose j-1]_q + q^j [i-1 choose j]_q (no division
+    needed)."""
     row = [QPoly({0: 1})]
     for i in range(1, m + 1):
         prev = row
@@ -252,7 +261,14 @@ def q_binomial(m: int, k: int) -> QPoly:
         for j in range(1, i):
             row.append(prev[j - 1] + QPoly.q(j) * prev[j])
         row.append(QPoly({0: 1}))
-    return row[k]
+    return row
+
+
+def q_binomial(m: int, k: int) -> QPoly:
+    """Gaussian binomial [m choose k]_q; 0 for k outside 0..m."""
+    if k < 0 or k > m:
+        return QPoly()
+    return _q_pascal_row(m)[k]
 
 
 FIELD = 16

@@ -23,7 +23,8 @@ from tetraposet import (
     rank_gf,
 )
 from tetraposet.arrays import _row_assignments, _row_transfer
-from tetraposet.counting import _extension, _last_use, _linear_extension, _run, _table
+from tetraposet.counting import _last_use, _linear_extension, _run, _table
+from tetraposet.poset import _adjacency, _label_components
 
 from conftest import (
     array_transfer_rank_gf,
@@ -145,7 +146,9 @@ def _steps(p, by_component=False):
     step table over all of it. With by_component, each component starts
     exactly where need_mask = keep_mask = 0: the frontier is empty there and
     nowhere else."""
-    order, lower, _, _ = _extension(p, by_component)
+    lower, upper = _adjacency(len(p.vertices), p.index_covers)
+    label = _label_components(lower, upper)[0] if by_component else None
+    order = _linear_extension(lower, upper, label)
     return order, _table(order, lower, _last_use(order, lower))
 
 
@@ -235,7 +238,8 @@ def test_counting_steps_run_component_by_component():
 def _sides(comp):
     """A component's step tables on side A (its heap order) and side B (the
     dual, in the reverse order), built apart from the engine's choice."""
-    order, lower, upper, _ = _extension(comp, by_component=False)
+    lower, upper = _adjacency(len(comp.vertices), comp.index_covers)
+    order = _linear_extension(lower, upper)
     reverse = order[::-1]
     side_a = _table(order, lower, _last_use(order, lower))
     return side_a, _table(reverse, upper, _last_use(reverse, upper))

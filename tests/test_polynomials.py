@@ -16,7 +16,9 @@ from tetraposet import (
     enumerate_arrays,
     first_difference,
     formula_count,
+    formula_rank_gf,
     formulas,
+    pairwise_product,
     polynomials,
     q_binomial,
     q_bracket,
@@ -31,7 +33,7 @@ from tetraposet.formulas import (
     three_color_product,
     tspp_number,
 )
-from tetraposet.polynomials import FIELD, expand_binomial_field
+from tetraposet.polynomials import FIELD, _q_pascal_row, expand_binomial_field
 
 from conftest import evaluate, principal_specialization
 
@@ -141,6 +143,49 @@ def test_q_binomial_matches_factorial_quotient():
         for k in range(m + 1):
             lhs = q_binomial(m, k) * q_factorial(k) * q_factorial(m - k)
             assert lhs == q_factorial(m)
+
+
+def test_q_pascal_row_holds_every_q_binomial():
+    """Row m is [m choose k]_q for k = 0..m, read through q_binomial and
+    checked against the factorial quotient, for m <= 12."""
+    for m in range(13):
+        row = _q_pascal_row(m)
+        assert row == [q_binomial(m, k) for k in range(m + 1)]
+        for k, entry in enumerate(row):
+            assert entry == exact_div(q_factorial(m), q_factorial(k) * q_factorial(m - k))
+
+
+def test_product_of_no_factors_or_one():
+    p = QPoly.from_coeff_list([2, 0, -3])
+    assert QPoly.product([]) == QPoly({0: 1})
+    assert QPoly.product(iter(())) == 1
+    assert QPoly.product([p]) == p
+    assert QPoly.product(iter([p])) == p
+    one_plus_q, one_minus_q = QPoly.from_coeff_list([1, 1]), QPoly.from_coeff_list([1, -1])
+    assert QPoly.product([one_plus_q, one_minus_q, 1 + QPoly.q(2)]) == 1 - QPoly.q(4)
+    assert QPoly.product([one_plus_q, QPoly(), one_minus_q]) == QPoly()
+
+
+#: Lists of q-polynomials, some in pairs a + b and a - b, so that their
+#: products cancel terms.
+q_factor_lists = st.lists(
+    st.one_of(
+        qpolys.map(lambda a: [a]),
+        st.tuples(qpolys, qpolys).map(lambda t: [t[0] + t[1], t[0] - t[1]]),
+    ),
+    max_size=4,
+).map(lambda groups: [factor for group in groups for factor in group])
+
+
+@settings(max_examples=200, deadline=1000)
+@given(q_factor_lists)
+def test_product_is_a_left_fold(factors):
+    expected = QPoly({0: 1})
+    for factor in factors:
+        expected = expected * factor
+    product = QPoly.product(factors)
+    assert product == QPoly.product(iter(factors)) == expected
+    assert 0 not in product.coefficients().values()
 
 
 @given(sparse_polys, sparse_polys, sparse_polys)
@@ -568,7 +613,17 @@ BOUNDARY_CASES = [
     ("enumerate_arrays(0)", lambda: next(enumerate_arrays(0, "g")),
      ValueError("n must be at least 1")),
     ("formula_count(rbgos)", lambda: formula_count("rbgos", 4),
-     ValueError("color set is not admissible")),
+     ValueError("color set {rbgos} is not admissible: {ro} requires y")),
+    ("formula_count(g, 0)", lambda: formula_count("g", 0), ValueError("n must be at least 1")),
+    ("formula_count(gybo, 0)", lambda: formula_count("gybo", 0),
+     ValueError("n must be at least 1")),
+    ("formula_count(rgy, 0)", lambda: formula_count("rgy", 0), ValueError("n must be at least 1")),
+    ("formula_rank_gf(rbg, 0)", lambda: formula_rank_gf("rbg", 0),
+     ValueError("n must be at least 1")),
+    ("formula_rank_gf(g, -2)", lambda: formula_rank_gf("g", -2),
+     ValueError("n must be at least 1")),
+    ("pairwise_product(0)", lambda: pairwise_product(0), ValueError("n must be at least 1")),
+    ("pairwise_product(-3)", lambda: pairwise_product(-3), ValueError("n must be at least 1")),
     ("q_binomial above", lambda: q_binomial(3, 4), QPoly()),
     ("q_binomial below", lambda: q_binomial(3, -1), QPoly()),
     ("negative power", lambda: QPoly({0: 1, 1: 1}) ** -1, ValueError("negative power")),
