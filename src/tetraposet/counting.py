@@ -2,20 +2,20 @@
 
 One engine gives the rank generating function sum q^|I| over the order ideals
 I of any subposet, dualized or not: a frontier dynamic program (the transfer-
-matrix method, Stanley EC1 4.7) over step tables built from one heap order
-per subposet, taking the connected components one at a time; each starts
-where the frontier is empty, and the gf is their product. The engine reads
-the subposet's index covers and works on vertex indices throughout: lists
-for covers and last uses, and a heap of ints. The cover lists and the
-component labels come from poset._adjacency and poset._label_components,
-which Subposet's own adjacency maps and components() read too. The vertices
-are in lexicographic order, so the heap pops the order the vertex tuples
-would give, and enumerate_ideals maps it back to vertices once. Counts are
-the same DP at field width 0, not the rank gf at q = 1. For sets with green,
-the staircase arrays are the same ideals in other coordinates
-(poset.ideal_to_array), so the array counts and rank gf in arrays.py run
-this engine too. The independent cross-check, the row value-count transfer
-specialized at x_k = q^(k-1), lives in the tests.
+matrix method, Stanley EC1 4.7) over step tables built from one heap order per
+subposet, taking the connected components one at a time; each starts where the
+frontier is empty, and the gf is their product, a packed tree over coefficient
+lists (polynomials._dense_product). The engine reads the subposet's index
+covers and works on vertex indices: lists for covers and last uses, and a heap
+of ints. The cover lists and the component labels come from poset._adjacency
+and poset._label_components, which Subposet's own adjacency maps and
+components() read too. The vertices are in lexicographic order, so the heap
+pops the order the vertex tuples would give, and enumerate_ideals maps it back
+to vertices once. Counts are the same DP at field width 0, not the rank gf at
+q = 1. For sets with green, the staircase arrays are the same ideals in other
+coordinates (poset.ideal_to_array), so the array counts and rank gf in
+arrays.py run this engine too. The independent cross-check, the row
+value-count transfer specialized at x_k = q^(k-1), lives in the tests.
 
 Each component is counted on one of two sides. The ideals of P are the
 complements of the ideals of P^dual, so side A, P in the heap order, and side
@@ -41,7 +41,7 @@ from itertools import accumulate, pairwise
 from math import prod
 
 from .budget import enumeration_budget, guard
-from .polynomials import QPoly
+from .polynomials import QPoly, _dense_product
 from .poset import Covers, OrderIdeal, Subposet, _adjacency, _label_components
 
 Row = tuple[int, ...]
@@ -169,25 +169,26 @@ def _run(steps: list[Step], width: int, budget: int) -> int:
     return states[0]
 
 
-def _component_gf(steps: list[Step], dual: bool, budget: int) -> QPoly:
-    """One component's rank gf, unpacked from _run. A coefficient counts
-    s-element sets of the component's vertices, at most C(size, s) < 2^width
-    for width = size + 1, so no field carries into the next. A dual side's
-    gf is read reversed."""
-    width = len(steps) + 1
-    packed = _run(steps, width, budget)
-    field = (1 << width) - 1
-    coeffs = [packed >> (s * width) & field for s in range(width)]
-    # a poset has ideals of every size up to its own, so no term is 0
-    return QPoly._make(dict(enumerate(coeffs[::-1] if dual else coeffs)))
-
-
 def rank_gf(p: Subposet) -> QPoly:
     """Rank generating function sum over ideals I of q^|I|, the product of
-    the components' gfs."""
+    the components' gfs: one _run per distinct (table, side), its gf raised
+    to the table's count. A coefficient counts s-element sets of a
+    component, at most C(size, s) < 2^width for width = size + 1, so no
+    field carries into the next. A dual side's gf is read reversed. Every gf
+    is dense, as a poset has ideals of every size up to its own."""
     budget = enumeration_budget()
-    tables = _component_tables(p)
-    return QPoly.product(_component_gf(steps, dual, budget) for steps, dual in tables)
+    tables: dict[tuple, int] = {}
+    for steps, dual in _component_tables(p):
+        key = tuple(steps), dual
+        tables[key] = tables.get(key, 0) + 1
+    gfs = []
+    for (steps, dual), count in tables.items():
+        width = len(steps) + 1
+        packed = _run(steps, width, budget)
+        field = (1 << width) - 1
+        coeffs = [packed >> (s * width) & field for s in range(width)]
+        gfs.append((coeffs[::-1] if dual else coeffs, count))
+    return QPoly._make(dict(enumerate(_dense_product(gfs))))
 
 
 def count_ideals(p: Subposet) -> int:

@@ -20,8 +20,9 @@ variable index and zero exponents left out; SparsePoly lists monomials
 (repr, monomials(), first_difference) by total degree, then lambda exponent,
 then the x exponent tuple (graded lexicographic), so output is deterministic.
 
-QPoly.product is the one fold of q-polynomials: the q-analogues of the
-product formulas and the counting engine's product over components call it.
+QPoly.product is the one product of many q-polynomials; the product formulas'
+q-analogues call it. Dense factors multiply as packed ints up a balanced tree,
+_dense_product, which the counting engine calls too; others take the dict fold.
 """
 
 from __future__ import annotations
@@ -205,11 +206,14 @@ class QPoly(_Poly):
 
     @classmethod
     def product(cls, factors: Iterable[QPoly]) -> QPoly:
-        """The factors multiplied left to right, starting from the first
-        one; 1 when there are none."""
-        factors = iter(factors)
-        first = next(factors, None)
-        return cls._make({0: 1}) if first is None else reduce(mul, factors, first)
+        """The product of the factors, 1 for none: _dense_product of their
+        coefficient lists if each is dense, a positive coefficient at every
+        degree up to its own, else the dict product from left to right."""
+        factors = list(factors)
+        coeffs = [(f.to_coeff_list(), 1) for f in factors]
+        if all(c and min(c) > 0 for c, _ in coeffs):
+            return cls._make(dict(enumerate(_dense_product(coeffs))))
+        return reduce(mul, factors)
 
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
@@ -236,6 +240,31 @@ class QPoly(_Poly):
         if degree < self.degree:
             raise ValueError("reversal degree below polynomial degree")
         return QPoly._make({degree - e: c for e, c in self._terms.items()})
+
+
+def _dense_product(factors: list[tuple[list[int], int]]) -> list[int]:
+    """The product of positive coefficient lists, lowest degree first,
+    each raised to its power m >= 1: (prod a^(m >> 1))^2 times the a of odd
+    m, multiplied in pairs up a balanced tree; [1] for none."""
+    odd = [a for a, m in factors if m & 1]
+    if halves := [(a, m >> 1) for a, m in factors if m > 1]:
+        half = _dense_product(halves)
+        odd.append(_packed_mul(half, half))
+    while len(odd) > 1:
+        pairs = [_packed_mul(a, b) for a, b in zip(odd[::2], odd[1::2])]
+        odd = pairs + odd[2 * len(pairs) :]
+    return odd[0] if odd else [1]
+
+
+def _packed_mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b as one int product (Kronecker substitution, von zur Gathen and
+    Gerhard, Modern Computer Algebra 8.4) over whole-byte fields that hold
+    sum(a) * sum(b) >= every coefficient. A square packs once and squares."""
+    size = ((sum(a) * sum(b)).bit_length() + 7) // 8
+    operands = (a,) if b is a else (a, b)
+    x = [int.from_bytes(b"".join([c.to_bytes(size, "little") for c in f]), "little") for f in operands]
+    raw = (x[0] * x[-1]).to_bytes(size * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
 
 
 def q_bracket(m: int) -> QPoly:

@@ -19,6 +19,7 @@ from tetraposet import (
     counting,
     enumerate_ideals,
     format_colors,
+    formula_rank_gf,
     parse_colors,
     rank_gf,
 )
@@ -326,6 +327,14 @@ def test_component_generating_functions_multiply():
         for comp in comps:
             product = product * QPoly(brute_force_ideal_sizes(comp))
         assert product == rank_gf(p)
+
+
+def test_many_component_gfs_equal_the_closed_form():
+    # 105, 14 and 14 components at n = 15; the last products of the tree
+    # pack fields of 14 bytes or more
+    for colors in ("g", "rs", "rbg"):
+        p = build(15).subposet(colors)
+        assert rank_gf(p) == formula_rank_gf(colors, 15)
 
 
 def test_tournament_class_shares_one_gf():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb, factorial, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +187,68 @@ def test_product_is_a_left_fold(factors):
     product = QPoly.product(factors)
     assert product == QPoly.product(iter(factors)) == expected
     assert 0 not in product.coefficients().values()
+
+
+#: Dense q-polynomials: a positive coefficient at every degree up to their
+#: own, degree 0 included, some of 2^64 or more so that a packed field
+#: spans several bytes.
+dense_qpolys = st.lists(
+    st.one_of(st.integers(min_value=1, max_value=9), st.integers(min_value=2**64, max_value=2**80)),
+    min_size=1,
+    max_size=6,
+).map(QPoly.from_coeff_list)
+
+
+def left_fold(factors):
+    expected = QPoly({0: 1})
+    for factor in factors:
+        expected = expected * factor
+    return expected
+
+
+@settings(max_examples=200, deadline=1000)
+@given(st.lists(dense_qpolys, max_size=7))
+def test_dense_factors_multiply_in_the_packed_tree(factors):
+    with patch.object(polynomials, "_dense_product", wraps=polynomials._dense_product) as tree:
+        product = QPoly.product(factors)
+    tree.assert_called_once_with([(f.to_coeff_list(), 1) for f in factors])
+    assert product == left_fold(factors)
+    assert 0 not in product.coefficients().values()
+
+
+def test_dense_product_covers_every_tree_shape():
+    big = 2**64 + 3
+    lists = [[1, 2], [big], [3, 1, big], [1], [5, 5, 5, 5, 5]]
+    for count in range(len(lists) + 1):
+        factors = lists[:count]
+        expected = left_fold(map(QPoly.from_coeff_list, factors))
+        assert polynomials._dense_product([(f, 1) for f in factors]) == expected.to_coeff_list()
+    assert polynomials._dense_product([]) == [1]
+    assert polynomials._dense_product([([big, big], 1)]) == [big, big]
+    assert polynomials._dense_product([([big, 1], 1), ([big, 1], 1)]) == [big * big, 2 * big, 1]
+
+
+@settings(max_examples=100, deadline=2000)
+@given(st.lists(st.tuples(dense_qpolys, st.integers(min_value=1, max_value=9)), max_size=4))
+def test_dense_powers_square_up_to_the_product(groups):
+    lists = [(f.to_coeff_list(), m) for f, m in groups]
+    expected = left_fold(f for f, m in groups for _ in range(m))
+    assert polynomials._dense_product(lists) == expected.to_coeff_list()
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [QPoly({0: 1, 2: 1}), QPoly.from_coeff_list([1, -2, 1]), QPoly(), QPoly({3: 2**70})],
+    ids=["gap", "negative", "zero", "no-constant-term"],
+)
+def test_a_factor_that_is_not_dense_takes_the_dict_fold(odd, monkeypatch):
+    def refuse(lists):
+        raise AssertionError("a non-dense factor reached the packed tree")
+
+    monkeypatch.setattr(polynomials, "_dense_product", refuse)
+    dense = [QPoly.from_coeff_list([1, 1]), QPoly.from_coeff_list([2**64, 3, 1])]
+    for factors in ([odd], [dense[0], odd, dense[1]], [*dense, odd]):
+        assert QPoly.product(factors) == left_fold(factors)
 
 
 @given(sparse_polys, sparse_polys, sparse_polys)

@@ -18,6 +18,7 @@ from tetraposet import (
     enumerate_ideals,
     format_colors,
     ideal_to_array,
+    rank_gf,
     to_dot,
     validate,
     weight,
@@ -86,6 +87,7 @@ def test_small_n_rejected():
     assert build(1).vertices == ()
     for colors in all_admissible_sets():
         assert count_ideals(build(1).subposet(colors)) == 1
+        assert rank_gf(build(1).subposet(colors)) == 1
     with pytest.raises(ValueError):
         build(0)
 
