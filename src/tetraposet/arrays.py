@@ -32,7 +32,7 @@ from .budget import enumeration_budget, guard
 from .colors import STEP, Color, parse_colors, require_admissible
 from .counting import Row, _walk_rows, count_ideals, rank_gf
 from .polynomials import FIELD, QPoly, SparsePoly, expand_binomial_field
-from .poset import Value, build, json_int
+from .poset import Value, build, json_int, json_list
 
 TOURNAMENT_COLORS = frozenset({Color.BLUE, Color.RED, Color.GREEN})
 TSSCPP_COLORS = frozenset({Color.GREEN, Color.YELLOW, Color.ORANGE, Color.RED})
@@ -77,7 +77,8 @@ class Rows(Value):
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(tuple(json_int(v) for v in row) for row in obj)
+        rows = json_list(obj, "expected a list of rows")
+        return cls(tuple(map(json_int, json_list(row, "expected a row of integers"))) for row in rows)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json_obj()!r})"

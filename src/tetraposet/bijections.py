@@ -39,7 +39,7 @@ from .arrays import (
 )
 from .budget import guard
 from .colors import format_colors
-from .poset import json_int
+from .poset import json_fields, json_int, json_list
 
 
 class FamilyMismatch(ValueError):
@@ -224,13 +224,15 @@ class Tournament(Rows):
 
     @classmethod
     def from_json_obj(cls, obj) -> Tournament:
+        n, games = json_fields(obj, "a tournament", ("n", "games"))
         winners: dict[tuple[int, int], int] = {}
-        for i, j, w in obj["games"]:
+        for game in json_list(games, 'field "games" must be a list of games'):
+            i, j, w = json_list(game, "expected a game [i, j, winner]", 3)
             game = (json_int(i), json_int(j))
             if game in winners:
                 raise ValueError(f"game {game[0]} vs {game[1]} is listed twice")
             winners[game] = w
-        return cls(obj["n"], winners)
+        return cls(n, winners)
 
     def __repr__(self) -> str:
         return f"Tournament.from_json_obj({self.to_json_obj()!r})"

@@ -2,20 +2,18 @@
 
 One engine gives the rank generating function sum q^|I| over the order ideals
 I of any subposet, dualized or not: a frontier dynamic program (the transfer-
-matrix method, Stanley EC1 4.7) over step tables built from one heap order per
-subposet, taking the connected components one at a time; each starts where the
-frontier is empty, and the gf is their product, a packed tree over coefficient
-lists (polynomials._dense_product). The engine reads the subposet's index
-covers and works on vertex indices: lists for covers and last uses, and a heap
-of ints. The cover lists and the component labels come from poset._adjacency
-and poset._label_components, which Subposet's own adjacency maps and
-components() read too. The vertices are in lexicographic order, so the heap
-pops the order the vertex tuples would give, and enumerate_ideals maps it back
-to vertices once. Counts are the same DP at field width 0, not the rank gf at
-q = 1. For sets with green, the staircase arrays are the same ideals in other
-coordinates (poset.ideal_to_array), so the array counts and rank gf in
-arrays.py run this engine too. The independent cross-check, the row
-value-count transfer specialized at x_k = q^(k-1), lives in the tests.
+matrix method, Stanley EC1 4.7) over step tables built from one heap order of
+vertex indices. Sorted stably by component label, that order takes the
+components one after another, each starting where the frontier is empty. Each
+distinct component table runs once, for counts and gfs alike, its result
+raised to the number of components that have it; the gf is the product
+(polynomials._dense_product). The vertices are in lexicographic order, so the
+heap pops the order the vertex tuples would give, and enumerate_ideals maps it
+back to vertices once. Counts are the same DP at field width 0, not the rank
+gf at q = 1. For sets with green, the staircase arrays are the same ideals in
+other coordinates (poset.ideal_to_array), so arrays.py runs this engine too.
+The independent cross-check, the row value-count transfer specialized at
+x_k = q^(k-1), lives in the tests.
 
 Each component is counted on one of two sides. The ideals of P are the
 complements of the ideals of P^dual, so side A, P in the heap order, and side
@@ -46,28 +44,25 @@ from .poset import Covers, OrderIdeal, Subposet, _adjacency, _label_components
 
 Row = tuple[int, ...]
 Step = tuple[int, int, int]  # (need_mask, u_bit, keep_mask), see _table
+Table = tuple[Step, ...]
 
 
-def _linear_extension(lower: Covers, upper: Covers, label: list[int] | None = None) -> list[int]:
+def _linear_extension(lower: Covers, upper: Covers) -> list[int]:
     """Kahn's algorithm with a heap of vertex indices, so the order is
-    deterministic. With a label per vertex the heap pops label * size + i,
-    so the vertices of one label come out in one run, in the order their
-    own heap gives. The cover lists need no sorting, since the heap fixes
-    the order and the step masks are ORs."""
-    size = len(lower)
+    deterministic. The cover lists need no sorting, since the heap fixes the
+    order and the step masks are ORs."""
     indeg = list(map(len, lower))
-    label = label or [0] * size
-    ready = [label[i] * size + i for i in range(size) if not indeg[i]]
+    ready = [i for i, d in enumerate(indeg) if not d]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        v = heapq.heappop(ready) % size
+        v = heapq.heappop(ready)
         order.append(v)
         for w in upper[v]:
             indeg[w] -= 1
             if not indeg[w]:
-                heapq.heappush(ready, label[w] * size + w)
-    if len(order) != size:
+                heapq.heappush(ready, w)
+    if len(order) != len(lower):
         raise ValueError("cover relation contains a cycle")
     return order
 
@@ -83,7 +78,7 @@ def _last_use(order: Sequence[int], lower: Covers) -> list[int]:
     return last_use
 
 
-def _table(order: Sequence[int], lower: Covers, last_use: list[int], start=0) -> list[Step]:
+def _table(order: Sequence[int], lower: Covers, last_use: list[int], start=0) -> Table:
     """One (need_mask, u_bit, keep_mask) triple per vertex u of a linear
     extension, whose steps are numbered from start as in last_use. A vertex
     holds the lowest free bit slot from its own step until its last use.
@@ -107,22 +102,28 @@ def _table(order: Sequence[int], lower: Covers, last_use: list[int], start=0) ->
             held |= u_bit
             bit[u] = u_bit
         steps.append((need, u_bit, keep))
-    return steps
+    return tuple(steps)
 
 
-def _component_tables(p: Subposet) -> Iterator[tuple[list[Step], bool]]:
-    """Each component's step table on its narrower side, in order of least
-    vertex, and whether that side is p^dual. A side's width sum is the sum
-    over v of last_use(v) - pos(v) in its own order. The frontier is empty
-    where each component starts, so a table built from there on either side
-    is the one the component alone would give."""
+def _component_tables(p: Subposet) -> dict[tuple[Table, bool], int]:
+    """Each distinct (step table, side is p^dual) of the components, each on
+    its narrower side, with the number of components that have it, in order
+    of least vertex. A side's width sum is the sum over v of
+    last_use(v) - pos(v) in its own order. Each component starts with the
+    frontier empty, so its table on either side is the one it alone gives.
+
+    The heap order sorted stably by component label lists each component in
+    the order its own heap gives: a vertex's lower covers are all in its
+    component, so its ready vertices never wait on another's, and each pop
+    of one of them takes the least of its own ready ones."""
     lower, upper = _adjacency(len(p.vertices), p.index_covers)
     label, sizes = _label_components(lower, upper)
-    order = _linear_extension(lower, upper, label)
+    order = sorted(_linear_extension(lower, upper), key=label.__getitem__)
     last_a = _last_use(order, lower)
     reverse = order[::-1]
     last_b = _last_use(reverse, upper)
     end = len(order)
+    tables: dict[tuple[Table, bool], int] = {}
     for a, b in pairwise(accumulate(sizes, initial=0)):
         comp = order[a:b]
         pos_a = sum(range(a, b))
@@ -130,12 +131,14 @@ def _component_tables(p: Subposet) -> Iterator[tuple[list[Step], bool]]:
         # B numbers order[t] as end - 1 - t
         width_b = sum(map(last_b.__getitem__, comp)) - ((end - 1) * (b - a) - pos_a)
         if width_b < width_a:
-            yield _table(reverse[end - b : end - a], upper, last_b, end - b), True
+            key = _table(reverse[end - b : end - a], upper, last_b, end - b), True
         else:
-            yield _table(comp, lower, last_a, a), False
+            key = _table(comp, lower, last_a, a), False
+        tables[key] = tables.get(key, 0) + 1
+    return tables
 
 
-def _run(steps: list[Step], width: int, budget: int) -> int:
+def _run(steps: Table, width: int, budget: int) -> int:
     """The frontier DP over one component's step table: its rank gf packed
     with the coefficient of q^s in bits [s*width, (s+1)*width).
 
@@ -172,17 +175,13 @@ def _run(steps: list[Step], width: int, budget: int) -> int:
 def rank_gf(p: Subposet) -> QPoly:
     """Rank generating function sum over ideals I of q^|I|, the product of
     the components' gfs: one _run per distinct (table, side), its gf raised
-    to the table's count. A coefficient counts s-element sets of a
-    component, at most C(size, s) < 2^width for width = size + 1, so no
-    field carries into the next. A dual side's gf is read reversed. Every gf
-    is dense, as a poset has ideals of every size up to its own."""
+    to the number of components that have it. A coefficient counts s-element
+    sets of a component, at most C(size, s) < 2^width for width = size + 1,
+    so no field carries into the next. A dual side's gf is read reversed.
+    Every gf is dense, as a poset has ideals of every size up to its own."""
     budget = enumeration_budget()
-    tables: dict[tuple, int] = {}
-    for steps, dual in _component_tables(p):
-        key = tuple(steps), dual
-        tables[key] = tables.get(key, 0) + 1
     gfs = []
-    for (steps, dual), count in tables.items():
+    for (steps, dual), count in _component_tables(p).items():
         width = len(steps) + 1
         packed = _run(steps, width, budget)
         field = (1 << width) - 1
@@ -192,9 +191,9 @@ def rank_gf(p: Subposet) -> QPoly:
 
 
 def count_ideals(p: Subposet) -> int:
-    """Number of order ideals, the product of the components' counts."""
+    """Number of order ideals: each distinct table's count to the power of its multiplicity."""
     budget = enumeration_budget()
-    return prod(_run(steps, 0, budget) for steps, _ in _component_tables(p))
+    return prod(_run(steps, 0, budget) ** m for (steps, _), m in _component_tables(p).items())
 
 
 def _walk_rows(n: int, successors: Callable[[int, Row], Iterable[Row]]) -> Iterator[list[Row]]:

@@ -227,6 +227,26 @@ def json_int(value) -> int:
     return value
 
 
+def json_list(value, what: str, length: int | None = None) -> list:
+    """A JSON array, of the given length if one is given; anything else is
+    refused as "{what}, got {value!r}"."""
+    if isinstance(value, (list, tuple)) and length in (None, len(value)):
+        return value
+    raise ValueError(f"{what}, got {value!r}")
+
+
+def json_fields(obj, kind: str, fields: tuple[str, ...]) -> list:
+    """The values of fields in obj, a JSON object that must hold them all.
+    kind names the object with its article, as in "an ideal"."""
+    if not isinstance(obj, dict):
+        names = " and ".join(f'"{field}"' for field in fields)
+        raise ValueError(f"expected {kind}: an object with {names} fields")
+    for field in fields:
+        if field not in obj:
+            raise ValueError(f'the {kind.split()[-1]} has no "{field}" field')
+    return [obj[field] for field in fields]
+
+
 class Value:
     """An immutable value, compared and hashed by its class and _key(). Copies
     and pickles are rebuilt through the class's checked from_json_obj, since
@@ -278,21 +298,14 @@ class OrderIdeal(Value):
 
     @classmethod
     def from_json_obj(cls, obj) -> OrderIdeal:
-        if not isinstance(obj, dict):
-            raise ValueError('expected an ideal: an object with "n" and "vertices" fields')
-        for field in ("n", "vertices"):
-            if field not in obj:
-                raise ValueError(f'the ideal has no "{field}" field')
-        vertices = obj["vertices"]
-        if not isinstance(vertices, (list, tuple)):
-            raise ValueError(f'field "vertices" must be a list of vertices, got {vertices!r}')
-        return cls(json_int(obj["n"]), frozenset(map(_json_vertex, vertices)))
+        n, vertices = json_fields(obj, "an ideal", ("n", "vertices"))
+        vertices = json_list(vertices, 'field "vertices" must be a list of vertices')
+        return cls(json_int(n), frozenset(map(_json_vertex, vertices)))
 
 
 def _json_vertex(v) -> Vertex:
-    if isinstance(v, (list, tuple)) and len(v) == 3:
-        return json_int(v[0]), json_int(v[1]), json_int(v[2])
-    raise ValueError(f"expected a vertex of three integers, got {v!r}")
+    c1, c2, c3 = json_list(v, "expected a vertex of three integers", 3)
+    return json_int(c1), json_int(c2), json_int(c3)
 
 
 def ideal_to_array(ideal: OrderIdeal):

@@ -207,6 +207,49 @@ def test_tournament_messages(n, winners, message):
     assert str(info.value) == message
 
 
+#: (payload, exact message) for every raise site of Tournament.from_json_obj
+#: ahead of the constructor's own checks.
+TOURNAMENT_PAYLOAD_MESSAGES = [
+    ([1], 'expected a tournament: an object with "n" and "games" fields'),
+    (None, 'expected a tournament: an object with "n" and "games" fields'),
+    ({"games": []}, 'the tournament has no "n" field'),
+    ({"n": 2}, 'the tournament has no "games" field'),
+    ({"n": 2, "games": 5}, 'field "games" must be a list of games, got 5'),
+    ({"n": 2, "games": "ab"}, 'field "games" must be a list of games, got \'ab\''),
+    ({"n": 2, "games": [[1, 2, 3, 4]]}, "expected a game [i, j, winner], got [1, 2, 3, 4]"),
+    ({"n": 2, "games": [[1, 2]]}, "expected a game [i, j, winner], got [1, 2]"),
+    ({"n": 2, "games": [5]}, "expected a game [i, j, winner], got 5"),
+]
+
+
+@pytest.mark.parametrize("payload, message", TOURNAMENT_PAYLOAD_MESSAGES)
+def test_tournament_payload_messages(payload, message):
+    with pytest.raises(ValueError) as info:
+        Tournament.from_json_obj(payload)
+    assert str(info.value) == message
+
+
+#: (payload, exact message) for a rows payload that is not a list of lists,
+#: the same for every rows family
+ROWS_PAYLOAD_MESSAGES = [
+    (5, "expected a list of rows, got 5"),
+    (None, "expected a list of rows, got None"),
+    ("ab", "expected a list of rows, got 'ab'"),
+    ({"n": 1}, "expected a list of rows, got {'n': 1}"),
+    ([5], "expected a row of integers, got 5"),
+    ([[1], None], "expected a row of integers, got None"),
+    ([[1], "ab"], "expected a row of integers, got 'ab'"),
+]
+
+
+@pytest.mark.parametrize("family", [Asm, MonotoneTriangle, StaircaseArray, Tsscpp])
+@pytest.mark.parametrize("payload, message", ROWS_PAYLOAD_MESSAGES)
+def test_rows_payload_messages(family, payload, message):
+    with pytest.raises(ValueError) as info:
+        family.from_json_obj(payload)
+    assert str(info.value) == message
+
+
 def test_tsscpp_rejects_invalid():
     rows = [[2, 1], [1, 1]]
     with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tetraposet import (
     BudgetError,
@@ -19,6 +21,7 @@ from tetraposet import (
     counting,
     enumerate_ideals,
     format_colors,
+    formula_count,
     formula_rank_gf,
     parse_colors,
     rank_gf,
@@ -144,19 +147,24 @@ def test_counts_build_no_subposet_maps(monkeypatch):
 
 def _steps(p, by_component=False):
     """The heap's linear extension of p, as indices of p.vertices, and one
-    step table over all of it. With by_component, each component starts
+    step table over all of it. With by_component, the order is sorted stably
+    by component label, as the engine sorts it, and each component starts
     exactly where need_mask = keep_mask = 0: the frontier is empty there and
     nowhere else."""
     lower, upper = _adjacency(len(p.vertices), p.index_covers)
-    label = _label_components(lower, upper)[0] if by_component else None
-    order = _linear_extension(lower, upper, label)
+    order = _linear_extension(lower, upper)
+    if by_component:
+        order.sort(key=_label_components(lower, upper)[0].__getitem__)
     return order, _table(order, lower, _last_use(order, lower))
 
 
 def test_tables_match_vertex_keyed_oracle():
     """The index engine's orders and step tables equal those of the vertex-
-    keyed builder in conftest, on every set and its dual, so every mask, DP
-    state and gf is the one the vertex tuples give."""
+    keyed builder in conftest, whose heap pops (label, vertex) pairs, on
+    every set and its dual, so every mask, DP state and gf is the one the
+    vertex tuples give. The engine's distinct tables, with their counts and
+    in order of first component, are the oracle's per-component list
+    grouped."""
     for n in range(1, 7):
         p = build(n)
         for colorset in all_admissible_sets():
@@ -165,8 +173,9 @@ def test_tables_match_vertex_keyed_oracle():
                     order, steps = _steps(sub, by_component)
                     oracle_order, oracle_steps, _ = vertex_steps(sub, by_component)
                     assert [sub.vertices[i] for i in order] == oracle_order
-                    assert steps == oracle_steps
-                assert list(counting._component_tables(sub)) == vertex_component_tables(sub)
+                    assert steps == tuple(oracle_steps)
+                grouped = Counter((tuple(steps), dual) for steps, dual in vertex_component_tables(sub))
+                assert list(counting._component_tables(sub).items()) == list(grouped.items())
 
 
 def test_run_matches_get_merge_oracle():
@@ -213,6 +222,46 @@ def index_covers(p):
     return lower, upper
 
 
+@st.composite
+def component_dags(draw):
+    """Index covers of a DAG on at most 12 vertices, split into groups that
+    no edge crosses, each group's edges running up a random order of it."""
+    size = draw(st.integers(0, 12))
+    group = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    rank = draw(st.permutations(range(size)))
+    pairs = [(v, w) for v in range(size) for w in range(size)
+             if group[v] == group[w] and rank[v] < rank[w]]
+    return size, [pair for pair in pairs if draw(st.booleans())]
+
+
+def least_ready_first(vertices, lower):
+    """The extension that takes the least index whose lower covers are all
+    taken, again and again: the order a heap of indices gives."""
+    taken, order = set(), []
+    while len(order) < len(vertices):
+        v = min(v for v in vertices if v not in taken and taken.issuperset(lower[v]))
+        taken.add(v)
+        order.append(v)
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_dags())
+def test_heap_order_sorted_by_label_is_each_components_own(dag):
+    """_linear_extension is the least-ready-index order, and sorting it
+    stably by component label lists each component in its own least-ready
+    order, the components in label order."""
+    size, index_covers = dag
+    lower, upper = _adjacency(size, index_covers)
+    order = _linear_extension(lower, upper)
+    assert order == least_ready_first(range(size), lower)
+    label, sizes = _label_components(lower, upper)
+    own = [least_ready_first([v for v in range(size) if label[v] == c], lower)
+           for c in sorted(set(label))]
+    assert sorted(order, key=label.__getitem__) == [v for comp in own for v in comp]
+    assert list(map(len, own)) == sizes
+
+
 def test_counting_steps_run_component_by_component():
     """The counting table takes each component in one run, in order of least
     vertex, in the order and with the masks its own table gives, and the
@@ -253,16 +302,15 @@ def _width(steps):
 
 def test_both_sides_give_the_reversed_gf():
     """Each component's gf from side A equals its side-B gf reversed at its
-    size, and the engine takes B exactly when B's width sum is the smaller."""
+    size, and the engine takes B exactly when B's width sum is the smaller:
+    its tables are the chosen sides of the components, grouped."""
     budget = 10**8
     for n in range(1, 6):
         p = build(n)
         for colorset in all_admissible_sets():
             for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
-                comps = sub.components()
-                chosen = list(counting._component_tables(sub))
-                assert len(chosen) == len(comps)
-                for comp, (steps, dual) in zip(comps, chosen):
+                chosen = Counter()
+                for comp in sub.components():
                     side_a, side_b = _sides(comp)
                     width = len(comp.vertices) + 1
                     field = (1 << width) - 1
@@ -272,8 +320,9 @@ def test_both_sides_give_the_reversed_gf():
                     )
                     assert gf_a == gf_b[::-1]
                     assert _run(side_a, 0, budget) == _run(side_b, 0, budget) == sum(gf_a)
-                    assert dual == (_width(side_b) < _width(side_a))
-                    assert steps == (side_b if dual else side_a)
+                    dual = _width(side_b) < _width(side_a)
+                    chosen[side_b if dual else side_a, dual] += 1
+                assert list(counting._component_tables(sub).items()) == list(chosen.items())
 
 
 def _dp_states(steps):
@@ -294,7 +343,8 @@ def test_narrower_side_dp_states_n7():
     p = build(7)
     states = {
         format_colors(colorset): sum(
-            _dp_states(steps) for steps, _ in counting._component_tables(p.subposet(colorset))
+            _dp_states(steps) * m
+            for (steps, _), m in counting._component_tables(p.subposet(colorset)).items()
         )
         for colorset in all_admissible_sets()
     }
@@ -329,12 +379,20 @@ def test_component_generating_functions_multiply():
         assert product == rank_gf(p)
 
 
-def test_many_component_gfs_equal_the_closed_form():
-    # 105, 14 and 14 components at n = 15; the last products of the tree
-    # pack fields of 14 bytes or more
-    for colors in ("g", "rs", "rbg"):
+def test_many_component_gfs_equal_the_closed_form(monkeypatch):
+    """105, 14 and 14 components at n = 15 with 14, 13 and 14 distinct
+    tables; the last products of the tree pack fields of 14 bytes or more.
+    The gf and the count each run every distinct table once."""
+    runs = []
+    run = counting._run
+    monkeypatch.setattr(counting, "_run", lambda steps, *args: runs.append(steps) or run(steps, *args))
+    for colors, components, distinct in (("g", 105, 14), ("rs", 14, 13), ("rbg", 14, 14)):
         p = build(15).subposet(colors)
+        assert sum(counting._component_tables(p).values()) == components
+        runs.clear()
         assert rank_gf(p) == formula_rank_gf(colors, 15)
+        assert count_ideals(p) == formula_count(colors, 15)
+        assert len(runs) == len(set(runs)) * 2 == distinct * 2
 
 
 def test_tournament_class_shares_one_gf():

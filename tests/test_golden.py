@@ -75,6 +75,18 @@ ERROR_CASES = (
 ) + (
     (["convert", "--from", "array", "--to", "ideal", "--input", "-", "--colors", "ry"],
      json.dumps(TOURNAMENT_ARRAYS_3[0])),
+) + tuple(
+    (["convert", "--from", "tournament", "--to", "array", "--input", "-"], payload)
+    for payload in (
+        '{"games":[]}',
+        '{"n":2}',
+        '{"n":2,"games":5}',
+        '{"n":2,"games":[[1,2,3,4]]}',
+        "[1]",
+    )
+) + tuple(
+    (["convert", "--from", src, "--to", "array", "--input", "-"], payload)
+    for src, payload in (("asm", "5"), ("mt", "[5]"), ("array", "null"), ("tsscpp", '"ab"'))
 )
 
 #: convert inputs past the family objects: a null colors field is no field,
