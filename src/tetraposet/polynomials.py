@@ -4,7 +4,7 @@ All coefficients are arbitrary-precision integers; there is no floating
 point anywhere.
 
 One ring core, _Poly, keeps the terms as a dict from monomial key to nonzero
-coefficient and implements +, -, *, **, == and hashing once, for both types.
+coefficient and implements +, *, **, == and hashing once, for both types.
 The types differ only in their keys, and the key of a product is the sum of
 the keys for both; a product shifts the factor with more terms once per
 term of the other and merges the shifts. A QPoly key is the q exponent. A
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import reduce
-from math import comb
 from operator import mul, or_
 
 Monomial = tuple[int, tuple[tuple[int, int], ...]]
@@ -44,7 +43,8 @@ class _Poly:
     keys' own order), _format_key (a key other than 0 as repr prints it),
     _key_json (a key as JSON) and _clean_key (checks a public key and returns
     its int). The public constructor checks every key and coefficient;
-    arithmetic builds results through _make, which trusts them.
+    arithmetic builds results through _make, which trusts them. The ring
+    has sums, products and powers only: a difference is a + (-1) * b.
     """
 
     __slots__ = ("_terms",)
@@ -63,9 +63,6 @@ class _Poly:
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def _coerce(self, other):
         """Same exact type, or an int as a constant; None for anything else."""
@@ -89,21 +86,6 @@ class _Poly:
         return self._make(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return self._make({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
 
     def __mul__(self, other):
         """Shift the factor with more terms by each term of the smaller one:
@@ -194,11 +176,6 @@ class QPoly(_Poly):
     @staticmethod
     def _key_json(exp: int) -> dict:
         return {"q": exp}
-
-    @classmethod
-    def from_coeff_list(cls, coeffs: Iterable[int]) -> QPoly:
-        """Build from a coefficient list, lowest degree first."""
-        return cls(dict(enumerate(coeffs)))
 
     @classmethod
     def q(cls, exp: int = 1) -> QPoly:
@@ -293,13 +270,6 @@ def _q_pascal_row(m: int) -> list[QPoly]:
     return row
 
 
-def q_binomial(m: int, k: int) -> QPoly:
-    """Gaussian binomial [m choose k]_q; 0 for k outside 0..m."""
-    if k < 0 or k > m:
-        return QPoly()
-    return _q_pascal_row(m)[k]
-
-
 FIELD = 16
 _MASK = (1 << FIELD) - 1
 
@@ -368,18 +338,6 @@ class SparsePoly(_Poly):
     def constant(cls, c: int) -> SparsePoly:
         return cls({(0, ()): c})
 
-    @classmethod
-    def lam(cls, exp: int = 1) -> SparsePoly:
-        return cls({(exp, ()): 1})
-
-    @classmethod
-    def x(cls, index: int, exp: int = 1) -> SparsePoly:
-        return cls({(0, ((index, exp),)): 1})
-
-    @classmethod
-    def monomial(cls, lam: int, xs: Mapping[int, int], coeff: int = 1) -> SparsePoly:
-        return cls({(lam, tuple(sorted(xs.items()))): coeff})
-
     def terms(self) -> dict[Monomial, int]:
         return {_unpack(key): c for key, c in self._terms.items()}
 
@@ -399,8 +357,9 @@ def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:
     (1+lambda)^N becomes the terms c * binomial(N, k) * lambda^k * m. The
     coefficients must be positive, as a transfer's counts are, so no
     expanded term cancels. The row binomial(N, 0..N) is computed once per
-    distinct N, kept for this call only, and each term steps lambda (field
-    0) by adding 1 to its key."""
+    distinct N by the recurrence binomial(N, m+1) = binomial(N, m) * (N-m)
+    / (m+1), whose divisions are exact, kept for this call only, and each
+    term steps lambda (field 0) by adding 1 to its key."""
     shift = field * FIELD
     low = (1 << shift) - 1
     terms: dict[int, int] = {}
@@ -411,7 +370,10 @@ def expand_binomial_field(sums: dict[int, int], field: int) -> SparsePoly:
         key &= low
         row = rows.get(spread)
         if row is None:
-            row = rows[spread] = [comb(spread, m) for m in range(spread + 1)]
+            row = rows[spread] = [b := 1]
+            for m in range(spread):
+                b = b * (spread - m) // (m + 1)
+                row.append(b)
         for b in row:
             terms[key] = get(key, 0) + c * b
             key += 1

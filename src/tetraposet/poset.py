@@ -14,7 +14,7 @@ functions specialize to many classical product formulas.
 
 The edges are kept once per n as (lower, upper) index pairs into the sorted
 vertex tuple, the form the counting engine reads; a subposet makes its
-vertex pairs and adjacency maps only when asked for them.
+vertex pairs and its map of lower covers only when asked for them.
 
 When green is in S, an ideal is read as a staircase array: vertex
 (c1, c2, c3) is level c2 of the green chain of array cell (c1+1, n-1-c1-c3).
@@ -111,9 +111,9 @@ class Subposet:
     vertices is in lexicographic order, so index order is vertex order. The
     covers are one tuple of (lower, upper) index pairs into vertices, grouped
     by color in canonical order; a dual subposet (see dual()) stores each pair
-    reversed. The adjacency maps and the components are read from the index
-    lists of _adjacency, the same ones the counting engine reads, and
-    covers() makes the vertex pairs on each call.
+    reversed. predecessors() reads the index lists of _adjacency, the same
+    ones the counting engine reads, and covers() makes the vertex pairs on
+    each call.
     """
 
     __slots__ = ("n", "colors", "vertices", "index_covers", "is_dual", "_lower")
@@ -138,47 +138,23 @@ class Subposet:
         vs = self.vertices
         return tuple([(vs[i], vs[j]) for i, j in self.index_covers])
 
-    def _cover_map(self, side: int) -> dict[Vertex, tuple[Vertex, ...]]:
-        """vertex -> its sorted lower (side 0) or upper (side 1) covers."""
-        vs = self.vertices
-        lists = _adjacency(len(vs), self.index_covers)[side]
-        return {v: tuple([vs[j] for j in sorted(ws)]) for v, ws in zip(vs, lists)}
-
-    def successors(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        return self._cover_map(1)
-
     def predecessors(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        return self._cover_map(0)
+        """vertex -> its sorted lower covers; the upper covers are those of
+        dual()."""
+        vs = self.vertices
+        lower = _adjacency(len(vs), self.index_covers)[0]
+        return {v: tuple([vs[j] for j in sorted(ws)]) for v, ws in zip(vs, lower)}
 
     def dual(self) -> Subposet:
         flipped = tuple([(j, i) for i, j in self.index_covers])
         return Subposet(self.n, self.colors, self.vertices, flipped, not self.is_dual)
 
-    def components(self) -> tuple[Subposet, ...]:
-        """Connected components, each as a Subposet on its own vertex set, in
-        order of least vertex. Vertices and covers keep their order, and each
-        cover is re-indexed into its component's vertices."""
-        size = len(self.vertices)
-        label, _ = _label_components(*_adjacency(size, self.index_covers))
-        local = [0] * size  # each vertex's index in its component
-        groups: dict[int, tuple[list[Vertex], list[tuple[int, int]]]] = {}
-        for i, v in enumerate(self.vertices):
-            vs = groups.setdefault(label[i], ([], []))[0]
-            local[i] = len(vs)
-            vs.append(v)
-        for i, j in self.index_covers:
-            groups[label[i]][1].append((local[i], local[j]))
-        return tuple(
-            Subposet(self.n, self.colors, tuple(vs), tuple(cs), self.is_dual)
-            for vs, cs in groups.values()
-        )
-
     def is_ideal(self, members) -> bool:
         """True iff every member is a vertex and its lower covers are members.
 
         The map vertex -> frozenset of lower covers is built on the first call
-        and kept, so each member costs one subset test; dual() and
-        components() return new subposets with their own.
+        and kept, so each member costs one subset test; dual() returns a new
+        subposet with its own.
         """
         if self._lower is None:
             self._lower = {v: frozenset(ws) for v, ws in self.predecessors().items()}
@@ -204,10 +180,6 @@ class TetraPoset:
         self.n = n
         self.vertices = _vertices(n)
         self._edges = _edges_for(n)
-
-    @property
-    def vertex_count(self) -> int:
-        return comb(self.n + 1, 3)
 
     def subposet(self, colors) -> Subposet:
         colorset = require_admissible(colors)

@@ -25,6 +25,47 @@ from tetraposet import (
 )
 from tetraposet.arrays import value_count_gf
 from tetraposet.polynomials import FIELD
+from tetraposet.poset import Vertex, _adjacency, _label_components
+
+
+def qpoly(coeffs) -> QPoly:
+    """The q-polynomial of a coefficient list, lowest degree first."""
+    return QPoly(dict(enumerate(coeffs)))
+
+
+def lam(exp: int = 1) -> SparsePoly:
+    """lambda^exp."""
+    return SparsePoly({(exp, ()): 1})
+
+
+def x(index: int, exp: int = 1) -> SparsePoly:
+    """x_index^exp."""
+    return SparsePoly({(0, ((index, exp),)): 1})
+
+
+def monomial(lam_exp: int, xs: dict[int, int], coeff: int = 1) -> SparsePoly:
+    """coeff * lambda^lam_exp * prod_k x_k^xs[k]."""
+    return SparsePoly({(lam_exp, tuple(sorted(xs.items()))): coeff})
+
+
+def components(p: Subposet) -> tuple[Subposet, ...]:
+    """Connected components, each as a Subposet on its own vertex set, in
+    order of least vertex. Vertices and covers keep their order, and each
+    cover is re-indexed into its component's vertices."""
+    size = len(p.vertices)
+    label, _ = _label_components(*_adjacency(size, p.index_covers))
+    local = [0] * size  # each vertex's index in its component
+    groups: dict[int, tuple[list[Vertex], list[tuple[int, int]]]] = {}
+    for i, v in enumerate(p.vertices):
+        vs = groups.setdefault(label[i], ([], []))[0]
+        local[i] = len(vs)
+        vs.append(v)
+    for i, j in p.index_covers:
+        groups[label[i]][1].append((local[i], local[j]))
+    return tuple(
+        Subposet(p.n, p.colors, tuple(vs), tuple(cs), p.is_dual)
+        for vs, cs in groups.values()
+    )
 
 
 def brute_force_ideal_sizes(p: Subposet) -> dict[int, int]:

@@ -33,6 +33,7 @@ from tetraposet.poset import _adjacency, _label_components
 from conftest import (
     array_transfer_rank_gf,
     brute_force_ideal_sizes,
+    components,
     get_merge_run,
     vertex_component_tables,
     vertex_steps,
@@ -121,12 +122,11 @@ N4_IDEALS_SHA256 = "3939f808e4fb25d203447b3e8584803c346caedbff70e915c00270ea29d9
 
 def test_counts_build_no_subposet_maps(monkeypatch):
     """rank_gf, count_ideals and enumerate_ideals read the index covers
-    once: no vertex pairs, no component subposets, no dual and no
-    adjacency maps."""
+    once: no vertex pairs, no dual and no map of lower covers."""
     def refuse(*args):
-        raise AssertionError("a count built a per-component structure or vertex pairs")
+        raise AssertionError("a count built a vertex map or vertex pairs")
 
-    for name in ("covers", "components", "predecessors", "successors", "dual", "is_ideal"):
+    for name in ("covers", "predecessors", "dual", "is_ideal"):
         monkeypatch.setattr(Subposet, name, refuse)
     p = build(5)
     counts, gfs = {}, []
@@ -272,7 +272,7 @@ def test_counting_steps_run_component_by_component():
             for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
                 order, steps = _steps(sub, by_component=True)
                 order = [sub.vertices[i] for i in order]
-                comps = sub.components()
+                comps = components(sub)
                 assert [min(c.vertices) for c in comps] == sorted(min(c.vertices) for c in comps)
                 starts, t = [], 0
                 for comp in comps:
@@ -310,7 +310,7 @@ def test_both_sides_give_the_reversed_gf():
         for colorset in all_admissible_sets():
             for sub in (p.subposet(colorset), p.subposet(colorset).dual()):
                 chosen = Counter()
-                for comp in sub.components():
+                for comp in components(sub):
                     side_a, side_b = _sides(comp)
                     width = len(comp.vertices) + 1
                     field = (1 << width) - 1
@@ -371,7 +371,7 @@ def test_dual_count_equal_and_gf_reversed():
 def test_component_generating_functions_multiply():
     for colors in ("rbg", "rs", "r"):
         p = build(5).subposet(colors)
-        comps = p.components()
+        comps = components(p)
         assert len(comps) > 1
         product = QPoly({0: 1})
         for comp in comps:

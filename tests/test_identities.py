@@ -46,6 +46,7 @@ from conftest import (
     enumerated_tsscpp_expansion_rhs,
     enumerated_tsscpp_lambda_count,
     evaluate,
+    lam,
     principal_specialization,
     rise_drop_count,
     value_counts,
@@ -72,7 +73,7 @@ def enumerated_rr_rhs(n):
         terms[key] = terms.get(key, 0) + 1
     out = SparsePoly()
     for neg, terms in by_neg.items():
-        out = out + SparsePoly._make(terms) * (1 + SparsePoly.lam()) ** neg
+        out = out + SparsePoly._make(terms) * (1 + lam()) ** neg
     return out
 
 
@@ -234,10 +235,9 @@ def test_formula_reports_all_ok():
 
 
 def test_lambda_count_is_binomial_power():
-    lam = SparsePoly.lam()
     one = SparsePoly.constant(1)
     for n in range(1, 9):
-        assert tsscpp_lambda_count(n) == (one + lam) ** comb(n, 2)
+        assert tsscpp_lambda_count(n) == (one + lam()) ** comb(n, 2)
 
 
 def test_transfer_sums_match_enumeration():

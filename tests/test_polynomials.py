@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, factorial, prod
 from unittest.mock import patch
@@ -21,7 +22,6 @@ from tetraposet import (
     formulas,
     pairwise_product,
     polynomials,
-    q_binomial,
     q_bracket,
     q_factorial,
     tournament_gf,
@@ -36,12 +36,12 @@ from tetraposet.formulas import (
 )
 from tetraposet.polynomials import FIELD, _q_pascal_row, expand_binomial_field
 
-from conftest import evaluate, principal_specialization
+from conftest import evaluate, lam, monomial, principal_specialization, qpoly, x
 
 
 def exact_div(num: QPoly, den: QPoly) -> QPoly:
     """Exact polynomial division; raises ValueError on a nonzero remainder."""
-    if den.is_zero():
+    if den == 0:
         raise ValueError("division by zero polynomial")
     remainder = num.coefficients()
     quotient = {}
@@ -95,7 +95,7 @@ def test_qpoly_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a - a == QPoly()
+    assert a + (-1) * a == QPoly()
     assert a * 1 == a
     assert a * 0 == QPoly()
 
@@ -108,24 +108,24 @@ def test_qpoly_evaluation_is_homomorphism(a, b, v):
 
 @given(qpolys, qpolys)
 def test_exact_division_recovers_factor(a, b):
-    if b.is_zero():
+    if b == 0:
         with pytest.raises(ValueError):
             exact_div(a, b)
     else:
         product = a * b
-        if not a.is_zero():
+        if a != 0:
             assert exact_div(product, a) == b
 
 
 def test_exact_division_rejects_remainder():
     with pytest.raises(ValueError, match="inexact"):
-        exact_div(QPoly.q(1) + 1, QPoly.q(1) - 1)
+        exact_div(QPoly.q(1) + 1, QPoly.q(1) + (-1))
 
 
 def test_reversal():
-    p = QPoly.from_coeff_list([1, 2, 0, 5])
-    assert p.reversed_poly() == QPoly.from_coeff_list([5, 0, 2, 1])
-    assert p.reversed_poly(5) == QPoly.from_coeff_list([0, 0, 5, 0, 2, 1])
+    p = qpoly([1, 2, 0, 5])
+    assert p.reversed_poly() == qpoly([5, 0, 2, 1])
+    assert p.reversed_poly(5) == qpoly([0, 0, 5, 0, 2, 1])
     with pytest.raises(ValueError):
         p.reversed_poly(2)
 
@@ -134,45 +134,47 @@ def test_q_analogs_at_one():
     for m in range(8):
         assert q_bracket(m)(1) == m
         assert q_factorial(m)(1) == factorial(m)
+        row = _q_pascal_row(m)
         for k in range(m + 1):
-            assert q_binomial(m, k)(1) == comb(m, k)
-            assert q_binomial(m, k) == q_binomial(m, m - k)
+            assert row[k](1) == comb(m, k)
+            assert row[k] == row[m - k]
 
 
 def test_q_binomial_matches_factorial_quotient():
     for m in range(8):
+        row = _q_pascal_row(m)
         for k in range(m + 1):
-            lhs = q_binomial(m, k) * q_factorial(k) * q_factorial(m - k)
+            lhs = row[k] * q_factorial(k) * q_factorial(m - k)
             assert lhs == q_factorial(m)
 
 
 def test_q_pascal_row_holds_every_q_binomial():
-    """Row m is [m choose k]_q for k = 0..m, read through q_binomial and
+    """Row m is [m choose k]_q for k = 0..m, exactly m + 1 entries,
     checked against the factorial quotient, for m <= 12."""
     for m in range(13):
         row = _q_pascal_row(m)
-        assert row == [q_binomial(m, k) for k in range(m + 1)]
+        assert len(row) == m + 1
         for k, entry in enumerate(row):
             assert entry == exact_div(q_factorial(m), q_factorial(k) * q_factorial(m - k))
 
 
 def test_product_of_no_factors_or_one():
-    p = QPoly.from_coeff_list([2, 0, -3])
+    p = qpoly([2, 0, -3])
     assert QPoly.product([]) == QPoly({0: 1})
     assert QPoly.product(iter(())) == 1
     assert QPoly.product([p]) == p
     assert QPoly.product(iter([p])) == p
-    one_plus_q, one_minus_q = QPoly.from_coeff_list([1, 1]), QPoly.from_coeff_list([1, -1])
-    assert QPoly.product([one_plus_q, one_minus_q, 1 + QPoly.q(2)]) == 1 - QPoly.q(4)
+    one_plus_q, one_minus_q = qpoly([1, 1]), qpoly([1, -1])
+    assert QPoly.product([one_plus_q, one_minus_q, 1 + QPoly.q(2)]) == 1 + (-1) * QPoly.q(4)
     assert QPoly.product([one_plus_q, QPoly(), one_minus_q]) == QPoly()
 
 
-#: Lists of q-polynomials, some in pairs a + b and a - b, so that their
-#: products cancel terms.
+#: Lists of q-polynomials, some in pairs a + b and a - b (written
+#: a + (-1) * b), so that their products cancel terms.
 q_factor_lists = st.lists(
     st.one_of(
         qpolys.map(lambda a: [a]),
-        st.tuples(qpolys, qpolys).map(lambda t: [t[0] + t[1], t[0] - t[1]]),
+        st.tuples(qpolys, qpolys).map(lambda t: [t[0] + t[1], t[0] + (-1) * t[1]]),
     ),
     max_size=4,
 ).map(lambda groups: [factor for group in groups for factor in group])
@@ -196,7 +198,7 @@ dense_qpolys = st.lists(
     st.one_of(st.integers(min_value=1, max_value=9), st.integers(min_value=2**64, max_value=2**80)),
     min_size=1,
     max_size=6,
-).map(QPoly.from_coeff_list)
+).map(qpoly)
 
 
 def left_fold(factors):
@@ -221,7 +223,7 @@ def test_dense_product_covers_every_tree_shape():
     lists = [[1, 2], [big], [3, 1, big], [1], [5, 5, 5, 5, 5]]
     for count in range(len(lists) + 1):
         factors = lists[:count]
-        expected = left_fold(map(QPoly.from_coeff_list, factors))
+        expected = left_fold(map(qpoly, factors))
         assert polynomials._dense_product([(f, 1) for f in factors]) == expected.to_coeff_list()
     assert polynomials._dense_product([]) == [1]
     assert polynomials._dense_product([([big, big], 1)]) == [big, big]
@@ -238,7 +240,7 @@ def test_dense_powers_square_up_to_the_product(groups):
 
 @pytest.mark.parametrize(
     "odd",
-    [QPoly({0: 1, 2: 1}), QPoly.from_coeff_list([1, -2, 1]), QPoly(), QPoly({3: 2**70})],
+    [QPoly({0: 1, 2: 1}), qpoly([1, -2, 1]), QPoly(), QPoly({3: 2**70})],
     ids=["gap", "negative", "zero", "no-constant-term"],
 )
 def test_a_factor_that_is_not_dense_takes_the_dict_fold(odd, monkeypatch):
@@ -246,7 +248,7 @@ def test_a_factor_that_is_not_dense_takes_the_dict_fold(odd, monkeypatch):
         raise AssertionError("a non-dense factor reached the packed tree")
 
     monkeypatch.setattr(polynomials, "_dense_product", refuse)
-    dense = [QPoly.from_coeff_list([1, 1]), QPoly.from_coeff_list([2**64, 3, 1])]
+    dense = [qpoly([1, 1]), qpoly([2**64, 3, 1])]
     for factors in ([odd], [dense[0], odd, dense[1]], [*dense, odd]):
         assert QPoly.product(factors) == left_fold(factors)
 
@@ -256,7 +258,7 @@ def test_sparse_ring_laws(a, b, c):
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
-    assert a - a == SparsePoly()
+    assert a + (-1) * a == SparsePoly()
 
 
 def schoolbook_sparse(a: SparsePoly, b: SparsePoly) -> dict:
@@ -296,9 +298,10 @@ dense_sparse_polys = st.dictionaries(
     st.integers(min_value=-2, max_value=2),
     max_size=8,
 ).map(SparsePoly)
-# (p + r, p - r): the cross terms p*r cancel in the product.
+# (p + r, p - r), written p + (-1) * r: the cross terms p*r cancel in the
+# product.
 cancelling_pairs = st.tuples(dense_sparse_polys, dense_sparse_polys).map(
-    lambda t: (t[0] + t[1], t[0] - t[1])
+    lambda t: (t[0] + t[1], t[0] + (-1) * t[1])
 )
 sparse_operands = st.one_of(
     st.tuples(dense_sparse_polys, dense_sparse_polys),
@@ -321,7 +324,7 @@ def test_sparse_product_matches_schoolbook(operands):
 @given(
     st.one_of(
         st.tuples(qpolys, qpolys),
-        st.tuples(qpolys, qpolys).map(lambda t: (t[0] + t[1], t[0] - t[1])),
+        st.tuples(qpolys, qpolys).map(lambda t: (t[0] + t[1], t[0] + (-1) * t[1])),
         st.tuples(qpolys, st.integers(min_value=-3, max_value=3)),
     )
 )
@@ -334,13 +337,13 @@ def test_q_product_matches_schoolbook(operands):
 
 
 def test_product_cancels_terms_and_handles_zero():
-    x1, lam = SparsePoly.x(1), SparsePoly.lam()
-    assert (x1 + lam) * (x1 - lam) == x1 * x1 - lam * lam
-    assert ((1 + x1) * (1 - x1 + x1 * x1)).terms() == {(0, ()): 1, (0, ((1, 3),)): 1}
-    assert (x1 + lam) * SparsePoly() == SparsePoly()
-    assert SparsePoly() * (x1 + lam) == SparsePoly()
-    assert (x1 + lam) * 0 == SparsePoly()
-    assert QPoly.from_coeff_list([1, -1]) * QPoly.from_coeff_list([1, 1]) == QPoly({0: 1, 2: -1})
+    x1, lam1 = x(1), lam()
+    assert (x1 + lam1) * (x1 + (-1) * lam1) == x1 * x1 + (-1) * lam1 * lam1
+    assert ((1 + x1) * (1 + (-1) * x1 + x1 * x1)).terms() == {(0, ()): 1, (0, ((1, 3),)): 1}
+    assert (x1 + lam1) * SparsePoly() == SparsePoly()
+    assert SparsePoly() * (x1 + lam1) == SparsePoly()
+    assert (x1 + lam1) * 0 == SparsePoly()
+    assert qpoly([1, -1]) * qpoly([1, 1]) == QPoly({0: 1, 2: -1})
 
 
 @given(sparse_polys, st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
@@ -370,7 +373,7 @@ def test_expand_binomial_field_matches_power(terms, field):
         key = sum(e << k * FIELD for k, e in enumerate(exps))
         packed = key + (spread << field * FIELD)
         sums[packed] = sums.get(packed, 0) + c
-        expected = expected + SparsePoly._make({key: c}) * (1 + SparsePoly.lam()) ** spread
+        expected = expected + SparsePoly._make({key: c}) * (1 + lam()) ** spread
     assert expand_binomial_field(sums, field) == expected
 
 
@@ -379,11 +382,30 @@ def test_expand_binomial_field_merges_colliding_keys():
     field = 2
     x1 = 1 << FIELD
     sums = {1 + x1: 3, x1 + (1 << field * FIELD): 5}
-    assert expand_binomial_field(sums, field) == 5 * SparsePoly.x(1) + 8 * SparsePoly.lam() * SparsePoly.x(1)
+    assert expand_binomial_field(sums, field) == 5 * x(1) + 8 * lam() * x(1)
     assert expand_binomial_field({x1 + (1 << field * FIELD): 5, 1 + x1: 3}, field).terms() == {
         (0, ((1, 1),)): 5,
         (1, ((1, 1),)): 8,
     }
+
+
+def test_expand_binomial_field_rows_are_binomial_rows():
+    """The row of each N is binomial(N, 0..N), for every N <= 300."""
+    for spread in range(301):
+        row = expand_binomial_field({spread << FIELD: 1}, 1).terms()
+        assert row == {(m, ()): comb(spread, m) for m in range(spread + 1)}
+
+
+def test_expand_binomial_field_long_row_is_fast():
+    """A row of 8,001 entries, built by the multiplicative recurrence, in
+    well under a second; one comb call per entry took several seconds."""
+    spread = 8000
+    start = time.perf_counter()
+    p = expand_binomial_field({spread << FIELD: 1}, 1)
+    elapsed = time.perf_counter() - start
+    assert sum(p.terms().values()) == 2**spread
+    assert p.coeff((spread // 2, ())) == comb(spread, spread // 2)
+    assert elapsed < 1, f"{elapsed:.2f} s"
 
 
 @settings(max_examples=200, deadline=1000)
@@ -405,33 +427,33 @@ def test_expand_binomial_field_matches_power_on_colliding_keys(terms):
     field = 2
     sums = {}
     expected = SparsePoly()
-    for (lam, e, spread), c in terms.items():
-        key = lam + (e << FIELD)
+    for (lam_exp, e, spread), c in terms.items():
+        key = lam_exp + (e << FIELD)
         sums[key + (spread << field * FIELD)] = c
-        expected = expected + SparsePoly._make({key: c}) * (1 + SparsePoly.lam()) ** spread
+        expected = expected + SparsePoly._make({key: c}) * (1 + lam()) ** spread
     assert expand_binomial_field(sums, field) == expected
 
 
 def test_monomial_order_is_graded():
-    p = SparsePoly.x(2) + SparsePoly.lam() * SparsePoly.x(1, 2) + SparsePoly.constant(5)
+    p = x(2) + lam() * x(1, 2) + SparsePoly.constant(5)
     degrees = [lam + sum(e for _, e in xs) for lam, xs in p.monomials()]
     assert degrees == sorted(degrees)
 
 
 def test_principal_specialization():
-    p = SparsePoly.x(3, 2) + SparsePoly.x(1)
+    p = x(3, 2) + x(1)
     assert principal_specialization(p) == QPoly({4: 1, 0: 1})
     with pytest.raises(ValueError, match="lambda"):
-        principal_specialization(SparsePoly.lam())
+        principal_specialization(lam())
 
 
 def test_first_difference():
-    a = QPoly.from_coeff_list([1, 2, 3])
+    a = qpoly([1, 2, 3])
     assert first_difference(a, a) is None
-    b = QPoly.from_coeff_list([1, 5, 3])
+    b = qpoly([1, 5, 3])
     assert first_difference(a, b) == {"monomial": {"q": 1}, "lhs": "2", "rhs": "5"}
-    p = SparsePoly.x(1) + SparsePoly.lam()
-    q = SparsePoly.x(1) * 2
+    p = x(1) + lam()
+    q = x(1) * 2
     diff = first_difference(p, q)
     assert diff == {"monomial": {"lambda": 0, "x": {"1": 1}}, "lhs": "1", "rhs": "2"}
     with pytest.raises(ValueError):
@@ -445,22 +467,22 @@ def test_repr():
     assert repr(QPoly({1: 1, 2: 2})) == "QPoly(q + 2*q^2)"
     assert repr(SparsePoly()) == "SparsePoly(0)"
     assert repr(SparsePoly.constant(-2)) == "SparsePoly(-2)"
-    assert repr(SparsePoly.lam() ** 2 * SparsePoly.x(3)) == "SparsePoly(L^2*x3)"
-    p = 1 + 3 * SparsePoly.x(2) - SparsePoly.lam() * SparsePoly.x(1, 2)
+    assert repr(lam() ** 2 * x(3)) == "SparsePoly(L^2*x3)"
+    p = 1 + 3 * x(2) + (-1) * lam() * x(1, 2)
     assert repr(p) == "SparsePoly(1 + 3*x2 + -L*x1^2)"
-    assert repr(-1 - SparsePoly.x(1)) == "SparsePoly(-1 + -x1)"
+    assert repr(-1 + (-1) * x(1)) == "SparsePoly(-1 + -x1)"
 
 
 def test_polynomial_types_do_not_mix():
     with pytest.raises(TypeError):
-        QPoly({1: 2}) * SparsePoly.x(1)
+        QPoly({1: 2}) * x(1)
     with pytest.raises(TypeError):
-        SparsePoly.x(1) + QPoly({1: 2})
+        x(1) + QPoly({1: 2})
     with pytest.raises(TypeError):
-        QPoly({1: 2}) - SparsePoly.x(1)
+        QPoly({1: 2}) + (-1) * x(1)
     assert (QPoly({0: 1}) == SparsePoly.constant(1)) is False
-    assert 3 - QPoly.q() == QPoly({0: 3, 1: -1})
-    assert 3 - SparsePoly.lam() == SparsePoly({(0, ()): 3, (1, ()): -1})
+    assert 3 + (-1) * QPoly.q() == QPoly({0: 3, 1: -1})
+    assert 3 + (-1) * lam() == SparsePoly({(0, ()): 3, (1, ()): -1})
 
 
 @pytest.mark.parametrize(
@@ -475,10 +497,10 @@ def test_polynomial_types_do_not_mix():
         lambda: SparsePoly({(0, ((0, 1),)): 1}),
         lambda: SparsePoly({(0, ((1, 1), (1, 2))): 1}),
         lambda: SparsePoly({(0, ()): 1.5}),
-        lambda: SparsePoly.x(0),
-        lambda: SparsePoly.lam(-1),
-        lambda: SparsePoly.x(1, 2**16),
-        lambda: SparsePoly.lam(2**16),
+        lambda: x(0),
+        lambda: lam(-1),
+        lambda: x(1, 2**16),
+        lambda: lam(2**16),
     ],
 )
 def test_public_constructors_check_keys_and_coefficients(build):
@@ -487,21 +509,21 @@ def test_public_constructors_check_keys_and_coefficients(build):
 
 
 def test_arithmetic_skips_the_key_check(monkeypatch):
-    a, b = QPoly.from_coeff_list([1, 2]), QPoly.q(3)
-    p, q = SparsePoly.x(1) + SparsePoly.lam(), SparsePoly.x(2, 3)
+    a, b = qpoly([1, 2]), QPoly.q(3)
+    p, q = x(1) + lam(), x(2, 3)
 
     def refuse(*args):
         raise AssertionError("arithmetic went through the public constructor")
 
     monkeypatch.setattr(QPoly, "__init__", refuse)
     monkeypatch.setattr(polynomials, "_clean_monomial", refuse)
-    assert (a * b + a - b) ** 2 == (a * b + a - b) * (a * b + a - b)
-    assert (-(p * q) + p - 1) ** 2 != 0
+    c = a * b + a + (-1) * b
+    assert c**2 == c * c
+    assert ((-1) * (p * q) + p + (-1)) ** 2 != 0
     assert first_difference(a, b)["monomial"] == {"q": 0}
 
 
 def test_packed_fields_never_carry():
-    x = SparsePoly.x
     top = x(1, 2**15 - 1) * x(1, 2**15 - 1)
     assert top == x(1, 2**16 - 2)
     assert top.terms() == {(0, ((1, 2**16 - 2),)): 1}
@@ -509,8 +531,8 @@ def test_packed_fields_never_carry():
         top * x(1)
     with pytest.raises(OverflowError):
         x(1, 2**15) * x(1)
-    bad_small, bad_big = x(2, 2**15), x(2, 2**15) + x(1) + SparsePoly.lam()
-    good_small, good_big = x(1), x(1) + x(2) + x(3) + SparsePoly.lam()
+    bad_small, bad_big = x(2, 2**15), x(2, 2**15) + x(1) + lam()
+    good_small, good_big = x(1), x(1) + x(2) + x(3) + lam()
     for bad, good in [(bad_small, good_big), (bad_big, good_small), (bad_big, good_big)]:
         for a, b in [(bad, good), (good, bad)]:
             with pytest.raises(OverflowError):
@@ -519,19 +541,18 @@ def test_packed_fields_never_carry():
 
 
 def test_high_variable_index_round_trips():
-    p = 3 * SparsePoly.lam(2) * SparsePoly.x(40, 5) - SparsePoly.x(1)
+    p = 3 * lam(2) * x(40, 5) + (-1) * x(1)
     mono = (2, ((40, 5),))
     assert p.terms() == {mono: 3, (0, ((1, 1),)): -1}
     assert p.coeff(mono) == 3
     assert p.coeff((0, ((40, 5),))) == 0
     assert p.monomials() == [(0, ((1, 1),)), mono]
-    diff = first_difference(p, -SparsePoly.x(1))
+    diff = first_difference(p, (-1) * x(1))
     assert diff == {"monomial": {"lambda": 2, "x": {"40": 5}}, "lhs": "3", "rhs": "0"}
 
 
 RING_METHODS = (
-    "_coerce", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
-    "__mul__", "__rmul__", "__pow__", "__eq__", "__hash__", "is_zero",
+    "_coerce", "__add__", "__radd__", "__mul__", "__rmul__", "__pow__", "__eq__", "__hash__",
 )
 
 
@@ -544,8 +565,8 @@ def test_ring_methods_live_in_one_core():
 def test_carlitz_riordan_values():
     assert carlitz_riordan(0) == QPoly({0: 1})
     assert carlitz_riordan(1) == QPoly({0: 1})
-    assert carlitz_riordan(2) == QPoly.from_coeff_list([1, 1])
-    assert carlitz_riordan(3) == QPoly.from_coeff_list([1, 2, 1, 1])
+    assert carlitz_riordan(2) == qpoly([1, 1])
+    assert carlitz_riordan(3) == qpoly([1, 2, 1, 1])
     for j in range(9):
         assert carlitz_riordan(j)(1) == catalan_number(j)
         assert carlitz_riordan(j).degree == comb(j, 2)
@@ -687,12 +708,11 @@ BOUNDARY_CASES = [
      ValueError("n must be at least 1")),
     ("pairwise_product(0)", lambda: pairwise_product(0), ValueError("n must be at least 1")),
     ("pairwise_product(-3)", lambda: pairwise_product(-3), ValueError("n must be at least 1")),
-    ("q_binomial above", lambda: q_binomial(3, 4), QPoly()),
-    ("q_binomial below", lambda: q_binomial(3, -1), QPoly()),
+    ("q_binomial above", lambda: len(_q_pascal_row(3)), 4),
+    ("q_binomial below", lambda: _q_pascal_row(3)[0], QPoly({0: 1})),
     ("negative power", lambda: QPoly({0: 1, 1: 1}) ** -1, ValueError("negative power")),
     ("q_bracket(-1)", lambda: q_bracket(-1), ValueError("negative bracket")),
-    ("zero exponent", lambda: SparsePoly.monomial(2, {1: 0, 3: 4}),
-     SparsePoly.monomial(2, {3: 4})),
+    ("zero exponent", lambda: monomial(2, {1: 0, 3: 4}), monomial(2, {3: 4})),
     ("Subposet repr", lambda: repr(build(3).subposet("gbr")), "Subposet(n=3, colors=rbg)"),
     ("dual Subposet repr", lambda: repr(build(3).subposet("g").dual()),
      "Subposet(n=3, colors=g, dual)"),

@@ -24,10 +24,12 @@ from tetraposet import (
     weight,
 )
 
+from conftest import components
+
 
 def order_pairs(p):
     """All strict pairs (v, w) with v < w in p, by transitive closure."""
-    succ = p.successors()
+    succ = p.dual().predecessors()
     above = {}
 
     def reach(v):
@@ -78,7 +80,6 @@ def chain_array_to_ideal(x):
 
 def test_vertex_count():
     for n in range(2, 9):
-        assert build(n).vertex_count == comb(n + 1, 3)
         assert len(build(n).vertices) == comb(n + 1, 3)
 
 
@@ -96,7 +97,7 @@ def test_full_poset_has_unique_extremes():
     for n in range(2, 7):
         full = build(n).subposet("rbgoys")
         assert extreme(full, full.predecessors()) == (0, 0, 0)
-        assert extreme(full, full.successors()) == (0, n - 2, 0)
+        assert extreme(full, full.dual().predecessors()) == (0, n - 2, 0)
 
 
 def test_edge_counts_match_steps():
@@ -118,7 +119,7 @@ def test_edge_counts_match_steps():
 def test_red_blue_green_components():
     # one layer per k = 2..n, the layer at c3 = n-k having binomial(k,2) vertices
     for n in (3, 4, 5):
-        comps = build(n).subposet("rbg").components()
+        comps = components(build(n).subposet("rbg"))
         sizes = sorted(len(c.vertices) for c in comps)
         assert sizes == sorted(comb(k, 2) for k in range(2, n + 1))
 
@@ -126,7 +127,7 @@ def test_red_blue_green_components():
 def test_single_color_is_disjoint_chains():
     # n-j chains with j vertices each, j = 1..n-1
     p = build(4).subposet("g")
-    comps = p.components()
+    comps = components(p)
     sizes = sorted(len(c.vertices) for c in comps)
     assert sizes == [1, 1, 1, 2, 2, 3]
 
@@ -136,7 +137,7 @@ def test_components_partition_in_order_of_least_vertex():
         for colorset in all_admissible_sets():
             p = build(n).subposet(colorset)
             for q in (p, p.dual()):
-                comps = q.components()
+                comps = components(q)
                 assert sorted(v for c in comps for v in c.vertices) == list(q.vertices)
                 assert [c.vertices[0] for c in comps] == sorted(c.vertices[0] for c in comps)
                 for c in comps:
@@ -172,24 +173,24 @@ def test_vertex_covers_pinned_and_vertices_sorted():
         for q in (p.subposet(colorset), p.subposet(colorset).dual()):
             listed.append(f"{format_colors(colorset)}:{q.covers()!r}")
             assert q.covers() == q.covers()
-            for c in (q, *q.components()):
+            for c in (q, *components(q)):
                 assert list(c.vertices) == sorted(c.vertices)
                 assert c.covers() == tuple((c.vertices[i], c.vertices[j]) for i, j in c.index_covers)
     assert hashlib.sha256(";".join(listed).encode()).hexdigest() == N5_COVERS_SHA256
 
 
 def test_adjacency_maps_read_the_covers():
-    """successors() and predecessors() map every vertex to its sorted upper
-    and lower covers, and each is the other's on the dual."""
+    """predecessors() maps every vertex to its sorted lower covers, and on
+    the dual to its sorted upper covers; a second dual gives the first map
+    back."""
     for n in range(1, 6):
         for colorset in all_admissible_sets():
             p = build(n).subposet(colorset)
             up = {v: sorted(w for u, w in p.covers() if u == v) for v in p.vertices}
             down = {w: sorted(u for u, x in p.covers() if x == w) for w in p.vertices}
-            assert p.successors() == {v: tuple(ws) for v, ws in up.items()}
+            assert p.dual().predecessors() == {v: tuple(ws) for v, ws in up.items()}
             assert p.predecessors() == {v: tuple(ws) for v, ws in down.items()}
-            assert p.dual().successors() == p.predecessors()
-            assert p.dual().predecessors() == p.successors()
+            assert p.dual().dual().predecessors() == p.predecessors()
 
 
 def test_dual_swaps_covers():
@@ -369,7 +370,7 @@ def test_is_ideal_cache_agrees_with_cover_rule():
         p.is_ideal(())  # fill the caches before deriving new subposets
         d = p.dual()
         d.is_ideal(())
-        for q in (p, d, *p.components(), *d.components()):
+        for q in (p, d, *components(p), *components(d)):
             lower = q.predecessors()
             minimal = {v for v in q.vertices if not lower[v]}
             cases = []

@@ -1,8 +1,8 @@
-"""Checks on the code itself: the benchmark tracer's hooks still resolve, one
-small pass of each benchmark workload runs clean, every module imports
-cleanly when it is loaded first, importing the package loads no
-code generators, src/ keeps its invariants as exceptions rather than asserts,
-and the sources parse as Python 3.10."""
+"""Checks on the code itself: the public API is the pinned list, the benchmark
+tracer's hooks still resolve, one small pass of each benchmark workload runs
+clean, every module imports cleanly when it is loaded first, importing the
+package loads no code generators, src/ keeps its invariants as exceptions
+rather than asserts, and the sources parse as Python 3.10."""
 
 from __future__ import annotations
 
@@ -20,7 +20,39 @@ import pytest
 import tetraposet
 from tetraposet import IDENTITY_NAMES, QPoly, SparsePoly, verify_identity
 
+from conftest import monomial, x
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+#: The package's public names, as __all__ lists them. A change to the public
+#: API shows here as a diff.
+PUBLIC_API = [
+    "ASM_COLORS", "ArrayStats", "Asm", "AsmStats", "BudgetError", "CANONICAL_ORDER",
+    "Color", "DEFAULT_BUDGET", "FamilyMismatch", "IDENTITY_NAMES", "MonotoneTriangle",
+    "OrderIdeal", "QPoly", "SORTED_COLORS", "SparsePoly", "StaircaseArray", "Subposet",
+    "TOURNAMENT_COLORS", "TSSCPP_COLORS", "TetraPoset", "Tournament", "Tsscpp", "Vertex",
+    "admissibility_violations", "all_admissible_sets", "array_rank_gf", "array_stats",
+    "array_to_asm", "array_to_ideal", "array_to_mt", "array_to_tournament",
+    "array_to_tsscpp", "arrays", "asm_expansion_rhs", "asm_number", "asm_stats",
+    "asm_to_array", "asm_to_mt", "bijections", "budget", "build", "carlitz_riordan",
+    "catalan_number", "catalan_product", "colors", "count_arrays", "count_ideals",
+    "counting", "enumerate_arrays", "enumerate_asms", "enumerate_ideals",
+    "enumerate_row_shuffles", "enumerate_tournaments", "enumerate_tsscpps",
+    "enumeration_budget", "first_difference", "format_colors", "formula_count",
+    "formula_rank_gf", "formulas", "games", "ideal_to_array", "identities", "is_admissible",
+    "mt_to_array", "mt_to_asm", "pairwise_product", "parse_colors", "polynomials", "poset",
+    "q_binomial_product", "q_bracket", "q_factorial", "q_factorial_product", "rank_gf",
+    "require_admissible", "robbins_rumsey_rhs", "row_shuffle_count", "schur_expansion_rhs",
+    "sort_colors", "sort_to_tsscpp", "three_color_product", "to_dot", "tournament_gf",
+    "tournament_to_array", "tspp_number", "tsscpp_expansion_rhs", "tsscpp_lambda_count",
+    "tsscpp_to_array", "tsscpp_tournament_check", "validate", "verify_formulas",
+    "verify_identity", "weight",
+]
+
+
+def test_public_api_is_pinned():
+    assert tetraposet.__all__ == PUBLIC_API
 
 
 def load_tracer() -> types.ModuleType:
@@ -49,7 +81,7 @@ def test_tracer_wraps_sparse_mul_only():
         assert SparsePoly.__mul__ is not sparse_mul
         assert SparsePoly.__mul__.__wrapped__ is sparse_mul
         assert QPoly.__mul__ is q_mul
-        assert SparsePoly.x(1) * SparsePoly.x(2) == SparsePoly.monomial(0, {1: 1, 2: 1})
+        assert x(1) * x(2) == monomial(0, {1: 1, 2: 1})
         assert QPoly.q() * QPoly.q() == QPoly.q(2)
     finally:
         tracer.uninstall()
